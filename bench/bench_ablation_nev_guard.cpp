@@ -6,13 +6,9 @@
 // (c) with the Clamp-repair guard. The guard should eliminate essentially
 // all collapses and restore near-baseline accuracy.
 //
-// Each (flips, mode) cell's trials fan out on core::TrialScheduler
-// (--jobs N); per-trial outcomes land in index slots and aggregates are
-// reduced in index order, so the table is bitwise independent of --jobs.
+// Trial bodies: core::Campaign "ablation_nev_guard", run by
+// bench::run_campaign; the clean accuracy is its clean_summary().
 #include "bench/common.hpp"
-#include "core/corrupter.hpp"
-#include "core/protection.hpp"
-#include "util/strings.hpp"
 
 using namespace ckptfi;
 using bench::BenchOptions;
@@ -24,99 +20,41 @@ int main(int argc, char** argv) {
     d.resume_epochs = 1;  // collapse shows in the first resumed epoch
     return d;
   }());
+  const auto campaign = bench::open_campaign(opt, "ablation_nev_guard");
+  if (campaign == nullptr) return 0;
   bench::print_banner(
       "Ablation: N-EV guard vs critical-bit corruption (chainer/alexnet)",
       opt);
 
-  bench::TrialRows trials_out(opt.trials_out, "",
-                              bench::bench_fingerprint(opt, "ablation_nev_guard"));
-
-  core::ExperimentRunner runner(bench::make_config(opt, "chainer", "alexnet"));
-  const nn::TrainResult clean =
-      runner.resume_training(runner.restart_checkpoint(), opt.resume_epochs);
-
-  struct Mode {
-    const char* label;
-    bool guard;
-    core::RepairAction action;
-  };
-  const std::vector<Mode> modes = {
-      {"unguarded", false, core::RepairAction::Zero},
-      {"guard: zero", true, core::RepairAction::Zero},
-      {"guard: clamp", true, core::RepairAction::Clamp},
-  };
-
+  const std::string clean = format_fixed(
+      100.0 * campaign->clean_summary().at("chainer/alexnet").as_double(), 1);
   core::TextTable table({"mode", "bit-flips", "trainings", "collapsed",
                          "avg accuracy", "clean accuracy"});
-
-  for (const std::uint64_t flips : {100u, 1000u}) {
-    for (const Mode& mode : modes) {
-      const std::string cell =
-          "ablation/" + std::to_string(flips) + "/" + mode.label;
-      struct TrialResult {
-        std::uint8_t collapsed = 0;
-        double accuracy = 0.0;
-      };
-      std::vector<TrialResult> outcomes(opt.trainings);
-      std::vector<Json> rows(opt.trainings);
-      bench::make_scheduler(opt, cell).run(
-          opt.trainings, [&](const core::TrialContext& trial) {
-            mh5::File ckpt = runner.restart_checkpoint();
-            core::CorrupterConfig cc;
-            cc.injection_attempts = static_cast<double>(flips);
-            cc.corruption_mode = core::CorruptionMode::BitRange;
-            cc.first_bit = 0;
-            cc.last_bit = 63;  // critical bit INCLUDED
-            cc.seed = trial.seed;
-            core::Corrupter(cc).corrupt(ckpt);
-            if (mode.guard) {
-              core::GuardConfig gc;
-              gc.action = mode.action;
-              core::guard_checkpoint(ckpt, gc);
-            }
-            const nn::TrainResult res =
-                runner.resume_training(ckpt, opt.resume_epochs);
-            outcomes[trial.index] = {res.collapsed ? std::uint8_t{1}
-                                                   : std::uint8_t{0},
-                                     res.final_accuracy};
-            if (trials_out.enabled()) {
-              Json row = Json::object();
-              row["cell"] = cell;
-              row["trial"] = trial.index;
-              row["seed"] = std::to_string(trial.seed);
-              row["collapsed"] = res.collapsed;
-              row["final_accuracy"] = res.final_accuracy;
-              rows[trial.index] = std::move(row);
-            }
-          });
-      trials_out.flush_cell(rows);
-      std::size_t collapsed = 0;
-      double acc_sum = 0.0;
-      std::size_t acc_n = 0;
-      for (const TrialResult& r : outcomes) {
-        if (r.collapsed) {
-          ++collapsed;
-        } else {
-          acc_sum += r.accuracy;
+  bench::run_campaign(
+      opt, *campaign,
+      [&](const core::CampaignCell& cell, const std::vector<Json>& rows) {
+        // ablation/<flips>/<mode>
+        const std::vector<std::string> parts = split_path(cell.name);
+        double acc_sum = 0.0;
+        std::size_t acc_n = 0;
+        for (const Json& r : rows) {
+          if (r.at("collapsed").as_bool()) continue;
+          acc_sum += r.at("final_accuracy").as_double();
           ++acc_n;
         }
-      }
-      table.add_row(
-          {mode.label, std::to_string(flips), std::to_string(opt.trainings),
-           std::to_string(collapsed),
-           acc_n ? format_fixed(100.0 * acc_sum / static_cast<double>(acc_n),
-                                1)
-                 : "-",
-           format_fixed(100.0 * clean.final_accuracy, 1)});
-    }
-    std::printf(".");
-    std::fflush(stdout);
-  }
+        table.add_row(
+            {parts[2], parts[1], std::to_string(cell.trials),
+             std::to_string(bench::count_true(rows, "collapsed")),
+             acc_n ? format_fixed(100.0 * acc_sum / static_cast<double>(acc_n),
+                                  1)
+                   : "-",
+             clean});
+        if (parts[2] == "guard: clamp") bench::tick();  // one per flip count
+      });
   std::printf("\n\n%s\n", table.str().c_str());
   std::printf(
       "expected shape: unguarded trainings collapse at high rates; both "
       "guard variants remove (nearly) all collapses and keep accuracy near "
       "the clean baseline — the paper's 'virtually unbreakable' claim.\n");
-  trials_out.commit();
   return 0;
 }

@@ -4,85 +4,35 @@
 // training, 170 trainings per range) and finds training collapses only when
 // the range includes the most significant exponent bit.
 //
-// Each range's trials fan out on core::TrialScheduler (--jobs N); results
-// land in index-addressed slots so every aggregate — and the --trials-out
-// JSONL — is bitwise independent of scheduling.
+// Trial bodies: core::Campaign "fig2", run by bench::run_campaign.
 #include "bench/common.hpp"
-#include "core/corrupter.hpp"
-#include "util/bitops.hpp"
-#include "util/strings.hpp"
 
 using namespace ckptfi;
 using bench::BenchOptions;
 
 int main(int argc, char** argv) {
   const BenchOptions opt = BenchOptions::parse(argc, argv);
+  const auto campaign = bench::open_campaign(opt, "fig2");
+  if (campaign == nullptr) return 0;
   bench::print_banner("Figure 2: bit ranges that collapse a network", opt);
-  bench::TrialRows trials_out(opt.trials_out, "",
-                              bench::bench_fingerprint(opt, "fig2"));
-
-  struct Range {
-    const char* label;
-    int first, last;
-    bool includes_msb;
-  };
-  const std::vector<Range> ranges = {
-      {"[0,63] full value", 0, 63, true},
-      {"[0,62] no sign", 0, 62, true},
-      {"[0,61] no sign, no exp MSB", 0, 61, false},
-      {"[52,62] exponent incl MSB", 52, 62, true},
-      {"[52,61] exponent excl MSB", 52, 61, false},
-      {"[0,51] mantissa only", 0, 51, false},
-      {"[62,62] exponent MSB only", 62, 62, true},
-  };
 
   core::TextTable table(
       {"bit range", "includes exp MSB", "trainings", "collapsed", "%"});
-  core::ExperimentRunner runner(bench::make_config(opt, "chainer", "alexnet"));
-
-  for (const auto& range : ranges) {
-    const std::string cell = std::string("fig2/") + range.label;
-    std::vector<std::uint8_t> collapsed_flags(opt.trainings, 0);
-    std::vector<Json> rows(opt.trainings);
-    bench::make_scheduler(opt, cell).run(
-        opt.trainings, [&](const core::TrialContext& trial) {
-          mh5::File ckpt = runner.restart_checkpoint();
-          core::CorrupterConfig cc;
-          cc.injection_attempts = 1000;
-          cc.corruption_mode = core::CorruptionMode::BitRange;
-          cc.first_bit = range.first;
-          cc.last_bit = range.last;
-          cc.seed = trial.seed;
-          core::InjectionReport rep = core::Corrupter(cc).corrupt(ckpt);
-          const nn::TrainResult res =
-              runner.resume_training(ckpt, opt.resume_epochs);
-          collapsed_flags[trial.index] = res.collapsed ? 1 : 0;
-          if (trials_out.enabled()) {
-            Json row = Json::object();
-            row["cell"] = cell;
-            row["trial"] = trial.index;
-            row["seed"] = std::to_string(trial.seed);
-            row["collapsed"] = res.collapsed;
-            row["final_accuracy"] = res.final_accuracy;
-            row["flips_applied"] = rep.log.size();
-            rows[trial.index] = std::move(row);
-          }
-        });
-    trials_out.flush_cell(rows);
-    std::size_t collapsed = 0;
-    for (const auto f : collapsed_flags) collapsed += f;
-    table.add_row({range.label, range.includes_msb ? "yes" : "no",
-                   std::to_string(opt.trainings), std::to_string(collapsed),
-                   format_fixed(100.0 * static_cast<double>(collapsed) /
-                                    static_cast<double>(opt.trainings),
-                                1)});
-    std::printf(".");
-    std::fflush(stdout);
-  }
+  bench::run_campaign(
+      opt, *campaign,
+      [&](const core::CampaignCell& cell, const std::vector<Json>& rows) {
+        const std::string label = cell.name.substr(5);  // "fig2/[a,b] ..."
+        const int first = std::stoi(label.substr(1));
+        const int last = std::stoi(label.substr(label.find(',') + 1));
+        const std::size_t collapsed = bench::count_true(rows, "collapsed");
+        table.add_row({label, first <= 62 && 62 <= last ? "yes" : "no",
+                       std::to_string(cell.trials), std::to_string(collapsed),
+                       bench::percent(collapsed, cell.trials)});
+        bench::tick();
+      });
   std::printf("\n\n%s\n", table.str().c_str());
   std::printf(
       "paper shape: collapse happens only when the range includes the "
       "exponent MSB (bit 62); every range sparing it survives 1000 flips.\n");
-  trials_out.commit();
   return 0;
 }

@@ -5,12 +5,11 @@
 // their accuracy trajectory is compared against the error-free training
 // (the paper's green line). Each line averages `trainings` runs.
 //
-// Per-(panel, rate) campaigns fan out on core::TrialScheduler (--jobs N);
-// per-trial trajectories land in index-addressed slots and the average is
-// reduced in index order, so the printed curve is --jobs-independent.
+// Trial bodies: core::Campaign "fig3", run by bench::run_campaign; the
+// error-free lines are its clean_summary(), keyed by panel.
+#include <optional>
+
 #include "bench/common.hpp"
-#include "core/corrupter.hpp"
-#include "util/strings.hpp"
 
 using namespace ckptfi;
 using bench::BenchOptions;
@@ -18,104 +17,38 @@ using bench::BenchOptions;
 int main(int argc, char** argv) {
   BenchOptions opt = BenchOptions::parse(argc, argv, bench::trained_defaults());
   opt.resume_epochs = 0;  // resume to total_epochs for the full curve
+  const auto campaign = bench::open_campaign(opt, "fig3");
+  if (campaign == nullptr) return 0;
   bench::print_banner("Figure 3: sensitivity to different bit-flip rates",
                       opt);
-  bench::TrialRows trials_out(opt.trials_out, "",
-                              bench::bench_fingerprint(opt, "fig3"));
 
-  const std::vector<std::pair<std::string, std::string>> panels = {
-      {"chainer", "resnet50"}, {"pytorch", "vgg16"}, {"tensorflow", "alexnet"}};
-  const std::vector<std::uint64_t> rates = {10, 100, 500, 1000};
-
-  for (const auto& [framework, model] : panels) {
-    core::ExperimentRunner runner(bench::make_config(opt, framework, model));
-    const std::size_t epochs =
-        runner.config().total_epochs - runner.config().restart_epoch;
-
-    std::printf("--- panel %s/%s (accuracy per epoch, restart at epoch %zu)\n",
-                framework.c_str(), model.c_str(),
-                runner.config().restart_epoch);
-    core::TextTable table([&] {
-      std::vector<std::string> hdr = {"series"};
-      for (std::size_t e = 0; e < epochs; ++e)
-        hdr.push_back("e" + std::to_string(runner.config().restart_epoch + e));
-      return hdr;
-    }());
-
-    // Error-free resumed line (the paper's full-training green line);
-    // computed before the fan-out, so trials share a warm checkpoint cache.
-    {
-      const nn::TrainResult& clean = runner.clean_resume();
-      std::vector<std::string> row = {"error-free"};
-      for (const auto& s : clean.epochs)
-        row.push_back(format_fixed(100.0 * s.test_accuracy, 1));
-      while (row.size() < epochs + 1) row.push_back("-");
-      table.add_row(row);
-    }
-
-    for (const std::uint64_t rate : rates) {
-      const std::string cell =
-          framework + "/" + model + "/" + std::to_string(rate);
-      std::vector<std::vector<double>> curves(opt.trainings);
-      std::vector<Json> rows(opt.trainings);
-      bench::make_scheduler(opt, cell).run(
-          opt.trainings, [&](const core::TrialContext& trial) {
-            mh5::File ckpt = runner.restart_checkpoint();
-            core::CorrupterConfig cc;
-            cc.injection_attempts = static_cast<double>(rate);
-            cc.corruption_mode = core::CorruptionMode::BitRange;
-            cc.first_bit = 0;
-            cc.last_bit = 61;  // exponent MSB excluded (paper Section V-C)
-            cc.seed = trial.seed;
-            core::Corrupter corrupter(cc);
-            core::InjectionReport rep = corrupter.corrupt(ckpt);
-            const nn::TrainResult res = runner.resume_training(ckpt);
-            auto& curve = curves[trial.index];
-            curve.reserve(res.epochs.size());
-            for (const auto& s : res.epochs)
-              curve.push_back(s.test_accuracy);
-            if (trials_out.enabled()) {
-              Json row = Json::object();
-              row["cell"] = cell;
-              row["trial"] = trial.index;
-              // Decimal string: Json's number type is int64, which would
-              // render large uint64 seeds negative.
-              row["seed"] = std::to_string(trial.seed);
-              Json accs = Json::array();
-              for (const double a : curve) accs.push_back(a);
-              row["curve"] = std::move(accs);
-              row["log"] = rep.log.to_json();
-              rows[trial.index] = std::move(row);
-            }
-          });
-      trials_out.flush_cell(rows);
-      // Index-order reduction keeps the averaged curve independent of how
-      // the trials were scheduled.
-      std::vector<double> acc_sum(epochs, 0.0);
-      std::vector<std::size_t> acc_n(epochs, 0);
-      for (const auto& curve : curves) {
-        for (std::size_t e = 0; e < curve.size() && e < epochs; ++e) {
-          acc_sum[e] += curve[e];
-          acc_n[e] += 1;
+  const std::size_t epochs = opt.total_epochs - opt.restart_epoch;
+  const Json clean = campaign->clean_summary();
+  std::string panel;
+  std::optional<core::TextTable> table;
+  bench::run_campaign(
+      opt, *campaign,
+      [&](const core::CampaignCell& cell, const std::vector<Json>& rows) {
+        // <framework>/<model>/<rate>
+        const std::size_t slash = cell.name.rfind('/');
+        if (cell.name.compare(0, slash, panel) != 0) {
+          if (table) std::printf("\n%s\n", table->str().c_str());
+          panel = cell.name.substr(0, slash);
+          std::printf(
+              "--- panel %s (accuracy per epoch, restart at epoch %zu)\n",
+              panel.c_str(), opt.restart_epoch);
+          table.emplace(bench::epoch_header(opt));
+          table->add_row(
+              bench::curve_row("error-free", clean.at(panel), epochs));
         }
-      }
-      std::vector<std::string> row = {std::to_string(rate) + " flips"};
-      for (std::size_t e = 0; e < epochs; ++e) {
-        row.push_back(acc_n[e] ? format_fixed(100.0 * acc_sum[e] /
-                                                  static_cast<double>(acc_n[e]),
-                                              1)
-                               : "-");
-      }
-      table.add_row(row);
-      std::printf(".");
-      std::fflush(stdout);
-    }
-    std::printf("\n%s\n", table.str().c_str());
-  }
+        table->add_row(bench::mean_curve_row(
+            cell.name.substr(slash + 1) + " flips", rows, "curve", epochs));
+        bench::tick();
+      });
+  std::printf("\n%s\n", table->str().c_str());
   std::printf(
       "paper shape: with the exponent MSB excluded, no rate up to 1000 "
       "flips degrades the training trajectory; curves overlap the "
       "error-free line.\n");
-  trials_out.commit();
   return 0;
 }

@@ -3,16 +3,13 @@
 // 1000 bit-flips confined to the first (conv1), middle (conv4) and last
 // (fc8) layer; accuracy trajectories vs the error-free line. The paper
 // finds first-layer injection dips then recovers; middle/last barely move.
-// The generated injection logs are saved for bench_fig5 to replay.
+// Each layer's trial-0 row carries its injection log with model meta and
+// divergence trace attached: replayable input for
+// core::replay_injection_log.
 //
-// The trial bodies live in core::Campaign ("fig4") — the same code a
-// ckptfi-worker runs for a leased shard, so a fleet-produced --trials-out
-// is byte-identical to this bench's. --fleet-manifest=PATH exports the
-// campaign for ckptfi-fleetd instead of running it here (docs/FLEET.md).
-//
-// Trials fan out per layer on core::TrialScheduler (--jobs N); each trial
-// writes its epoch trajectory into its own index slot and the mean is
-// reduced in index order afterwards, so output is --jobs invariant.
+// The trial bodies live in core::Campaign ("fig4"), run through
+// bench::run_campaign like every campaign bench: --jobs, --resume-from and
+// --fleet-manifest behave as documented in bench/common.hpp.
 //
 // Every trial resumes with numeric-health probes attached and emits a
 // divergence trace against the clean probed baseline (obs/probes.hpp), so
@@ -35,36 +32,9 @@
 //
 //   --layers=a,b,c  override the injected layer list (canonical names).
 #include "bench/common.hpp"
-#include "core/injection_log.hpp"
-#include "util/strings.hpp"
 
 using namespace ckptfi;
 using bench::BenchOptions;
-
-namespace {
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t comma = s.find(',', start);
-    const std::size_t end = comma == std::string::npos ? s.size() : comma;
-    if (end > start) out.push_back(s.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-/// The fig5 replay artifact: trial 0's log (meta + divergence already
-/// attached by the campaign) saved beside the bench, whether the row came
-/// from a fresh trial, a resumed row, or (via the fleet) another host.
-void save_fig5_log(const Json& row, const std::string& layer) {
-  core::InjectionLog::from_json(row.at("log"))
-      .save("fig4_log_" + layer + ".json");
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string mode = "train";
@@ -76,74 +46,37 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_fig4: --mode must be train or predict\n");
     return 2;
   }
-
-  // Display labels for the paper's default trio; a --layers override uses
-  // the layer names as labels. The campaign itself only knows layer names.
-  std::vector<std::pair<std::string, std::string>> layers = {
-      {"first (conv1)", "conv1"},
-      {"middle (conv4)", "conv4"},
-      {"last (fc8)", "fc8"}};
-  std::vector<std::string> layer_override;
-  if (!layers_csv.empty()) {
-    layers.clear();
-    for (const std::string& l : split_csv(layers_csv)) {
-      layers.push_back({l, l});
-      layer_override.push_back(l);
-    }
-  }
-
-  const core::CampaignOptions copts =
-      bench::campaign_options(opt, "fig4", mode, layer_override);
-  auto campaign = core::Campaign::make(copts);
-  if (bench::export_fleet_manifest(opt, *campaign)) return 0;
-
+  const std::vector<std::string> layer_override = split_path(layers_csv, ',');
+  const auto campaign =
+      bench::open_campaign(opt, "fig4", mode, layer_override);
+  if (campaign == nullptr) return 0;
   bench::print_banner("Figure 4: per-layer injection, chainer/alexnet (" +
                           mode + " mode)",
                       opt);
-  bench::TrialRows trials_out(opt.trials_out, opt.resume_from,
-                              copts.fingerprint_hex());
 
-  const std::size_t epochs = opt.total_epochs - opt.restart_epoch;
+  // The paper's default trio gets display labels; a --layers override is
+  // labelled by layer name.
+  const auto label = [&](const core::CampaignCell& cell) {
+    const std::string layer = cell.name.substr(cell.name.rfind('/') + 1);
+    return layer_override.empty() ? bench::layer_label(layer) : layer;
+  };
 
   if (mode == "predict") {
-    // Inference-only campaign: corrupt the restart checkpoint, load it, and
-    // evaluate the test set. All of a layer's trials enter at its segment
-    // with the same cached boundary activations.
     core::TextTable table({"series", "mean acc", "N-EV", "trainings"});
-    for (const auto& [label, layer] : layers) {
-      const std::string cell = "fig4predict/" + layer;
-      campaign->prepare_cell(cell);
-      std::vector<double> accs(opt.trainings, 0.0);
-      std::vector<std::uint8_t> nevs(opt.trainings, 0);
-      std::vector<Json> rows(opt.trainings);
-      bench::make_scheduler(opt, cell).run(
-          opt.trainings, [&](const core::TrialContext& trial) {
-            if (const Json* p = trials_out.prior(cell, trial.index)) {
-              accs[trial.index] = p->at("accuracy").as_double();
-              nevs[trial.index] = p->at("nev").as_bool() ? 1 : 0;
-              return;
-            }
-            Json row = campaign->run_trial(cell, trial);
-            accs[trial.index] = row.at("accuracy").as_double();
-            nevs[trial.index] = row.at("nev").as_bool() ? 1 : 0;
-            if (trials_out.enabled()) rows[trial.index] = std::move(row);
-          });
-      trials_out.flush_cell(cell, rows);
-      double acc_sum = 0.0;
-      std::size_t nev = 0;
-      for (std::size_t t = 0; t < opt.trainings; ++t) {
-        acc_sum += accs[t];
-        nev += nevs[t];
-      }
-      table.add_row({label,
-                     format_fixed(100.0 * acc_sum /
-                                      static_cast<double>(opt.trainings),
-                                  1),
-                     std::to_string(nev), std::to_string(opt.trainings)});
-      std::printf(".");
-      std::fflush(stdout);
-    }
-    trials_out.commit();
+    bench::run_campaign(
+        opt, *campaign,
+        [&](const core::CampaignCell& cell, const std::vector<Json>& rows) {
+          double acc_sum = 0.0;
+          for (const Json& r : rows) acc_sum += r.at("accuracy").as_double();
+          table.add_row(
+              {label(cell),
+               format_fixed(100.0 * acc_sum /
+                                static_cast<double>(cell.trials),
+                            1),
+               std::to_string(bench::count_true(rows, "nev")),
+               std::to_string(cell.trials)});
+          bench::tick();
+        });
     std::printf("\n\n%s\n", table.str().c_str());
     std::printf(
         "inference-only injections: deep-layer cells reuse nearly the whole "
@@ -151,71 +84,24 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  core::TextTable table([&] {
-    std::vector<std::string> hdr = {"series"};
-    for (std::size_t e = 0; e < epochs; ++e)
-      hdr.push_back("e" + std::to_string(opt.restart_epoch + e));
-    return hdr;
-  }());
-
+  const std::size_t epochs = opt.total_epochs - opt.restart_epoch;
+  core::TextTable table(bench::epoch_header(opt));
   // Clean probed baseline: error-free resumed trajectory plus the probe
   // timeline every corrupted trial's divergence trace is measured against.
-  const Json clean = campaign->clean_summary();
-  {
-    std::vector<std::string> row = {"error-free"};
-    for (const Json& a : clean.at("trajectory").items())
-      row.push_back(format_fixed(100.0 * a.as_double(), 1));
-    while (row.size() < epochs + 1) row.push_back("-");
-    table.add_row(row);
-  }
-
-  for (const auto& [label, layer] : layers) {
-    const std::string cell = "fig4/" + layer;
-    campaign->prepare_cell(cell);
-    std::vector<std::vector<double>> trial_acc(opt.trainings);
-    std::vector<Json> rows(opt.trainings);
-    bench::make_scheduler(opt, cell).run(
-        opt.trainings, [&](const core::TrialContext& trial) {
-          if (const Json* p = trials_out.prior(cell, trial.index)) {
-            auto& acc = trial_acc[trial.index];
-            for (const Json& a : p->at("accuracy").items())
-              acc.push_back(a.as_double());
-            if (trial.index == 0) save_fig5_log(*p, layer);
-            return;
-          }
-          Json row = campaign->run_trial(cell, trial);
-          auto& acc = trial_acc[trial.index];
-          for (const Json& a : row.at("accuracy").items())
-            acc.push_back(a.as_double());
-          if (trial.index == 0) save_fig5_log(row, layer);
-          if (trials_out.enabled()) rows[trial.index] = std::move(row);
-        });
-    trials_out.flush_cell(cell, rows);
-    // Index-order reduction: identical for every --jobs value.
-    std::vector<double> acc_sum(epochs, 0.0);
-    std::vector<std::size_t> acc_n(epochs, 0);
-    for (const auto& acc : trial_acc) {
-      for (std::size_t e = 0; e < acc.size(); ++e) {
-        acc_sum[e] += acc[e];
-        acc_n[e] += 1;
-      }
-    }
-    std::vector<std::string> row = {label};
-    for (std::size_t e = 0; e < epochs; ++e) {
-      row.push_back(acc_n[e] ? format_fixed(100.0 * acc_sum[e] /
-                                                static_cast<double>(acc_n[e]),
-                                            1)
-                             : "-");
-    }
-    table.add_row(row);
-    std::printf(".");
-    std::fflush(stdout);
-  }
-  trials_out.commit();
+  table.add_row(bench::curve_row(
+      "error-free", campaign->clean_summary().at("trajectory"), epochs));
+  bench::run_campaign(
+      opt, *campaign,
+      [&](const core::CampaignCell& cell, const std::vector<Json>& rows) {
+        table.add_row(
+            bench::mean_curve_row(label(cell), rows, "accuracy", epochs));
+        bench::tick();
+      });
   std::printf("\n\n%s\n", table.str().c_str());
   std::printf(
       "paper shape: only first-layer injection visibly degrades accuracy at "
       "restart, then recovers toward the error-free line; middle and last "
-      "layers absorb the flips. logs saved to fig4_log_<layer>.json\n");
+      "layers absorb the flips. trial 0's row carries each layer's "
+      "replayable injection log\n");
   return 0;
 }

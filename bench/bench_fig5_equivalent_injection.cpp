@@ -1,135 +1,48 @@
 // Figure 5: equivalent injection in PyTorch and TensorFlow.
 //
-// Replays the Chainer/AlexNet per-layer injection sequence (generated here,
-// or loaded from bench_fig4's saved logs when present) at the equivalent
+// Replays a Chainer/AlexNet per-layer injection sequence at the equivalent
 // location of PyTorch and TensorFlow checkpoints, then resumes training.
 // The paper finds the replayed flips are absorbed in both frameworks.
 //
-// The per-layer replays fan out on core::TrialScheduler (--jobs N): one
-// trial per layer, results in index slots, table rows emitted in layer
-// order — output is bitwise independent of --jobs.
-#include <filesystem>
-
+// Trial bodies: core::Campaign "fig5", run by bench::run_campaign — one
+// cell per target framework, one trial per layer. The source logs are
+// generated from the options alone (seed * 97), never read from disk, so
+// the rows depend on nothing the fingerprint does not cover. The
+// error-free lines are the campaign's clean_summary(), keyed by panel.
 #include "bench/common.hpp"
-#include "core/corrupter.hpp"
-#include "core/equivalent.hpp"
-#include "util/strings.hpp"
 
 using namespace ckptfi;
 using bench::BenchOptions;
 
 int main(int argc, char** argv) {
   BenchOptions opt = BenchOptions::parse(argc, argv, bench::trained_defaults());
+  const auto campaign = bench::open_campaign(opt, "fig5");
+  if (campaign == nullptr) return 0;
   bench::print_banner(
       "Figure 5: equivalent injection replayed in pytorch/tensorflow", opt);
-  bench::TrialRows trials_out(opt.trials_out, "",
-                              bench::bench_fingerprint(opt, "fig5"));
 
-  const std::vector<std::pair<std::string, std::string>> layers = {
-      {"first (conv1)", "conv1"},
-      {"middle (conv4)", "conv4"},
-      {"last (fc8)", "fc8"}};
-
-  // Source: Chainer logs (one per layer), regenerated if fig4 didn't run.
-  core::ExperimentRunner source(bench::make_config(opt, "chainer", "alexnet"));
-  auto source_model = source.make_model();
-  core::ModelContext source_ctx = source.make_context(*source_model);
-
-  std::map<std::string, core::InjectionLog> logs;
-  for (const auto& [label, layer] : layers) {
-    const std::string path = "fig4_log_" + layer + ".json";
-    if (std::filesystem::exists(path)) {
-      logs[layer] = core::InjectionLog::load(path);
-      continue;
-    }
-    mh5::File ckpt = source.restart_checkpoint();
-    core::CorrupterConfig cc;
-    cc.injection_attempts = 1000;
-    cc.corruption_mode = core::CorruptionMode::BitRange;
-    cc.first_bit = 0;
-    cc.last_bit = 61;
-    cc.use_random_locations = false;
-    cc.locations_to_corrupt = {"predictor/" + layer};
-    cc.seed = opt.seed * 97;
-    core::Corrupter corrupter(cc);
-    core::InjectionReport rep = corrupter.corrupt(ckpt, &source_ctx);
-    rep.log.set_meta("framework", "chainer");
-    rep.log.set_meta("model", "alexnet");
-    logs[layer] = std::move(rep.log);
-  }
-
-  for (const std::string target_fw : {"pytorch", "tensorflow"}) {
-    core::ExperimentRunner target(
-        bench::make_config(opt, target_fw, "alexnet"));
-    const std::size_t epochs =
-        target.config().total_epochs - target.config().restart_epoch;
-
-    std::printf("--- panel %s (accuracy per epoch)\n", target_fw.c_str());
-    core::TextTable table([&] {
-      std::vector<std::string> hdr = {"series"};
-      for (std::size_t e = 0; e < epochs; ++e)
-        hdr.push_back("e" +
-                      std::to_string(target.config().restart_epoch + e));
-      return hdr;
-    }());
-
-    {
-      const nn::TrainResult& clean = target.clean_resume();
-      std::vector<std::string> row = {"error-free"};
-      for (const auto& s : clean.epochs)
-        row.push_back(format_fixed(100.0 * s.test_accuracy, 1));
-      while (row.size() < epochs + 1) row.push_back("-");
-      table.add_row(row);
-    }
-
-    auto target_model = target.make_model();
-    struct LayerResult {
-      std::size_t replayed = 0;
-      std::vector<double> acc;
-    };
-    std::vector<LayerResult> results(layers.size());
-    std::vector<Json> rows(layers.size());
-    const std::string cell = "fig5/" + target_fw;
-    bench::make_scheduler(opt, cell).run(
-        layers.size(), [&](const core::TrialContext& trial) {
-          const std::string& layer = layers[trial.index].second;
-          mh5::File ckpt = target.restart_checkpoint();
-          const core::ReplayStats stats = core::replay_injection_log(
-              logs.at(layer), ckpt, *target_model, target.adapter(),
-              core::ReplayMode::SameLayerBit, trial.seed);
-          const nn::TrainResult res = target.resume_training(ckpt);
-          LayerResult& slot = results[trial.index];
-          slot.replayed = stats.replayed;
-          for (const auto& s : res.epochs) slot.acc.push_back(s.test_accuracy);
-          if (trials_out.enabled()) {
-            Json row = Json::object();
-            row["cell"] = cell;
-            row["trial"] = trial.index;
-            row["seed"] = std::to_string(trial.seed);
-            row["layer"] = layer;
-            row["replayed"] = stats.replayed;
-            row["final_accuracy"] = res.final_accuracy;
-            rows[trial.index] = std::move(row);
-          }
-          std::printf(".");
-          std::fflush(stdout);
-        });
-    trials_out.flush_cell(rows);
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-      std::vector<std::string> row = {layers[i].first + " (" +
-                                      std::to_string(results[i].replayed) +
-                                      " flips)"};
-      for (const double a : results[i].acc)
-        row.push_back(format_fixed(100.0 * a, 1));
-      while (row.size() < epochs + 1) row.push_back("-");
-      table.add_row(row);
-    }
-    std::printf("\n%s\n", table.str().c_str());
-  }
+  const std::size_t epochs = opt.total_epochs - opt.restart_epoch;
+  const Json clean = campaign->clean_summary();
+  bench::run_campaign(
+      opt, *campaign,
+      [&](const core::CampaignCell& cell, const std::vector<Json>& rows) {
+        const std::string target = cell.name.substr(5);  // "fig5/<fw>"
+        std::printf("--- panel %s (accuracy per epoch)\n", target.c_str());
+        core::TextTable table(bench::epoch_header(opt));
+        table.add_row(bench::curve_row(
+            "error-free", clean.at(target + "/alexnet"), epochs));
+        for (const Json& r : rows) {
+          table.add_row(bench::curve_row(
+              bench::layer_label(r.at("layer").as_string()) + " (" +
+                  std::to_string(r.at("replayed").as_int()) + " flips)",
+              r.at("accuracy"), epochs));
+          bench::tick();
+        }
+        std::printf("\n%s\n", table.str().c_str());
+      });
   std::printf(
       "paper shape: the same per-layer bit-flip sequences, replayed at "
       "equivalent locations, are absorbed: no degradation in either target "
       "framework.\n");
-  trials_out.commit();
   return 0;
 }

@@ -13,169 +13,68 @@
 // layers it reached (propagation depth), and whether/where NaNs appeared —
 // the step-resolved view the weight diff alone cannot give.
 //
-// The per-layer campaigns fan out on core::TrialScheduler (--jobs N): one
-// trial per layer, results land in index slots and rows are emitted in
-// layer order, so output is --jobs invariant. The memoized probed clean
-// baseline (ExperimentRunner::clean_probed_run) is shared by every cell —
-// one clean training serves the weight-diff twin, the divergence baseline
-// and the prefix-cache builds. With --prefix-reuse=on each trial enters the
-// network at its injected layer's segment (bitwise-identical results).
-#include <cmath>
-
+// Trial bodies: core::Campaign "fig6", run by bench::run_campaign — one
+// trial per layer. Rows carry the full boxplot stats, so a --resume-from run
+// renders the tables without retraining. One memoized clean probed run
+// serves the weight-diff twin, the divergence baseline and the prefix-cache
+// builds; with --prefix-reuse=on each trial enters the network at its
+// injected layer's segment (bitwise-identical results).
 #include "bench/common.hpp"
-#include "core/corrupter.hpp"
-#include "util/stats.hpp"
-#include "util/strings.hpp"
 
 using namespace ckptfi;
 using bench::BenchOptions;
 
 int main(int argc, char** argv) {
   BenchOptions opt = BenchOptions::parse(argc, argv, bench::trained_defaults());
+  const auto campaign = bench::open_campaign(opt, "fig6");
+  if (campaign == nullptr) return 0;
   bench::print_banner("Figure 6: soft error propagation, tensorflow/alexnet",
                       opt);
-  bench::TrialRows trials_out(opt.trials_out, opt.resume_from,
-                              bench::bench_fingerprint(opt, "fig6"));
-
-  core::ExperimentRunner runner(
-      bench::make_config(opt, "tensorflow", "alexnet"));
-
-  // Error-free twin: the clean probed resume provides both the comparison
-  // weights (same restart => same zeroed optimizer velocity as the corrupted
-  // trials, so every nonzero diff is injection-caused) and the baseline
-  // probe timeline divergence traces are measured against. Memoized once in
-  // the runner: every cell, prefix build and divergence call below reuses it.
-  const core::ExperimentRunner::CleanProbedRun& clean =
-      runner.clean_probed_run();
-
-  const std::vector<std::pair<std::string, std::string>> layers = {
-      {"first (conv1)", "conv1"},
-      {"middle (conv4)", "conv4"},
-      {"last (fc8)", "fc8"}};
 
   core::TextTable table({"injected layer", "diff weights", "q1", "median",
                          "q3", "whisker-lo", "whisker-hi", "outliers"});
   core::TextTable forensics({"injected layer", "first div step",
                              "first div point", "depth", "points", "nan onset",
                              "inf onset"});
-
-  auto model = runner.make_model();
-  core::ModelContext ctx = runner.make_context(*model);
-
-  // Per-layer result slots hold exactly what the tables print (numbers +
-  // the divergence JSON), so a --resume-from row rehydrates a slot without
-  // recomputing — fresh and resumed runs render identically.
-  struct LayerResult {
-    std::size_t n_diffs = 0;
-    BoxplotStats box{};
-    Json div;
+  const auto fixed6 = [](const Json& r, const char* key) {
+    return format_fixed(r.at(key).as_double(), 6);
   };
-  const std::string cell = "fig6/propagation";
-  std::vector<LayerResult> results(layers.size());
-  std::vector<Json> rows(layers.size());
-  bench::make_scheduler(opt, cell).run(
-      layers.size(), [&](const core::TrialContext& trial) {
-        LayerResult& slot = results[trial.index];
-        if (const Json* p = trials_out.prior(cell, trial.index)) {
-          slot.n_diffs = static_cast<std::size_t>(
-              p->at("diff_weights").as_int());
-          slot.box.q1 = p->at("q1").as_double();
-          slot.box.median = p->at("median").as_double();
-          slot.box.q3 = p->at("q3").as_double();
-          slot.box.whisker_lo = p->at("whisker_lo").as_double();
-          slot.box.whisker_hi = p->at("whisker_hi").as_double();
-          slot.box.n_outliers =
-              static_cast<std::size_t>(p->at("n_outliers").as_int());
-          slot.div = p->at("divergence");
-          return;
-        }
-        const std::string& layer = layers[trial.index].second;
-        mh5::File ckpt = runner.restart_checkpoint();
-        core::CorrupterConfig cc;
-        cc.injection_attempts = 1000;
-        cc.corruption_mode = core::CorruptionMode::BitRange;
-        cc.first_bit = 0;
-        cc.last_bit = 61;
-        cc.use_random_locations = false;
-        cc.locations_to_corrupt = {"model_weights/" + layer};
-        cc.seed = trial.seed;
-        core::Corrupter corrupter(cc);
-        const core::InjectionReport rep = corrupter.corrupt(ckpt, &ctx);
-
-        const std::size_t seg =
-            opt.prefix_reuse ? runner.entry_segment(rep.log) : 0;
-        core::ExperimentRunner::ProbedResume probed =
-            runner.resume_training_probed_from_segment(ckpt, seg);
-
-        // Differences between corrupted-then-trained weights and the clean
-        // twin; only weights with differences are used (paper).
-        std::vector<double> diffs;
-        for (const auto& p : probed.model->params()) {
-          const auto& clean_w = clean.final_weights.at(p.name);
-          for (std::size_t i = 0; i < clean_w.size(); ++i) {
-            const double d = (*p.value)[i] - clean_w[i];
-            if (d != 0.0 && std::isfinite(d)) diffs.push_back(std::fabs(d));
-          }
-        }
-        slot.n_diffs = diffs.size();
-        if (!diffs.empty()) slot.box = boxplot_stats(diffs);
-        slot.div = runner.divergence_vs_clean(probed.probes).to_json();
-        if (trials_out.enabled()) {
-          Json row = Json::object();
-          row["cell"] = cell;
-          row["trial"] = trial.index;
-          row["seed"] = std::to_string(trial.seed);
-          row["layer"] = layer;
-          row["collapsed"] = probed.result.collapsed;
-          row["final_accuracy"] = probed.result.final_accuracy;
-          row["clean_accuracy"] = clean.result.final_accuracy;
-          // Full boxplot stats ride along so a --resume-from run can
-          // rehydrate the table without retraining.
-          row["diff_weights"] = diffs.size();
-          row["q1"] = slot.box.q1;
-          row["median"] = slot.box.median;
-          row["q3"] = slot.box.q3;
-          row["whisker_lo"] = slot.box.whisker_lo;
-          row["whisker_hi"] = slot.box.whisker_hi;
-          row["n_outliers"] = slot.box.n_outliers;
-          row["divergence"] = slot.div;
-          rows[trial.index] = std::move(row);
-        }
-        std::printf(".");
-        std::fflush(stdout);
-      });
-  trials_out.flush_cell(cell, rows);
   const auto onset_str = [](const Json& o) {
     if (o.is_null()) return std::string("-");
     return "s" + std::to_string(o.at("step").as_int()) + " " +
            o.at("layer").as_string() + "/" + o.at("phase").as_string();
   };
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const LayerResult& r = results[i];
-    if (r.n_diffs == 0) {
-      table.add_row({layers[i].first, "0", "-", "-", "-", "-", "-", "-"});
-    } else {
-      table.add_row({layers[i].first, std::to_string(r.n_diffs),
-                     format_fixed(r.box.q1, 6), format_fixed(r.box.median, 6),
-                     format_fixed(r.box.q3, 6),
-                     format_fixed(r.box.whisker_lo, 6),
-                     format_fixed(r.box.whisker_hi, 6),
-                     std::to_string(r.box.n_outliers)});
-    }
-    if (!r.div.at("diverged").as_bool()) {
-      forensics.add_row(
-          {layers[i].first, "-", "-", "0", "0", "-", "-"});
-    } else {
-      forensics.add_row(
-          {layers[i].first, std::to_string(r.div.at("first_step").as_int()),
-           r.div.at("first_layer").as_string() + "/" +
-               r.div.at("first_phase").as_string(),
-           std::to_string(r.div.at("depth").as_int()),
-           std::to_string(r.div.at("points_diverged").as_int()),
-           onset_str(r.div.at("nan_onset")),
-           onset_str(r.div.at("inf_onset"))});
-    }
-  }
+  bench::run_campaign(
+      opt, *campaign,
+      [&](const core::CampaignCell&, const std::vector<Json>& rows) {
+        for (const Json& r : rows) {
+          bench::tick();
+          const std::string label =
+              bench::layer_label(r.at("layer").as_string());
+          const std::int64_t n_diffs = r.at("diff_weights").as_int();
+          if (n_diffs == 0) {
+            table.add_row({label, "0", "-", "-", "-", "-", "-", "-"});
+          } else {
+            table.add_row({label, std::to_string(n_diffs), fixed6(r, "q1"),
+                           fixed6(r, "median"), fixed6(r, "q3"),
+                           fixed6(r, "whisker_lo"), fixed6(r, "whisker_hi"),
+                           std::to_string(r.at("n_outliers").as_int())});
+          }
+          const Json& div = r.at("divergence");
+          if (!div.at("diverged").as_bool()) {
+            forensics.add_row({label, "-", "-", "0", "0", "-", "-"});
+          } else {
+            forensics.add_row(
+                {label, std::to_string(div.at("first_step").as_int()),
+                 div.at("first_layer").as_string() + "/" +
+                     div.at("first_phase").as_string(),
+                 std::to_string(div.at("depth").as_int()),
+                 std::to_string(div.at("points_diverged").as_int()),
+                 onset_str(div.at("nan_onset")),
+                 onset_str(div.at("inf_onset"))});
+          }
+        }
+      });
   std::printf("\n\n%s\n", table.str().c_str());
   std::printf("propagation forensics (from the probe divergence traces):\n%s\n",
               forensics.str().c_str());
@@ -186,6 +85,5 @@ int main(int argc, char** argv) {
       "backpropagation reach. the forensics table gives the step-resolved "
       "view: depth = distinct layers whose probe stats left the clean "
       "trajectory.\n");
-  trials_out.commit();
   return 0;
 }

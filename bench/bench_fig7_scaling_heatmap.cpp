@@ -5,12 +5,10 @@
 // the paper's heat map sweeps factor x number-of-affected-weights and shows
 // dramatic degradation (e.g. 10 weights x 4500 can halve accuracy).
 //
-// Each heat-map cell's trials fan out on core::TrialScheduler (--jobs N);
-// per-trial accuracies land in index slots and the mean is reduced in
-// index order, so every cell is bitwise independent of --jobs.
+// Trial bodies: core::Campaign "fig7", run by bench::run_campaign — one
+// cell per (weights, factor) pair; the uncorrupted baseline accuracy is its
+// clean_summary().
 #include "bench/common.hpp"
-#include "core/corrupter.hpp"
-#include "util/strings.hpp"
 
 using namespace ckptfi;
 using bench::BenchOptions;
@@ -21,87 +19,40 @@ int main(int argc, char** argv) {
     d.trainings = 6;
     return d;
   }());
+  const auto campaign = bench::open_campaign(opt, "fig7");
+  if (campaign == nullptr) return 0;
   bench::print_banner("Figure 7: scaling-factor heat map, chainer/resnet50",
                       opt);
-  bench::TrialRows trials_out(opt.trials_out, "",
-                              bench::bench_fingerprint(opt, "fig7"));
 
-  core::ExperimentRunner runner(
-      bench::make_config(opt, "chainer", "resnet50"));
+  const std::string baseline = format_fixed(
+      100.0 * campaign->clean_summary().at("chainer/resnet50").as_double(), 1);
+  std::printf("baseline accuracy (no corruption): %s%%\n\n", baseline.c_str());
 
-  const std::vector<double> factors = {1.5, 15, 150, 1500, 4500};
-  const std::vector<std::uint64_t> weight_counts = {10, 100, 500, 1000};
-
-  // Restrict corruption to weight datasets (the model's W tensors), as the
-  // paper scales "values of the model".
-  auto model = runner.make_model();
-  core::ModelContext ctx = runner.make_context(*model);
-  std::vector<std::string> weight_locations;
-  for (const auto& layer : model->weight_layer_names()) {
-    weight_locations.push_back(
-        runner.adapter().dataset_path(layer + "/W",
-                                      layer.rfind("fc", 0) == 0
-                                          ? fw::ParamKind::DenseW
-                                          : fw::ParamKind::ConvW));
-  }
-
-  const double baseline =
-      100.0 * runner.predict(runner.checkpoint_at(runner.config().total_epochs)).accuracy;
-  std::printf("baseline accuracy (no corruption): %s%%\n\n",
-              format_fixed(baseline, 1).c_str());
-
-  core::TextTable table([&] {
-    std::vector<std::string> hdr = {"weights \\ factor"};
-    for (double f : factors) hdr.push_back(format_fixed(f, 1));
-    return hdr;
-  }());
-
-  for (const std::uint64_t n_weights : weight_counts) {
-    std::vector<std::string> row = {std::to_string(n_weights)};
-    for (const double factor : factors) {
-      const std::string cell = "fig7/" + std::to_string(n_weights) + "x" +
-                               format_fixed(factor, 1);
-      std::vector<double> accs(opt.trainings, 0.0);
-      std::vector<Json> rows_out(opt.trainings);
-      bench::make_scheduler(opt, cell).run(
-          opt.trainings, [&](const core::TrialContext& trial) {
-            mh5::File ckpt =
-                runner.checkpoint_at(runner.config().total_epochs);
-            core::CorrupterConfig cc;
-            cc.corruption_mode = core::CorruptionMode::ScalingFactor;
-            cc.scaling_factor = factor;
-            cc.injection_attempts = static_cast<double>(n_weights);
-            cc.use_random_locations = false;
-            cc.locations_to_corrupt = weight_locations;
-            cc.seed = trial.seed;
-            core::Corrupter corrupter(cc);
-            corrupter.corrupt(ckpt, &ctx);
-            accs[trial.index] = 100.0 * runner.predict(ckpt).accuracy;
-            if (trials_out.enabled()) {
-              Json jrow = Json::object();
-              jrow["cell"] = cell;
-              jrow["trial"] = trial.index;
-              jrow["seed"] = std::to_string(trial.seed);
-              jrow["accuracy"] = accs[trial.index];
-              rows_out[trial.index] = std::move(jrow);
-            }
-          });
-      trials_out.flush_cell(rows_out);
-      double acc_sum = 0.0;
-      for (const double a : accs) acc_sum += a;
-      row.push_back(
-          format_fixed(acc_sum / static_cast<double>(opt.trainings), 1));
-      std::printf(".");
-      std::fflush(stdout);
-    }
-    table.add_row(row);
-  }
+  // Cells are fig7/<weights>x<factor>, weight-count-major: one heat-map row
+  // per weight count, one column per factor.
+  std::vector<std::string> header = {"weights \\ factor"};
+  std::vector<std::vector<std::string>> grid;
+  bench::run_campaign(
+      opt, *campaign,
+      [&](const core::CampaignCell& cell, const std::vector<Json>& rows) {
+        const std::size_t x = cell.name.find('x');
+        const std::string weights = cell.name.substr(5, x - 5);
+        if (grid.empty() || grid.back().front() != weights)
+          grid.push_back({weights});
+        if (grid.size() == 1) header.push_back(cell.name.substr(x + 1));
+        double acc_sum = 0.0;
+        for (const Json& r : rows) acc_sum += r.at("accuracy").as_double();
+        grid.back().push_back(
+            format_fixed(acc_sum / static_cast<double>(cell.trials), 1));
+        bench::tick();
+      });
+  core::TextTable table(header);
+  for (std::vector<std::string>& row : grid) table.add_row(std::move(row));
   std::printf("\n\n%s\n", table.str().c_str());
   std::printf(
       "paper shape: accuracy falls monotonically with both the factor and "
       "the number of scaled weights; a handful of weights at factor 4500 "
       "already cuts accuracy drastically (vs baseline %s%%).\n",
-      format_fixed(baseline, 1).c_str());
-  trials_out.commit();
+      baseline.c_str());
   return 0;
 }

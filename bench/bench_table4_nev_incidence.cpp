@@ -5,73 +5,37 @@
 // how many collapse with N-EV. The paper's shape: incidence rises from
 // <0.5% at 1 flip to ~100% at 1000 flips; VGG16 is the least affected.
 //
-// The trial bodies live in core::Campaign ("table4") — the same code a
-// ckptfi-worker runs for a leased shard, so a fleet-produced --trials-out
-// is byte-identical to this bench's. --fleet-manifest=PATH exports the
-// campaign for ckptfi-fleetd instead of running it here (docs/FLEET.md).
-//
-// Trials within a cell are independent, so the cell fans out on
-// core::TrialScheduler (--jobs N); per-trial seeds come from
-// trial_seed(campaign, index), making --jobs 8 bitwise-identical to
-// --jobs 1 (verify with --trials-out and diff). --resume-from heals an
-// interrupted campaign: finished (cell, trial) rows are re-emitted
-// verbatim, only missing ones run.
+// The trial bodies live in core::Campaign ("table4"), run through
+// bench::run_campaign like every campaign bench: --jobs, --resume-from and
+// --fleet-manifest behave as documented in bench/common.hpp.
 #include "bench/common.hpp"
-#include "util/strings.hpp"
 
 using namespace ckptfi;
 using bench::BenchOptions;
 
 int main(int argc, char** argv) {
   const BenchOptions opt = BenchOptions::parse(argc, argv);
-  const core::CampaignOptions copts = bench::campaign_options(opt, "table4");
-  auto campaign = core::Campaign::make(copts);
-  if (bench::export_fleet_manifest(opt, *campaign)) return 0;
-
+  const auto campaign = bench::open_campaign(opt, "table4");
+  if (campaign == nullptr) return 0;
   bench::print_banner("Table IV: N-EV incidence at 64-bit precision", opt);
-  bench::TrialRows trials_out(opt.trials_out, opt.resume_from,
-                              copts.fingerprint_hex());
 
   core::TextTable table(
       {"framework", "model", "bit-flips", "trainings", "N-EV", "%"});
-
   std::string last_model;
-  for (const core::CampaignCell& cell : campaign->cells()) {
-    const std::vector<std::string> parts = split_path(cell.name);
-    const std::string& framework = parts[0];
-    const std::string& model = parts[1];
-    const std::string& rate = parts[2];
-
-    campaign->prepare_cell(cell.name);
-    std::vector<std::uint8_t> collapsed(cell.trials, 0);
-    std::vector<Json> rows(cell.trials);
-    bench::make_scheduler(opt, cell.name)
-        .run(cell.trials, [&](const core::TrialContext& trial) {
-          if (const Json* p = trials_out.prior(cell.name, trial.index)) {
-            collapsed[trial.index] = p->at("collapsed").as_bool() ? 1 : 0;
-            return;
-          }
-          Json row = campaign->run_trial(cell.name, trial);
-          collapsed[trial.index] = row.at("collapsed").as_bool() ? 1 : 0;
-          if (trials_out.enabled()) rows[trial.index] = std::move(row);
-        });
-    trials_out.flush_cell(cell.name, rows);
-
-    std::size_t nev = 0;
-    for (const auto c : collapsed) nev += c;
-    table.add_row({framework, model, rate, std::to_string(cell.trials),
-                   std::to_string(nev),
-                   format_fixed(100.0 * static_cast<double>(nev) /
-                                    static_cast<double>(cell.trials),
-                                1)});
-    const std::string fm = framework + "/" + model;
-    if (fm != last_model) {
-      last_model = fm;
-      std::printf(".");
-      std::fflush(stdout);
-    }
-  }
-  trials_out.commit();
+  bench::run_campaign(
+      opt, *campaign,
+      [&](const core::CampaignCell& cell, const std::vector<Json>& rows) {
+        const std::vector<std::string> parts = split_path(cell.name);
+        const std::size_t nev = bench::count_true(rows, "collapsed");
+        table.add_row({parts[0], parts[1], parts[2],
+                       std::to_string(cell.trials), std::to_string(nev),
+                       bench::percent(nev, cell.trials)});
+        const std::string fm = parts[0] + "/" + parts[1];
+        if (fm != last_model) {
+          last_model = fm;
+          bench::tick();
+        }
+      });
   std::printf("\n\n%s\n", table.str().c_str());
   std::printf(
       "paper shape: ~0-0.4%% at 1 flip, rising with rate to >90%% at 1000 "

@@ -5,96 +5,34 @@
 // with the exponent MSB excluded. The paper finds models absorb most single
 // flips (RWC 46-98.8%).
 //
-// Each cell's trials fan out on core::TrialScheduler (--jobs N); the clean
-// baseline is computed once before the fan-out so trials only read it. Every
+// Trial bodies: core::Campaign "table5", run by bench::run_campaign. Every
 // resume carries numeric-health probes, so non-RWC trials come with a
 // divergence trace (first-divergent layer/step) in --trials-out — enough for
 // ckptfi_report to split absorbed flips from silent corruptions.
 #include "bench/common.hpp"
-#include "core/corrupter.hpp"
-#include "frameworks/framework.hpp"
-#include "util/bitops.hpp"
-#include "util/strings.hpp"
 
 using namespace ckptfi;
 using bench::BenchOptions;
 
 int main(int argc, char** argv) {
   const BenchOptions opt = BenchOptions::parse(argc, argv);
+  const auto campaign = bench::open_campaign(opt, "table5");
+  if (campaign == nullptr) return 0;
   bench::print_banner("Table V: sensitivity to 1 bit-flip (RWC)", opt);
-  bench::TrialRows trials_out(opt.trials_out, opt.resume_from,
-                              bench::bench_fingerprint(opt, "table5"));
 
-  core::TextTable table(
-      {"model", "framework", "trainings", "RWC", "%"});
-
-  for (const auto& model : models::model_names()) {
-    for (const auto& framework : fw::framework_names()) {
-      core::ExperimentRunner runner(bench::make_config(opt, framework, model));
-      // Deterministic baseline: the clean resumed accuracy trajectory plus
-      // the probe timeline trials diverge against.
-      const core::ExperimentRunner::CleanProbedRun& clean =
-          runner.clean_probed_run(opt.resume_epochs);
-      const std::string cell = framework + "/" + model;
-      std::vector<std::uint8_t> rwc_flags(opt.trainings, 0);
-      std::vector<Json> rows(opt.trainings);
-      bench::make_scheduler(opt, cell).run(
-          opt.trainings, [&](const core::TrialContext& trial) {
-            if (const Json* p = trials_out.prior(cell, trial.index)) {
-              rwc_flags[trial.index] = p->at("rwc").as_bool() ? 1 : 0;
-              return;
-            }
-            mh5::File ckpt = runner.restart_checkpoint();
-            core::CorrupterConfig cc;
-            cc.injection_attempts = 1;
-            cc.corruption_mode = core::CorruptionMode::BitRange;
-            cc.first_bit = 0;
-            cc.last_bit = float_layout(64).exponent_msb() - 1;  // spare bit 62
-            cc.seed = trial.seed;
-            core::Corrupter corrupter(cc);
-            core::InjectionReport rep = corrupter.corrupt(ckpt);
-            // The flip lands in a random layer; the log tells us which, and
-            // the prefix upstream of it is reusable across the cell.
-            const std::size_t seg =
-                opt.prefix_reuse ? runner.entry_segment(rep.log) : 0;
-            core::ExperimentRunner::ProbedResume probed =
-                runner.resume_training_probed_from_segment(ckpt, seg,
-                                                           opt.resume_epochs);
-            const nn::TrainResult& res = probed.result;
-            rwc_flags[trial.index] =
-                (res.final_accuracy == clean.result.final_accuracy) ? 1 : 0;
-            if (trials_out.enabled()) {
-              const obs::DivergenceTrace div =
-                  runner.divergence_vs_clean(probed.probes, opt.resume_epochs);
-              Json row = Json::object();
-              row["cell"] = cell;
-              row["trial"] = trial.index;
-              row["seed"] = std::to_string(trial.seed);
-              row["rwc"] = rwc_flags[trial.index] != 0;
-              row["collapsed"] = res.collapsed;
-              row["final_accuracy"] = res.final_accuracy;
-              row["clean_accuracy"] = clean.result.final_accuracy;
-              row["log"] = rep.log.to_json();
-              row["divergence"] = div.to_json();
-              rows[trial.index] = std::move(row);
-            }
-          });
-      trials_out.flush_cell(cell, rows);
-      std::size_t rwc = 0;
-      for (const auto f : rwc_flags) rwc += f;
-      table.add_row({model, framework, std::to_string(opt.trainings),
-                     std::to_string(rwc),
-                     format_fixed(100.0 * static_cast<double>(rwc) /
-                                      static_cast<double>(opt.trainings),
-                                  1)});
-      std::printf(".");
-      std::fflush(stdout);
-    }
-  }
+  core::TextTable table({"model", "framework", "trainings", "RWC", "%"});
+  bench::run_campaign(
+      opt, *campaign,
+      [&](const core::CampaignCell& cell, const std::vector<Json>& rows) {
+        const std::vector<std::string> parts = split_path(cell.name);
+        const std::size_t rwc = bench::count_true(rows, "rwc");
+        table.add_row({parts[1], parts[0], std::to_string(cell.trials),
+                       std::to_string(rwc), bench::percent(rwc, cell.trials)});
+        bench::tick();
+      });
   std::printf("\n\n%s\n", table.str().c_str());
   std::printf(
       "paper shape: most cells absorb the flip (RWC 46-98.8%%); when not "
       "absorbed the accuracy change is minor, never a collapse.\n");
-  trials_out.commit();
   return 0;
 }

@@ -5,119 +5,53 @@
 // training; AvgI-Acc is the average initial accuracy over the trainings that
 // did not collapse, and N-EV counts the collapsed ones.
 //
-// Trials within a mask cell are independent, so each cell fans out on
-// core::TrialScheduler (--jobs N); per-trial seeds come from
-// trial_seed(campaign, index), making --jobs 8 bitwise-identical to
-// --jobs 1 (verify with --trials-out and diff). The error-free baseline is
-// deterministic and runs once, outside the scheduler.
+// Trial bodies: core::Campaign "table6", run by bench::run_campaign. The
+// error-free baseline is a one-trial cell per framework.
+#include <algorithm>
+
 #include "bench/common.hpp"
-#include "core/corrupter.hpp"
-#include "frameworks/framework.hpp"
-#include "util/strings.hpp"
 
 using namespace ckptfi;
 using bench::BenchOptions;
 
 int main(int argc, char** argv) {
   const BenchOptions opt = BenchOptions::parse(argc, argv);
+  const auto campaign = bench::open_campaign(opt, "table6");
+  if (campaign == nullptr) return 0;
   bench::print_banner("Table VI: multi-bit masks on ResNet50", opt);
-  bench::TrialRows trials_out(opt.trials_out, opt.resume_from,
-                              bench::bench_fingerprint(opt, "table6"));
-
-  struct MaskRow {
-    int bits;
-    const char* mask;  // empty = error-free baseline
-  };
-  const std::vector<MaskRow> masks = {
-      {0, ""},          {3, "10001010"}, {4, "01101010"},
-      {4, "10110010"},  {5, "11110001"}, {6, "11101101"},
-  };
 
   core::TextTable table(
       {"bits", "mask", "framework", "AvgI-Acc", "N-EV", "trainings"});
-
-  for (const auto& framework : fw::framework_names()) {
-    core::ExperimentRunner runner(
-        bench::make_config(opt, framework, "resnet50"));
-    // Train the baseline and snapshot the restart checkpoint before the
-    // fan-out, so trials start from a warm immutable cache.
-    runner.restart_checkpoint();
-    for (const auto& row : masks) {
-      const bool baseline = row.bits == 0;
-      const std::size_t trials = baseline ? 1 : opt.trainings;
-      const std::string cell =
-          framework + "/resnet50/mask" + (baseline ? "baseline" : row.mask);
-      std::vector<std::uint8_t> collapsed(trials, 0);
-      std::vector<double> accs(trials, 0.0);
-      std::vector<Json> rows(trials);
-      bench::make_scheduler(opt, cell).run(
-          trials, [&](const core::TrialContext& trial) {
-            if (const Json* p = trials_out.prior(cell, trial.index)) {
-              collapsed[trial.index] = p->at("collapsed").as_bool() ? 1 : 0;
-              if (!collapsed[trial.index])
-                // One resumed epoch, so final == first-epoch accuracy.
-                accs[trial.index] = p->at("final_accuracy").as_double();
-              return;
-            }
-            mh5::File ckpt = runner.restart_checkpoint();
-            Json log;
-            std::size_t seg = 0;
-            if (!baseline) {
-              core::CorrupterConfig cc;
-              cc.corruption_mode = core::CorruptionMode::BitMask;
-              cc.bit_mask = row.mask;
-              cc.injection_attempts = 10;  // 10 weights/training (paper)
-              cc.seed = trial.seed;
-              core::Corrupter corrupter(cc);
-              const core::InjectionReport rep = corrupter.corrupt(ckpt);
-              log = rep.log.to_json();
-              // 10 random weights scatter across layers; the shallowest one
-              // bounds the reusable prefix (often 0 — then this is a no-op).
-              if (opt.prefix_reuse) seg = runner.entry_segment(rep.log);
-            }
-            const nn::TrainResult res =
-                runner.resume_training_from_segment(ckpt, seg, 1);
-            collapsed[trial.index] = res.collapsed ? 1 : 0;
-            if (!res.collapsed)
-              accs[trial.index] = res.epochs.front().test_accuracy;
-            if (trials_out.enabled()) {
-              Json r = Json::object();
-              r["cell"] = cell;
-              r["trial"] = trial.index;
-              r["seed"] = std::to_string(trial.seed);
-              r["collapsed"] = res.collapsed;
-              r["final_accuracy"] = res.final_accuracy;
-              r["log"] = log;
-              rows[trial.index] = std::move(r);
-            }
-          });
-      trials_out.flush_cell(cell, rows);
-      double acc_sum = 0.0;
-      std::size_t acc_count = 0, nev = 0;
-      for (std::size_t t = 0; t < trials; ++t) {
-        if (collapsed[t]) {
-          ++nev;  // excluded from the average, as in the paper
-        } else {
-          acc_sum += accs[t];
+  bench::run_campaign(
+      opt, *campaign,
+      [&](const core::CampaignCell& cell, const std::vector<Json>& rows) {
+        const std::vector<std::string> parts = split_path(cell.name);
+        std::string mask = parts[2].substr(4);  // "mask<bits>"
+        const bool baseline = mask == "baseline";
+        if (baseline) mask = "00000000";
+        // Collapsed trainings are excluded from the average, as in the
+        // paper. One resumed epoch, so final == first-epoch accuracy.
+        double acc_sum = 0.0;
+        std::size_t acc_count = 0;
+        for (const Json& r : rows) {
+          if (r.at("collapsed").as_bool()) continue;
+          acc_sum += r.at("final_accuracy").as_double();
           ++acc_count;
         }
-      }
-      const double avg =
-          acc_count > 0 ? 100.0 * acc_sum / static_cast<double>(acc_count)
-                        : 0.0;
-      table.add_row({std::to_string(row.bits),
-                     baseline ? "00000000" : row.mask, framework,
-                     format_fixed(avg, 1), std::to_string(nev),
-                     std::to_string(trials)});
-    }
-    std::printf(".");
-    std::fflush(stdout);
-  }
+        const double avg =
+            acc_count > 0 ? 100.0 * acc_sum / static_cast<double>(acc_count)
+                          : 0.0;
+        const auto bits = std::count(mask.begin(), mask.end(), '1');
+        table.add_row({std::to_string(bits), mask, parts[0],
+                       format_fixed(avg, 1),
+                       std::to_string(bench::count_true(rows, "collapsed")),
+                       std::to_string(cell.trials)});
+        if (baseline) bench::tick();  // one tick per framework
+      });
   std::printf("\n\n%s\n", table.str().c_str());
   std::printf(
       "paper shape: masks applied in mantissa/low exponent bits leave "
       "accuracy near baseline; occasional N-EV when a mask lands in high "
       "exponent bits, more often for denser masks.\n");
-  trials_out.commit();
   return 0;
 }

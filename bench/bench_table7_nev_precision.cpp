@@ -2,10 +2,7 @@
 // checkpoint precision (Chainer, all three models; the 64-bit column is
 // Table IV / bench_table4).
 //
-// Each precision x model x rate cell fans its trials out on
-// core::TrialScheduler (--jobs N); per-trial seeds come from
-// trial_seed(campaign, index), making --jobs 8 bitwise-identical to
-// --jobs 1 (verify with --trials-out and diff).
+// Trial bodies: core::Campaign "table7", run by bench::run_campaign.
 //
 // --compute-precision=fp64|fp16 selects the GEMM compute path the resumed
 // trainings run under (default fp64). fp16 replays the table with the GEMM
@@ -13,8 +10,6 @@
 // accumulate, docs/KERNELS.md) — the native-compute counterpart to the
 // checkpoint-precision axis the table already sweeps.
 #include "bench/common.hpp"
-#include "core/corrupter.hpp"
-#include "util/strings.hpp"
 
 using namespace ckptfi;
 using bench::BenchOptions;
@@ -33,75 +28,34 @@ int main(int argc, char** argv) {
                  compute_precision.c_str());
     return 2;
   }
+  // The compute precision rides in the campaign's mode slot: it is part of
+  // the fingerprint (fp64 and fp16 rows never cross-resume) and the kind
+  // applies it wherever the trials run, fleet workers included.
+  const auto campaign =
+      bench::open_campaign(opt, "table7", gemm_precision_name());
+  if (campaign == nullptr) return 0;
   bench::print_banner(
       "Table VII: N-EV incidence at 16/32-bit precision (chainer, " +
           std::string(gemm_precision_name()) + " compute)",
       opt);
-  // The compute precision rides in the fingerprint's mode slot so fp64 and
-  // fp16 runs never cross-resume from each other's trial rows.
-  bench::TrialRows trials_out(
-      opt.trials_out, "",
-      bench::bench_fingerprint(opt, "table7", gemm_precision_name()));
 
-  const std::vector<std::uint64_t> rates = {1, 10, 100, 1000};
   core::TextTable table(
       {"precision", "model", "bit-flips", "trainings", "N-EV", "%"});
-
-  for (const int precision : {16, 32}) {
-    for (const auto& model : models::model_names()) {
-      core::ExperimentRunner runner(
-          bench::make_config(opt, "chainer", model, precision));
-      runner.restart_checkpoint();  // warm the immutable cache pre-fan-out
-      for (const std::uint64_t rate : rates) {
-        const std::string cell = "chainer/" + model + "/p" +
-                                 std::to_string(precision) + "/" +
-                                 std::to_string(rate);
-        std::vector<std::uint8_t> collapsed(opt.trainings, 0);
-        std::vector<Json> rows(opt.trainings);
-        bench::make_scheduler(opt, cell).run(
-            opt.trainings, [&](const core::TrialContext& trial) {
-              mh5::File ckpt = runner.restart_checkpoint();
-              core::CorrupterConfig cc;
-              cc.float_precision = precision;
-              cc.injection_attempts = static_cast<double>(rate);
-              cc.corruption_mode = core::CorruptionMode::BitRange;
-              cc.first_bit = 0;
-              cc.last_bit = precision - 1;  // full range at this width
-              cc.seed = trial.seed;
-              core::Corrupter corrupter(cc);
-              const core::InjectionReport rep = corrupter.corrupt(ckpt);
-              const nn::TrainResult res =
-                  runner.resume_training(ckpt, opt.resume_epochs);
-              collapsed[trial.index] = res.collapsed ? 1 : 0;
-              if (trials_out.enabled()) {
-                Json row = Json::object();
-                row["cell"] = cell;
-                row["trial"] = trial.index;
-                row["seed"] = std::to_string(trial.seed);
-                row["collapsed"] = res.collapsed;
-                row["final_accuracy"] = res.final_accuracy;
-                row["log"] = rep.log.to_json();
-                rows[trial.index] = std::move(row);
-              }
-            });
-        trials_out.flush_cell(rows);
-        std::size_t nev = 0;
-        for (const auto c : collapsed) nev += c;
-        table.add_row({std::to_string(precision), model, std::to_string(rate),
-                       std::to_string(opt.trainings), std::to_string(nev),
-                       format_fixed(100.0 * static_cast<double>(nev) /
-                                        static_cast<double>(opt.trainings),
-                                    1)});
-      }
-      std::printf(".");
-      std::fflush(stdout);
-    }
-  }
+  bench::run_campaign(
+      opt, *campaign,
+      [&](const core::CampaignCell& cell, const std::vector<Json>& rows) {
+        // chainer/<model>/p<precision>/<rate>
+        const std::vector<std::string> parts = split_path(cell.name);
+        const std::size_t nev = bench::count_true(rows, "collapsed");
+        table.add_row({parts[2].substr(1), parts[1], parts[3],
+                       std::to_string(cell.trials), std::to_string(nev),
+                       bench::percent(nev, cell.trials)});
+        if (parts[3] == "1000") bench::tick();  // one per precision/model
+      });
   std::printf("\n\n%s\n", table.str().c_str());
   std::printf(
       "paper shape: N-EV rate rises with flip count at every precision; "
       "incidence is not strictly tied to precision, with a mild reduction "
       "at 1000 flips for 16-bit vs 32-bit on ResNet/AlexNet.\n");
-  trials_out.commit();
   return 0;
 }

@@ -7,14 +7,9 @@
 // N-EV counts predictions whose logits went NaN/Inf/extreme, shown in
 // parentheses as in the paper.
 //
-// Prediction trials are independent, so each cell fans out on
-// core::TrialScheduler (--jobs N); per-trial seeds come from
-// trial_seed(campaign, index), making --jobs 8 bitwise-identical to
-// --jobs 1 (verify with --trials-out and diff). The error-free baseline is
-// deterministic and runs once, outside the scheduler.
+// Trial bodies: core::Campaign "table8", run by bench::run_campaign. The
+// error-free baseline (0 flips) is a one-trial cell.
 #include "bench/common.hpp"
-#include "core/corrupter.hpp"
-#include "util/strings.hpp"
 
 using namespace ckptfi;
 using bench::BenchOptions;
@@ -25,95 +20,41 @@ int main(int argc, char** argv) {
     d.trainings = 6;
     return d;
   }());
+  const auto campaign = bench::open_campaign(opt, "table8");
+  if (campaign == nullptr) return 0;
   bench::print_banner(
       "Table VIII: prediction under precision x bit-flip rate (chainer)",
       opt);
-  bench::TrialRows trials_out(opt.trials_out, "",
-                              bench::bench_fingerprint(opt, "table8"));
 
-  const std::vector<std::uint64_t> rates = {0, 1, 10, 100, 1000};
   core::TextTable table({"precision", "model", "bit-flips", "avg-acc(%)",
                          "N-EV", "predictions"});
-
-  for (const int precision : {16, 32, 64}) {
-    for (const auto& model : models::model_names()) {
-      core::ExperimentRunner runner(
-          bench::make_config(opt, "chainer", model, precision));
-      // The paper predicts from an epoch-100 (fully trained) checkpoint.
-      const std::size_t trained_epoch = runner.config().total_epochs;
-      runner.checkpoint_at(trained_epoch);  // warm the cache pre-fan-out
-      for (const std::uint64_t rate : rates) {
-        const bool baseline = rate == 0;
-        const std::size_t trials = baseline ? 1 : opt.trainings;
-        const std::string cell = "chainer/" + model + "/p" +
-                                 std::to_string(precision) + "/predict" +
-                                 std::to_string(rate);
-        std::vector<std::uint8_t> nev_flags(trials, 0);
-        std::vector<double> accs(trials, 0.0);
-        std::vector<Json> rows(trials);
-        bench::make_scheduler(opt, cell).run(
-            trials, [&](const core::TrialContext& trial) {
-              mh5::File ckpt = runner.checkpoint_at(trained_epoch);
-              Json log;
-              if (!baseline) {
-                core::CorrupterConfig cc;
-                cc.float_precision = precision;
-                cc.injection_attempts = static_cast<double>(rate);
-                cc.corruption_mode = core::CorruptionMode::BitRange;
-                cc.first_bit = 0;
-                cc.last_bit = precision - 2;  // spare exponent MSB:
-                                              // prediction still runs, as in
-                                              // the paper
-                cc.seed = trial.seed;
-                core::Corrupter corrupter(cc);
-                const core::InjectionReport rep = corrupter.corrupt(ckpt);
-                log = rep.log.to_json();
-              }
-              const nn::EvalResult res =
-                  runner.predict_subset(ckpt, trial.index % 2, 2);
-              nev_flags[trial.index] = res.nev ? 1 : 0;
-              if (!res.nev) accs[trial.index] = res.accuracy;
-              if (trials_out.enabled()) {
-                Json r = Json::object();
-                r["cell"] = cell;
-                r["trial"] = trial.index;
-                r["seed"] = std::to_string(trial.seed);
-                r["nev"] = res.nev;
-                r["accuracy"] = res.accuracy;
-                r["log"] = log;
-                rows[trial.index] = std::move(r);
-              }
-            });
-        trials_out.flush_cell(rows);
+  bench::run_campaign(
+      opt, *campaign,
+      [&](const core::CampaignCell& cell, const std::vector<Json>& rows) {
+        // chainer/<model>/p<precision>/predict<rate>
+        const std::vector<std::string> parts = split_path(cell.name);
+        const std::string rate = parts[3].substr(7);
         double acc_sum = 0.0;
-        std::size_t acc_count = 0, nev = 0;
-        for (std::size_t t = 0; t < trials; ++t) {
-          if (nev_flags[t]) {
-            ++nev;
-          } else {
-            acc_sum += accs[t];
-            ++acc_count;
-          }
+        std::size_t acc_count = 0;
+        for (const Json& r : rows) {
+          if (r.at("nev").as_bool()) continue;
+          acc_sum += r.at("accuracy").as_double();
+          ++acc_count;
         }
-        const std::string acc_str =
-            acc_count > 0
-                ? format_fixed(100.0 * acc_sum /
-                                   static_cast<double>(acc_count),
-                               1)
-                : "-";
-        table.add_row({std::to_string(precision), model, std::to_string(rate),
-                       acc_str, std::to_string(nev),
-                       std::to_string(trials)});
-      }
-      std::printf(".");
-      std::fflush(stdout);
-    }
-  }
+        table.add_row(
+            {parts[2].substr(1), parts[1], rate,
+             acc_count > 0 ? format_fixed(100.0 * acc_sum /
+                                              static_cast<double>(acc_count),
+                                          1)
+                           : "-",
+             std::to_string(bench::count_true(rows, "nev")),
+             std::to_string(cell.trials)});
+        if (rate == "1000") bench::tick();  // one per precision/model
+      });
   std::printf("\n\n%s\n", table.str().c_str());
   std::printf(
       "paper shape: prediction (unlike training) degrades with flip rate, "
       "and degrades more at lower precision; ResNet is the most N-EV-prone "
       "model at high rates.\n");
-  trials_out.commit();
   return 0;
 }

@@ -1,7 +1,9 @@
 // Shared infrastructure for the paper-reproduction bench harnesses.
 //
-// Every bench binary regenerates one table or figure from the paper's
-// evaluation (see DESIGN.md section 4). Defaults are scaled down from the
+// Every campaign bench regenerates one table or figure from the paper's
+// evaluation (see DESIGN.md section 4) by running a core::Campaign kind
+// through run_campaign() below, so all of them share one resume, fan-out,
+// --trials-out and --fleet-manifest path. Defaults are scaled down from the
 // paper (Summit-scale: 250 trainings/cell, 100 epochs, full CIFAR-10) to
 // single-CPU sizes; every knob is overridable:
 //
@@ -13,9 +15,9 @@
 //   --restart-epoch=N  checkpointed epoch that gets corrupted (paper: 20)
 //   --resume-epochs=N  epochs trained after the corrupted restart
 //   --seed=N           master seed
-//   --jobs=N           trials in flight per experiment cell (campaign
-//                      fan-out via core::TrialScheduler; 1 = serial, the
-//                      default — and bitwise-identical to any other value)
+//   --jobs=N           trials in flight per campaign cell (fan-out via
+//                      core::TrialScheduler; 1 = serial, the default — and
+//                      bitwise-identical to any other value)
 //   --json-out=PATH    enable the obs metrics registry and write its snapshot
 //                      as JSON to PATH when the bench exits
 //   --trace-out=PATH   enable span tracing and write Chrome trace JSON to
@@ -23,20 +25,21 @@
 //   --trials-out=PATH  write one JSON line per trial (outcome + injection
 //                      log) — the determinism artifact: identical across
 //                      --jobs values by construction
-//   --resume-from=PATH resume an interrupted campaign from a previous
-//                      --trials-out file: trial indices already present are
-//                      skipped (their rows re-emitted verbatim) and only the
-//                      missing ones run. Per-trial splitmix64 seeds are pure
-//                      functions of (--seed, cell, index), so a resumed
-//                      file is bitwise-identical to an uninterrupted run.
+//   --resume-from=PATH resume an interrupted campaign (any campaign bench)
+//                      from a previous --trials-out file: trial indices
+//                      already present are skipped (their rows re-emitted
+//                      verbatim) and only the missing ones run. Per-trial
+//                      splitmix64 seeds are pure functions of (--seed,
+//                      cell, index), so a resumed file is bitwise-identical
+//                      to an uninterrupted run.
 //                      May name the same path as --trials-out. Torn trailing
 //                      lines (a campaign killed mid-write) are skipped with
 //                      a warning; rows stamped with a different campaign
 //                      fingerprint (see "fp" below) are refused outright.
 //   --fleet-manifest=PATH
-//                      fleet-capable benches (table4, fig4): write the
-//                      campaign manifest for ckptfi-fleetd to PATH and exit
-//                      without running any trials (docs/FLEET.md).
+//                      write the campaign manifest for ckptfi-fleetd to PATH
+//                      and exit without running any trials (every campaign
+//                      bench is fleet-capable; docs/FLEET.md).
 //   --prefix-reuse=on|off
 //                      layer-targeted benches: reuse cached activation
 //                      prefixes for trial groups that share an injected
@@ -51,20 +54,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/campaign.hpp"
-#include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "core/scheduler.hpp"
 #include "core/trial_log.hpp"
 #include "obs/obs.hpp"
 #include "tensor/kernels.hpp"
-#include "util/crc32.hpp"
+#include "util/strings.hpp"
 
 namespace ckptfi::bench {
 
@@ -246,122 +248,6 @@ inline BenchOptions BenchOptions::parse(int argc, char** argv,
   return o;
 }
 
-/// Per-cell campaign seed: the master seed mixed with the cell's identity
-/// string ("framework/model/rate"), so every cell fans out decorrelated
-/// trial streams while staying a pure function of (--seed, cell) — never of
-/// --jobs or scheduling. Delegates to the campaign library so bench and
-/// fleet-worker seeds can never drift apart.
-inline std::uint64_t campaign_seed(const BenchOptions& o,
-                                   const std::string& cell) {
-  return core::campaign_cell_seed(o.seed, cell);
-}
-
-/// Scheduler for one experiment cell's trial fan-out.
-inline core::TrialScheduler make_scheduler(const BenchOptions& o,
-                                           const std::string& cell) {
-  core::TrialScheduler::Config sc;
-  sc.jobs = o.jobs;
-  sc.campaign_seed = campaign_seed(o, cell);
-  sc.progress_interval_s = static_cast<double>(o.progress);
-  sc.progress_label = cell;
-  return core::TrialScheduler(sc);
-}
-
-/// JSONL sink for --trials-out. Benches fill one Json row per trial into an
-/// index-addressed vector while the campaign runs, then flush the cell in
-/// index order — so the file is bitwise independent of --jobs scheduling.
-///
-/// With a --resume-from file, rows from the prior run are indexed by
-/// (cell, trial): benches consult prior() to skip finished trials, and
-/// flush_cell(cell, rows) re-emits a skipped trial's original line verbatim
-/// — so a resumed file is byte-identical to an uninterrupted run's.
-///
-/// Crash-safety is core::TrialLogReader/TrialLogWriter's (see
-/// src/core/trial_log.hpp): torn trailing lines in the resume file are
-/// skipped, rows from a different campaign (mismatched "fp" fingerprint)
-/// are refused, and output goes through `path + ".tmp"` + an atomic rename
-/// at commit() — so resuming in place (--resume-from=X --trials-out=X)
-/// cannot destroy the only copy of the prior artifact. The bench MUST call
-/// commit() after its last flush_cell; exiting without it leaves only the
-/// temp file (exactly what a crash would leave).
-class TrialRows {
- public:
-  explicit TrialRows(const std::string& path,
-                     const std::string& resume_from = "",
-                     const std::string& fp_hex = "")
-      : fp_hex_(fp_hex) {
-    if (!resume_from.empty()) {
-      try {
-        prior_.load(resume_from, fp_hex);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "bench: %s\n", e.what());
-        std::exit(2);
-      }
-    }
-    if (path.empty()) return;
-    try {
-      out_.open(path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench: %s\n", e.what());
-      std::exit(2);
-    }
-  }
-
-  bool enabled() const { return out_.is_open(); }
-
-  /// The prior run's row for (cell, trial), or nullptr when it must run.
-  const Json* prior(const std::string& cell, std::size_t trial) const {
-    const core::TrialLogReader::Row* hit = prior_.find(cell, trial);
-    return hit == nullptr ? nullptr : &hit->row;
-  }
-
-  void flush_cell(std::vector<Json>& rows) { flush_cell("", rows); }
-
-  /// Flush one cell in index order, stamping the campaign fingerprint onto
-  /// fresh rows. Null rows (trials skipped via prior()) fall back to the
-  /// prior file's original line, byte for byte.
-  void flush_cell(const std::string& cell, std::vector<Json>& rows) {
-    if (!enabled()) return;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (rows[i].is_null() && !cell.empty()) {
-        const core::TrialLogReader::Row* hit = prior_.find(cell, i);
-        if (hit != nullptr) {
-          out_.write_line(hit->line);
-          continue;
-        }
-      }
-      core::stamp_fingerprint(rows[i], fp_hex_);
-      out_.write_line(rows[i].dump());
-    }
-    out_.flush();
-  }
-
-  /// Rename the temp file onto the real path. Call once, after the last
-  /// cell; exits with a diagnostic on I/O failure.
-  void commit() {
-    if (!enabled()) return;
-    try {
-      out_.commit();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench: %s\n", e.what());
-      std::exit(1);
-    }
-  }
-
- private:
-  std::string fp_hex_;
-  core::TrialLogReader prior_;
-  core::TrialLogWriter out_;
-};
-
-/// Per-model width: ResNet50 has ~3x the layer count, so it gets half the
-/// base width to keep bench wall-clock balanced across models. Delegates to
-/// the campaign library (fleet workers size models the same way).
-inline std::size_t model_width(const BenchOptions& o,
-                               const std::string& model) {
-  return core::campaign_model_width(o.width, model);
-}
-
 /// The campaign identity behind a bench invocation: the bench name plus
 /// every BenchOptions field that can change a trial row's bytes. Feeds both
 /// the row fingerprint ("fp") and the fleet manifest.
@@ -384,36 +270,169 @@ inline core::CampaignOptions campaign_options(
   return c;
 }
 
-/// Campaign fingerprint for a bench's rows (8 hex chars, the "fp" field).
-inline std::string bench_fingerprint(const BenchOptions& o,
-                                     const std::string& bench,
-                                     const std::string& mode = "",
-                                     const std::vector<std::string>& layers =
-                                         {}) {
-  return campaign_options(o, bench, mode, layers).fingerprint_hex();
-}
-
-/// --fleet-manifest handling for fleet-capable benches: write the campaign
-/// manifest and return true (caller exits 0 without running trials).
-inline bool export_fleet_manifest(const BenchOptions& o,
-                                  const core::Campaign& campaign) {
-  if (o.fleet_manifest.empty()) return false;
+/// The bench's campaign (kind `bench`, see core::campaign_kinds()). With
+/// --fleet-manifest it writes the manifest for ckptfi-fleetd instead and
+/// returns nullptr: the bench exits 0 without running trials.
+inline std::unique_ptr<core::Campaign> open_campaign(
+    const BenchOptions& o, const std::string& bench,
+    const std::string& mode = "", const std::vector<std::string>& layers = {}) {
+  std::unique_ptr<core::Campaign> campaign =
+      core::Campaign::make(campaign_options(o, bench, mode, layers));
+  if (o.fleet_manifest.empty()) return campaign;
   std::ofstream out(o.fleet_manifest, std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "bench: cannot write --fleet-manifest '%s'\n",
                  o.fleet_manifest.c_str());
     std::exit(2);
   }
-  out << core::campaign_manifest(campaign).dump(2) << "\n";
+  out << core::campaign_manifest(*campaign).dump(2) << "\n";
   std::size_t trials = 0;
-  for (const core::CampaignCell& c : campaign.cells()) trials += c.trials;
+  for (const core::CampaignCell& c : campaign->cells()) trials += c.trials;
   std::printf(
       "wrote fleet manifest '%s' (campaign %s: %zu cells, %zu trials) — "
       "run it with ckptfi-fleetd + ckptfi-worker\n",
       o.fleet_manifest.c_str(),
-      campaign.options().fingerprint_hex().c_str(), campaign.cells().size(),
+      campaign->options().fingerprint_hex().c_str(), campaign->cells().size(),
       trials);
-  return true;
+  return nullptr;
+}
+
+/// Run every cell of `campaign` in artifact order and hand each cell's rows
+/// (trial-index order) to `on_cell(const core::CampaignCell&, const
+/// std::vector<Json>&)`; rows are dropped after the callback, so memory
+/// stays per-cell.
+///
+/// A cell's trials fan out on core::TrialScheduler (--jobs, --progress);
+/// per-trial seeds are trial_seed(cell seed, index), so rows are bitwise
+/// independent of scheduling. With --resume-from, trials already in the
+/// prior artifact are not rerun: the callback gets the prior row and
+/// --trials-out re-emits its original line verbatim, so a resumed artifact
+/// is byte-identical to an uninterrupted one. Crash safety is
+/// core::TrialLogReader/TrialLogWriter's (src/core/trial_log.hpp): torn
+/// trailing lines in the resume file are skipped, rows stamped with another
+/// campaign's fingerprint make the bench exit 2 before any output opens,
+/// and --trials-out is written through `path + ".tmp"` and renamed into
+/// place only after the last cell — so resuming in place
+/// (--resume-from=X --trials-out=X) cannot destroy its own input.
+template <class OnCell>
+void run_campaign(const BenchOptions& o, core::Campaign& campaign,
+                  OnCell&& on_cell) {
+  core::TrialLogReader prior;
+  core::TrialLogWriter out;
+  try {
+    if (!o.resume_from.empty()) {
+      prior.load(o.resume_from, campaign.options().fingerprint_hex());
+    }
+    if (!o.trials_out.empty()) out.open(o.trials_out);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench: %s\n", e.what());
+    std::exit(2);
+  }
+  for (const core::CampaignCell& cell : campaign.cells()) {
+    campaign.prepare_cell(cell.name);
+    std::vector<Json> rows(cell.trials);
+    core::TrialScheduler::Config sc;
+    sc.jobs = o.jobs;
+    sc.campaign_seed = campaign.cell_seed(cell.name);
+    sc.progress_interval_s = static_cast<double>(o.progress);
+    sc.progress_label = cell.name;
+    core::TrialScheduler(sc).run(
+        cell.trials, [&](const core::TrialContext& trial) {
+          const core::TrialLogReader::Row* hit =
+              prior.find(cell.name, trial.index);
+          rows[trial.index] = hit != nullptr
+                                  ? hit->row
+                                  : campaign.run_trial(cell.name, trial);
+        });
+    if (out.is_open()) {
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const core::TrialLogReader::Row* hit = prior.find(cell.name, i);
+        out.write_line(hit != nullptr ? hit->line : rows[i].dump());
+      }
+      out.flush();
+    }
+    on_cell(cell, rows);
+  }
+  if (!out.is_open()) return;
+  try {
+    out.commit();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench: %s\n", e.what());
+    std::exit(1);
+  }
+}
+
+/// Rows whose boolean field `key` is true.
+inline std::size_t count_true(const std::vector<Json>& rows,
+                              const char* key) {
+  std::size_t n = 0;
+  for (const Json& r : rows) n += r.at(key).as_bool() ? 1 : 0;
+  return n;
+}
+
+/// 100 * n / d to one decimal: the tables' percentage cell.
+inline std::string percent(std::size_t n, std::size_t d) {
+  return format_fixed(
+      100.0 * static_cast<double>(n) / static_cast<double>(d), 1);
+}
+
+/// Progress tick: one dot per finished unit of work.
+inline void tick() {
+  std::printf(".");
+  std::fflush(stdout);
+}
+
+/// Display label of a paper-trio layer ("first (conv1)"); other layers are
+/// labelled by name.
+inline std::string layer_label(const std::string& layer) {
+  if (layer == "conv1") return "first (conv1)";
+  if (layer == "conv4") return "middle (conv4)";
+  if (layer == "fc8") return "last (fc8)";
+  return layer;
+}
+
+/// Header of a per-epoch accuracy table: "series", then one column per
+/// resumed epoch (restart_epoch .. total_epochs - 1).
+inline std::vector<std::string> epoch_header(const BenchOptions& o) {
+  std::vector<std::string> hdr = {"series"};
+  for (std::size_t e = o.restart_epoch; e < o.total_epochs; ++e)
+    hdr.push_back("e" + std::to_string(e));
+  return hdr;
+}
+
+/// `label` + one accuracy curve in percent, padded with "-" to `epochs`.
+inline std::vector<std::string> curve_row(std::string label, const Json& curve,
+                                          std::size_t epochs) {
+  std::vector<std::string> row = {std::move(label)};
+  for (const Json& a : curve.items())
+    row.push_back(format_fixed(100.0 * a.as_double(), 1));
+  while (row.size() < epochs + 1) row.push_back("-");
+  return row;
+}
+
+/// `label` + the per-epoch mean of each row's `key` curve in percent,
+/// reduced in row order; "-" where no trial reached the epoch.
+inline std::vector<std::string> mean_curve_row(std::string label,
+                                               const std::vector<Json>& rows,
+                                               const char* key,
+                                               std::size_t epochs) {
+  std::vector<double> sum(epochs, 0.0);
+  std::vector<std::size_t> n(epochs, 0);
+  for (const Json& r : rows) {
+    const std::vector<Json>& acc = r.at(key).items();
+    for (std::size_t e = 0; e < acc.size() && e < epochs; ++e) {
+      sum[e] += acc[e].as_double();
+      n[e] += 1;
+    }
+  }
+  std::vector<std::string> row = {std::move(label)};
+  for (std::size_t e = 0; e < epochs; ++e) {
+    row.push_back(n[e] != 0 ? format_fixed(100.0 * sum[e] /
+                                               static_cast<double>(n[e]),
+                                           1)
+                            : "-");
+  }
+  return row;
 }
 
 /// Defaults for benches that measure accuracy degradation: models must be
@@ -428,23 +447,6 @@ inline BenchOptions trained_defaults() {
   o.restart_epoch = 3;
   o.resume_epochs = 0;  // resume to total_epochs
   return o;
-}
-
-inline core::ExperimentConfig make_config(const BenchOptions& o,
-                                          const std::string& framework,
-                                          const std::string& model,
-                                          int precision_bits = 64) {
-  core::ExperimentConfig cfg;
-  cfg.framework = framework;
-  cfg.model = model;
-  cfg.model_cfg.width = model_width(o, model);
-  cfg.data_cfg.num_train = o.train_images;
-  cfg.data_cfg.num_test = o.test_images;
-  cfg.total_epochs = o.total_epochs;
-  cfg.restart_epoch = o.restart_epoch;
-  cfg.precision_bits = precision_bits;
-  cfg.seed = o.seed;
-  return cfg;
 }
 
 /// The run-start obs event, stamped with the active kernel backend so a

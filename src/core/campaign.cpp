@@ -1,17 +1,24 @@
 #include "core/campaign.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <map>
 #include <mutex>
 
 #include "core/corrupter.hpp"
+#include "core/equivalent.hpp"
 #include "core/experiment.hpp"
 #include "core/injection_log.hpp"
+#include "core/protection.hpp"
 #include "core/trial_log.hpp"
 #include "frameworks/framework.hpp"
 #include "models/models.hpp"
+#include "tensor/kernels.hpp"
+#include "util/bitops.hpp"
 #include "util/common.hpp"
 #include "util/crc32.hpp"
+#include "util/stats.hpp"
 #include "util/strings.hpp"
 
 namespace ckptfi::core {
@@ -99,7 +106,8 @@ namespace {
 
 ExperimentConfig experiment_config(const CampaignOptions& o,
                                    const std::string& framework,
-                                   const std::string& model) {
+                                   const std::string& model,
+                                   int precision_bits = 64) {
   ExperimentConfig cfg;
   cfg.framework = framework;
   cfg.model = model;
@@ -108,7 +116,7 @@ ExperimentConfig experiment_config(const CampaignOptions& o,
   cfg.data_cfg.num_test = o.test_images;
   cfg.total_epochs = o.total_epochs;
   cfg.restart_epoch = o.restart_epoch;
-  cfg.precision_bits = 64;
+  cfg.precision_bits = precision_bits;
   cfg.seed = o.seed;
   return cfg;
 }
@@ -281,9 +289,9 @@ class Fig4Campaign final : public Campaign {
     const nn::TrainResult& res = probed.result;
     const obs::DivergenceTrace div = runner.divergence_vs_clean(probed.probes);
     if (trial.index == 0) {
-      // Trial 0's log is the fig5 replay artifact; it carries the model
-      // meta and its divergence trace. The bench driver saves it from the
-      // row — workers just ship the bytes.
+      // Trial 0's log is the replayable artifact: it carries the model
+      // meta and its divergence trace, so the row alone can seed a replay
+      // (core::replay_injection_log) wherever it was produced.
       rep.log.set_meta("framework", "chainer");
       rep.log.set_meta("model", "alexnet");
       rep.log.set_divergence(div.to_json());
@@ -342,13 +350,664 @@ class Fig4Campaign final : public Campaign {
   std::unique_ptr<ModelContext> ctx_;
 };
 
+// ------------------------------------------------------------ grid kinds --
+//
+// The other paper campaigns share one shape: a fixed cell list, each cell
+// naming the ExperimentRunner its trials run on (framework/model/checkpoint
+// precision) plus the one knob the cell varies. Every body below was lifted
+// from its bench harness with the row keys in the bench's order, so
+// artifacts stay byte-identical to the pre-campaign benches.
+struct CellSpec {
+  std::string framework = "chainer";
+  std::string model = "alexnet";
+  int precision = 64;         ///< checkpoint float width
+  std::uint64_t count = 0;    ///< bit-flips or scaled weights per trial
+  std::string variant = "";   ///< table6 bit mask / ablation guard mode
+  int first_bit = 0;          ///< fig2's injected bit range
+  int last_bit = 63;
+  double factor = 0.0;        ///< fig7 scaling factor
+};
+
+class GridCampaign : public Campaign {
+ public:
+  void prepare_cell(const std::string& cell) override {
+    runner_for(spec(cell)).restart_checkpoint();
+  }
+
+ protected:
+  explicit GridCampaign(CampaignOptions opts)
+      : Campaign(std::move(opts)), fp_hex_(opts_.fingerprint_hex()) {}
+
+  void add_cell(const std::string& name, std::size_t trials, CellSpec s) {
+    cells_.push_back({name, trials});
+    specs_.emplace(name, std::move(s));
+  }
+
+  const CellSpec& spec(const std::string& cell) const {
+    const auto it = specs_.find(cell);
+    if (it == specs_.end()) {
+      throw Error(opts_.bench + ": unknown cell '" + cell + "'");
+    }
+    return it->second;
+  }
+
+  /// The spec's runner, built on first use. Building mutates the pool, so
+  /// only prepare_cell/clean_summary (single-threaded) call this; run_trial
+  /// uses runner().
+  ExperimentRunner& runner_for(const CellSpec& s) {
+    std::unique_ptr<ExperimentRunner>& r = runners_[runner_key(s)];
+    if (r == nullptr) {
+      r = std::make_unique<ExperimentRunner>(
+          experiment_config(opts_, s.framework, s.model, s.precision));
+    }
+    return *r;
+  }
+
+  ExperimentRunner& runner(const CellSpec& s) const {
+    return *runners_.at(runner_key(s));
+  }
+
+  /// `value(runner)` per distinct framework/model panel, in cell order.
+  template <class F>
+  Json per_panel(F value) {
+    Json j = Json::object();
+    for (const CampaignCell& c : cells_) {
+      const CellSpec& s = spec(c.name);
+      const std::string panel = s.framework + "/" + s.model;
+      if (!j.contains(panel)) j[panel] = value(runner_for(s));
+    }
+    return j;
+  }
+
+  /// The keys every row opens with.
+  static Json trial_row(const std::string& cell, const TrialContext& trial) {
+    Json row = Json::object();
+    row["cell"] = cell;
+    row["trial"] = trial.index;
+    row["seed"] = std::to_string(trial.seed);
+    return row;
+  }
+
+  Json stamped(Json row) const {
+    stamp_fingerprint(row, fp_hex_);
+    return row;
+  }
+
+ private:
+  static std::string runner_key(const CellSpec& s) {
+    return s.framework + "/" + s.model + "/p" + std::to_string(s.precision);
+  }
+
+  std::string fp_hex_;
+  std::map<std::string, CellSpec> specs_;
+  std::map<std::string, std::unique_ptr<ExperimentRunner>> runners_;
+};
+
+CorrupterConfig bit_range(std::uint64_t flips, int first_bit, int last_bit,
+                          std::uint64_t seed) {
+  CorrupterConfig cc;
+  cc.injection_attempts = static_cast<double>(flips);
+  cc.corruption_mode = CorruptionMode::BitRange;
+  cc.first_bit = first_bit;
+  cc.last_bit = last_bit;
+  cc.seed = seed;
+  return cc;
+}
+
+Json accuracy_curve(const nn::TrainResult& res) {
+  Json a = Json::array();
+  for (const auto& s : res.epochs) a.push_back(s.test_accuracy);
+  return a;
+}
+
+/// The paper's first/middle/last AlexNet layers (figs 5 and 6: one trial
+/// per layer).
+constexpr const char* kPaperLayers[] = {"conv1", "conv4", "fc8"};
+
+const char* paper_layer(std::size_t trial) {
+  require(trial < std::size(kPaperLayers), "trial index past the layer list");
+  return kPaperLayers[trial];
+}
+
+// Table V: one flip below the exponent MSB; RWC = the resumed accuracy
+// exactly equals the clean probed resume's. Cells framework/model, model-major.
+class Table5Campaign final : public GridCampaign {
+ public:
+  explicit Table5Campaign(CampaignOptions opts)
+      : GridCampaign(std::move(opts)) {
+    for (const auto& model : models::model_names()) {
+      for (const auto& framework : fw::framework_names()) {
+        add_cell(framework + "/" + model, opts_.trainings,
+                 {.framework = framework, .model = model});
+      }
+    }
+  }
+
+  void prepare_cell(const std::string& cell) override {
+    runner_for(spec(cell)).clean_probed_run(opts_.resume_epochs);
+  }
+
+  Json run_trial(const std::string& cell, const TrialContext& trial) override {
+    ExperimentRunner& runner = this->runner(spec(cell));
+    mh5::File ckpt = runner.restart_checkpoint();
+    const InjectionReport rep =
+        Corrupter(bit_range(1, 0, float_layout(64).exponent_msb() - 1,
+                            trial.seed))
+            .corrupt(ckpt);
+    // The flip lands in a random layer; the log tells us which, and the
+    // prefix upstream of it is reusable across the cell.
+    const std::size_t seg =
+        opts_.prefix_reuse ? runner.entry_segment(rep.log) : 0;
+    ExperimentRunner::ProbedResume probed =
+        runner.resume_training_probed_from_segment(ckpt, seg,
+                                                   opts_.resume_epochs);
+    const nn::TrainResult& res = probed.result;
+    const ExperimentRunner::CleanProbedRun& clean =
+        runner.clean_probed_run(opts_.resume_epochs);
+    Json row = trial_row(cell, trial);
+    row["rwc"] = res.final_accuracy == clean.result.final_accuracy;
+    row["collapsed"] = res.collapsed;
+    row["final_accuracy"] = res.final_accuracy;
+    row["clean_accuracy"] = clean.result.final_accuracy;
+    row["log"] = rep.log.to_json();
+    row["divergence"] =
+        runner.divergence_vs_clean(probed.probes, opts_.resume_epochs)
+            .to_json();
+    return stamped(std::move(row));
+  }
+};
+
+// Table VI: the five DRAM field-study bit masks (Bautista-Gomez et al.,
+// SC'16), each applied to 10 weights, on ResNet50 for one resumed epoch;
+// plus one error-free baseline trial per framework.
+class Table6Campaign final : public GridCampaign {
+ public:
+  explicit Table6Campaign(CampaignOptions opts)
+      : GridCampaign(std::move(opts)) {
+    for (const auto& framework : fw::framework_names()) {
+      for (const char* mask : {"", "10001010", "01101010", "10110010",
+                               "11110001", "11101101"}) {
+        const bool baseline = *mask == '\0';
+        add_cell(framework + "/resnet50/mask" + (baseline ? "baseline" : mask),
+                 baseline ? 1 : opts_.trainings,
+                 {.framework = framework, .model = "resnet50",
+                  .variant = mask});
+      }
+    }
+  }
+
+  Json run_trial(const std::string& cell, const TrialContext& trial) override {
+    const CellSpec& s = spec(cell);
+    ExperimentRunner& runner = this->runner(s);
+    mh5::File ckpt = runner.restart_checkpoint();
+    Json log;
+    std::size_t seg = 0;
+    if (!s.variant.empty()) {
+      CorrupterConfig cc;
+      cc.corruption_mode = CorruptionMode::BitMask;
+      cc.bit_mask = s.variant;
+      cc.injection_attempts = 10;  // 10 weights/training (paper)
+      cc.seed = trial.seed;
+      const InjectionReport rep = Corrupter(cc).corrupt(ckpt);
+      log = rep.log.to_json();
+      // 10 random weights scatter across layers; the shallowest one bounds
+      // the reusable prefix (often 0 — then this is a no-op).
+      if (opts_.prefix_reuse) seg = runner.entry_segment(rep.log);
+    }
+    const nn::TrainResult res =
+        runner.resume_training_from_segment(ckpt, seg, 1);
+    Json row = trial_row(cell, trial);
+    row["collapsed"] = res.collapsed;
+    row["final_accuracy"] = res.final_accuracy;
+    row["log"] = std::move(log);
+    return stamped(std::move(row));
+  }
+};
+
+// Table VII: full-range flips into 16/32-bit Chainer checkpoints. The mode
+// slot carries the GEMM compute precision the resumed trainings run under;
+// prepare_cell applies it process-wide, so a fleet worker computes the same
+// fp16 rows the bench does.
+class Table7Campaign final : public GridCampaign {
+ public:
+  explicit Table7Campaign(CampaignOptions opts)
+      : GridCampaign(std::move(opts)) {
+    if (opts_.mode != "fp64" && opts_.mode != "fp16") {
+      throw Error("table7: mode is the compute precision, fp64 or fp16 (got '" +
+                  opts_.mode + "')");
+    }
+    for (const int precision : {16, 32}) {
+      for (const auto& model : models::model_names()) {
+        for (const std::uint64_t rate : {1, 10, 100, 1000}) {
+          add_cell("chainer/" + model + "/p" + std::to_string(precision) +
+                       "/" + std::to_string(rate),
+                   opts_.trainings,
+                   {.model = model, .precision = precision, .count = rate});
+        }
+      }
+    }
+  }
+
+  void prepare_cell(const std::string& cell) override {
+    set_gemm_precision(opts_.mode == "fp16" ? GemmPrecision::kFp16
+                                            : GemmPrecision::kFp64);
+    GridCampaign::prepare_cell(cell);
+  }
+
+  Json run_trial(const std::string& cell, const TrialContext& trial) override {
+    const CellSpec& s = spec(cell);
+    ExperimentRunner& runner = this->runner(s);
+    mh5::File ckpt = runner.restart_checkpoint();
+    // Full bit range at this width.
+    CorrupterConfig cc = bit_range(s.count, 0, s.precision - 1, trial.seed);
+    cc.float_precision = s.precision;
+    const InjectionReport rep = Corrupter(cc).corrupt(ckpt);
+    const nn::TrainResult res =
+        runner.resume_training(ckpt, opts_.resume_epochs);
+    Json row = trial_row(cell, trial);
+    row["collapsed"] = res.collapsed;
+    row["final_accuracy"] = res.final_accuracy;
+    row["log"] = rep.log.to_json();
+    return stamped(std::move(row));
+  }
+};
+
+// Table VIII: inference-only trials on the fully trained checkpoint, each
+// predicting a different half of the test set; rate 0 is the one-trial
+// error-free baseline.
+class Table8Campaign final : public GridCampaign {
+ public:
+  explicit Table8Campaign(CampaignOptions opts)
+      : GridCampaign(std::move(opts)) {
+    for (const int precision : {16, 32, 64}) {
+      for (const auto& model : models::model_names()) {
+        for (const std::uint64_t rate : {0, 1, 10, 100, 1000}) {
+          add_cell("chainer/" + model + "/p" + std::to_string(precision) +
+                       "/predict" + std::to_string(rate),
+                   rate == 0 ? 1 : opts_.trainings,
+                   {.model = model, .precision = precision, .count = rate});
+        }
+      }
+    }
+  }
+
+  void prepare_cell(const std::string& cell) override {
+    runner_for(spec(cell)).checkpoint_at(opts_.total_epochs);
+  }
+
+  Json run_trial(const std::string& cell, const TrialContext& trial) override {
+    const CellSpec& s = spec(cell);
+    ExperimentRunner& runner = this->runner(s);
+    mh5::File ckpt = runner.checkpoint_at(opts_.total_epochs);
+    Json log;
+    if (s.count > 0) {
+      // Spare the exponent MSB: prediction still runs, as in the paper.
+      CorrupterConfig cc = bit_range(s.count, 0, s.precision - 2, trial.seed);
+      cc.float_precision = s.precision;
+      log = Corrupter(cc).corrupt(ckpt).log.to_json();
+    }
+    const nn::EvalResult res = runner.predict_subset(ckpt, trial.index % 2, 2);
+    Json row = trial_row(cell, trial);
+    row["nev"] = res.nev;
+    row["accuracy"] = res.accuracy;
+    row["log"] = std::move(log);
+    return stamped(std::move(row));
+  }
+};
+
+// Figure 2: 1000 flips confined to each bit range of Chainer/AlexNet.
+class Fig2Campaign final : public GridCampaign {
+ public:
+  explicit Fig2Campaign(CampaignOptions opts) : GridCampaign(std::move(opts)) {
+    struct Range {
+      const char* label;
+      int first, last;
+    };
+    for (const Range& r : {Range{"[0,63] full value", 0, 63},
+                           Range{"[0,62] no sign", 0, 62},
+                           Range{"[0,61] no sign, no exp MSB", 0, 61},
+                           Range{"[52,62] exponent incl MSB", 52, 62},
+                           Range{"[52,61] exponent excl MSB", 52, 61},
+                           Range{"[0,51] mantissa only", 0, 51},
+                           Range{"[62,62] exponent MSB only", 62, 62}}) {
+      add_cell(std::string("fig2/") + r.label, opts_.trainings,
+               {.first_bit = r.first, .last_bit = r.last});
+    }
+  }
+
+  Json run_trial(const std::string& cell, const TrialContext& trial) override {
+    const CellSpec& s = spec(cell);
+    ExperimentRunner& runner = this->runner(s);
+    mh5::File ckpt = runner.restart_checkpoint();
+    const InjectionReport rep =
+        Corrupter(bit_range(1000, s.first_bit, s.last_bit, trial.seed))
+            .corrupt(ckpt);
+    const nn::TrainResult res =
+        runner.resume_training(ckpt, opts_.resume_epochs);
+    Json row = trial_row(cell, trial);
+    row["collapsed"] = res.collapsed;
+    row["final_accuracy"] = res.final_accuracy;
+    row["flips_applied"] = rep.log.size();
+    return stamped(std::move(row));
+  }
+};
+
+// Figure 3: accuracy curves (resumed to total_epochs) under 10..1000 flips
+// with the exponent MSB excluded, in three framework/model panels.
+class Fig3Campaign final : public GridCampaign {
+ public:
+  explicit Fig3Campaign(CampaignOptions opts) : GridCampaign(std::move(opts)) {
+    for (const auto& [framework, model] :
+         {std::pair{"chainer", "resnet50"}, std::pair{"pytorch", "vgg16"},
+          std::pair{"tensorflow", "alexnet"}}) {
+      for (const std::uint64_t rate : {10, 100, 500, 1000}) {
+        add_cell(std::string(framework) + "/" + model + "/" +
+                     std::to_string(rate),
+                 opts_.trainings,
+                 {.framework = framework, .model = model, .count = rate});
+      }
+    }
+  }
+
+  void prepare_cell(const std::string& cell) override {
+    runner_for(spec(cell)).clean_resume();
+  }
+
+  /// Panel -> error-free per-epoch accuracy curve.
+  Json clean_summary() override {
+    return per_panel(
+        [](ExperimentRunner& r) { return accuracy_curve(r.clean_resume()); });
+  }
+
+  Json run_trial(const std::string& cell, const TrialContext& trial) override {
+    const CellSpec& s = spec(cell);
+    ExperimentRunner& runner = this->runner(s);
+    mh5::File ckpt = runner.restart_checkpoint();
+    // Exponent MSB excluded (paper Section V-C).
+    const InjectionReport rep =
+        Corrupter(bit_range(s.count, 0, 61, trial.seed)).corrupt(ckpt);
+    const nn::TrainResult res = runner.resume_training(ckpt);
+    Json row = trial_row(cell, trial);
+    row["curve"] = accuracy_curve(res);
+    row["log"] = rep.log.to_json();
+    return stamped(std::move(row));
+  }
+};
+
+// Figure 5: a Chainer/AlexNet per-layer injection sequence replayed at the
+// equivalent location of PyTorch and TensorFlow checkpoints. The source logs
+// are a function of the options alone (one corruption per layer at seed
+// seed * 97), so every process that builds them builds the same ones.
+class Fig5Campaign final : public GridCampaign {
+ public:
+  explicit Fig5Campaign(CampaignOptions opts) : GridCampaign(std::move(opts)) {
+    for (const char* target : {"pytorch", "tensorflow"}) {
+      add_cell(std::string("fig5/") + target, std::size(kPaperLayers),
+               {.framework = target});
+    }
+  }
+
+  void prepare_cell(const std::string& cell) override {
+    runner_for(spec(cell)).clean_resume();
+    if (!logs_.empty()) return;
+    ExperimentRunner& source = runner_for({});  // chainer/alexnet
+    const std::unique_ptr<nn::Model> model = source.make_model();
+    const ModelContext ctx = source.make_context(*model);
+    for (const char* layer : kPaperLayers) {
+      mh5::File ckpt = source.restart_checkpoint();
+      CorrupterConfig cc = bit_range(1000, 0, 61, opts_.seed * 97);
+      cc.use_random_locations = false;
+      cc.locations_to_corrupt = {std::string("predictor/") + layer};
+      InjectionReport rep = Corrupter(cc).corrupt(ckpt, &ctx);
+      rep.log.set_meta("framework", "chainer");
+      rep.log.set_meta("model", "alexnet");
+      logs_.emplace(layer, std::move(rep.log));
+    }
+  }
+
+  /// Panel -> error-free per-epoch accuracy curve of the target framework.
+  Json clean_summary() override {
+    return per_panel(
+        [](ExperimentRunner& r) { return accuracy_curve(r.clean_resume()); });
+  }
+
+  Json run_trial(const std::string& cell, const TrialContext& trial) override {
+    ExperimentRunner& target = runner(spec(cell));
+    const char* layer = paper_layer(trial.index);
+    mh5::File ckpt = target.restart_checkpoint();
+    // A model per trial: replay reads its parameter table, which a model
+    // shared across concurrent trials would rebuild under their feet.
+    const std::unique_ptr<nn::Model> model = target.make_model();
+    const ReplayStats stats = replay_injection_log(
+        logs_.at(layer), ckpt, *model, target.adapter(),
+        ReplayMode::SameLayerBit, trial.seed);
+    const nn::TrainResult res = target.resume_training(ckpt);
+    Json row = trial_row(cell, trial);
+    row["layer"] = layer;
+    row["replayed"] = stats.replayed;
+    row["final_accuracy"] = res.final_accuracy;
+    row["accuracy"] = accuracy_curve(res);
+    return stamped(std::move(row));
+  }
+
+ private:
+  std::map<std::string, InjectionLog> logs_;  ///< layer -> source log
+};
+
+// Figure 6: 1000 flips into one TensorFlow/AlexNet layer, trained onward and
+// diffed weight-by-weight against the clean twin, with the probe divergence
+// trace riding along. One cell, one trial per layer.
+class Fig6Campaign final : public GridCampaign {
+ public:
+  explicit Fig6Campaign(CampaignOptions opts) : GridCampaign(std::move(opts)) {
+    add_cell("fig6/propagation", std::size(kPaperLayers),
+             {.framework = "tensorflow"});
+  }
+
+  void prepare_cell(const std::string& cell) override {
+    ExperimentRunner& runner = runner_for(spec(cell));
+    // The clean probed resume is both the weight-diff twin (same restart =>
+    // same zeroed optimizer velocity, so every nonzero diff is
+    // injection-caused) and the divergence baseline.
+    runner.clean_probed_run();
+    if (model_ != nullptr) return;
+    model_ = runner.make_model();
+    ctx_ = std::make_unique<ModelContext>(runner.make_context(*model_));
+  }
+
+  Json run_trial(const std::string& cell, const TrialContext& trial) override {
+    ExperimentRunner& runner = this->runner(spec(cell));
+    const char* layer = paper_layer(trial.index);
+    mh5::File ckpt = runner.restart_checkpoint();
+    CorrupterConfig cc = bit_range(1000, 0, 61, trial.seed);
+    cc.use_random_locations = false;
+    cc.locations_to_corrupt = {std::string("model_weights/") + layer};
+    const InjectionReport rep = Corrupter(cc).corrupt(ckpt, ctx_.get());
+    const std::size_t seg =
+        opts_.prefix_reuse ? runner.entry_segment(rep.log) : 0;
+    ExperimentRunner::ProbedResume probed =
+        runner.resume_training_probed_from_segment(ckpt, seg);
+    const ExperimentRunner::CleanProbedRun& clean = runner.clean_probed_run();
+
+    // Only weights that differ from the clean twin count (paper).
+    std::vector<double> diffs;
+    for (const auto& p : probed.model->params()) {
+      const auto& clean_w = clean.final_weights.at(p.name);
+      for (std::size_t i = 0; i < clean_w.size(); ++i) {
+        const double d = (*p.value)[i] - clean_w[i];
+        if (d != 0.0 && std::isfinite(d)) diffs.push_back(std::fabs(d));
+      }
+    }
+    const BoxplotStats box =
+        diffs.empty() ? BoxplotStats{} : boxplot_stats(diffs);
+    Json row = trial_row(cell, trial);
+    row["layer"] = layer;
+    row["collapsed"] = probed.result.collapsed;
+    row["final_accuracy"] = probed.result.final_accuracy;
+    row["clean_accuracy"] = clean.result.final_accuracy;
+    row["diff_weights"] = diffs.size();
+    row["q1"] = box.q1;
+    row["median"] = box.median;
+    row["q3"] = box.q3;
+    row["whisker_lo"] = box.whisker_lo;
+    row["whisker_hi"] = box.whisker_hi;
+    row["n_outliers"] = box.n_outliers;
+    row["divergence"] = runner.divergence_vs_clean(probed.probes).to_json();
+    return stamped(std::move(row));
+  }
+
+ private:
+  std::unique_ptr<nn::Model> model_;  ///< keeps ctx_'s layer references alive
+  std::unique_ptr<ModelContext> ctx_;
+};
+
+// Figure 7: Chainer/ResNet50 weight tensors multiplied by a scaling factor
+// (factor x affected-weight-count heat map), predicted from the fully
+// trained checkpoint. Row accuracy is in percent.
+class Fig7Campaign final : public GridCampaign {
+ public:
+  explicit Fig7Campaign(CampaignOptions opts) : GridCampaign(std::move(opts)) {
+    for (const std::uint64_t n : {10, 100, 500, 1000}) {
+      for (const double factor : {1.5, 15.0, 150.0, 1500.0, 4500.0}) {
+        add_cell("fig7/" + std::to_string(n) + "x" + format_fixed(factor, 1),
+                 opts_.trainings,
+                 {.model = "resnet50", .count = n, .factor = factor});
+      }
+    }
+  }
+
+  void prepare_cell(const std::string& cell) override {
+    ExperimentRunner& runner = runner_for(spec(cell));
+    runner.checkpoint_at(opts_.total_epochs);
+    if (model_ != nullptr) return;
+    model_ = runner.make_model();
+    ctx_ = std::make_unique<ModelContext>(runner.make_context(*model_));
+    // The paper scales "values of the model": weight (W) datasets only.
+    for (const auto& layer : model_->weight_layer_names()) {
+      weight_locations_.push_back(runner.adapter().dataset_path(
+          layer + "/W", layer.rfind("fc", 0) == 0 ? fw::ParamKind::DenseW
+                                                  : fw::ParamKind::ConvW));
+    }
+  }
+
+  /// Panel -> uncorrupted prediction accuracy of the trained checkpoint.
+  Json clean_summary() override {
+    return per_panel([&](ExperimentRunner& r) {
+      return Json(r.predict(r.checkpoint_at(opts_.total_epochs)).accuracy);
+    });
+  }
+
+  Json run_trial(const std::string& cell, const TrialContext& trial) override {
+    const CellSpec& s = spec(cell);
+    ExperimentRunner& runner = this->runner(s);
+    mh5::File ckpt = runner.checkpoint_at(opts_.total_epochs);
+    CorrupterConfig cc;
+    cc.corruption_mode = CorruptionMode::ScalingFactor;
+    cc.scaling_factor = s.factor;
+    cc.injection_attempts = static_cast<double>(s.count);
+    cc.use_random_locations = false;
+    cc.locations_to_corrupt = weight_locations_;
+    cc.seed = trial.seed;
+    Corrupter(cc).corrupt(ckpt, ctx_.get());
+    Json row = trial_row(cell, trial);
+    row["accuracy"] = 100.0 * runner.predict(ckpt).accuracy;
+    return stamped(std::move(row));
+  }
+
+ private:
+  std::unique_ptr<nn::Model> model_;  ///< keeps ctx_'s layer references alive
+  std::unique_ptr<ModelContext> ctx_;
+  std::vector<std::string> weight_locations_;
+};
+
+// Ablation (paper Discussion VI.1): critical-bit corruption resumed
+// unguarded vs behind the Zero/Clamp N-EV repair guard.
+class AblationCampaign final : public GridCampaign {
+ public:
+  explicit AblationCampaign(CampaignOptions opts)
+      : GridCampaign(std::move(opts)) {
+    for (const std::uint64_t flips : {100, 1000}) {
+      for (const char* mode : {"unguarded", "guard: zero", "guard: clamp"}) {
+        add_cell("ablation/" + std::to_string(flips) + "/" + mode,
+                 opts_.trainings, {.count = flips, .variant = mode});
+      }
+    }
+  }
+
+  /// Panel -> final accuracy of the clean restart resumed resume_epochs.
+  Json clean_summary() override {
+    return per_panel([&](ExperimentRunner& r) {
+      return Json(r.resume_training(r.restart_checkpoint(), opts_.resume_epochs)
+                      .final_accuracy);
+    });
+  }
+
+  Json run_trial(const std::string& cell, const TrialContext& trial) override {
+    const CellSpec& s = spec(cell);
+    ExperimentRunner& runner = this->runner(s);
+    mh5::File ckpt = runner.restart_checkpoint();
+    // Critical bit INCLUDED: the collapse regime of Table IV.
+    Corrupter(bit_range(s.count, 0, 63, trial.seed)).corrupt(ckpt);
+    if (s.variant != "unguarded") {
+      GuardConfig gc;
+      gc.action = s.variant == "guard: clamp" ? RepairAction::Clamp
+                                              : RepairAction::Zero;
+      guard_checkpoint(ckpt, gc);
+    }
+    const nn::TrainResult res =
+        runner.resume_training(ckpt, opts_.resume_epochs);
+    Json row = trial_row(cell, trial);
+    row["collapsed"] = res.collapsed;
+    row["final_accuracy"] = res.final_accuracy;
+    return stamped(std::move(row));
+  }
+};
+
+template <class Kind>
+std::unique_ptr<Campaign> make_kind(const CampaignOptions& opts) {
+  return std::make_unique<Kind>(opts);
+}
+
+/// The campaign registry: kind name (CampaignOptions::bench, and the name
+/// every row fingerprint was computed with) -> constructor.
+struct KindEntry {
+  const char* name;
+  std::unique_ptr<Campaign> (*make)(const CampaignOptions&);
+};
+constexpr KindEntry kKinds[] = {
+    {"table4", make_kind<Table4Campaign>},
+    {"table5", make_kind<Table5Campaign>},
+    {"table6", make_kind<Table6Campaign>},
+    {"table7", make_kind<Table7Campaign>},
+    {"table8", make_kind<Table8Campaign>},
+    {"fig2", make_kind<Fig2Campaign>},
+    {"fig3", make_kind<Fig3Campaign>},
+    {"fig4", make_kind<Fig4Campaign>},
+    {"fig5", make_kind<Fig5Campaign>},
+    {"fig6", make_kind<Fig6Campaign>},
+    {"fig7", make_kind<Fig7Campaign>},
+    {"ablation_nev_guard", make_kind<AblationCampaign>},
+};
+
 }  // namespace
 
+std::vector<std::string> campaign_kinds() {
+  std::vector<std::string> names;
+  for (const KindEntry& k : kKinds) names.emplace_back(k.name);
+  return names;
+}
+
 std::unique_ptr<Campaign> Campaign::make(const CampaignOptions& opts) {
-  if (opts.bench == "table4") return std::make_unique<Table4Campaign>(opts);
-  if (opts.bench == "fig4") return std::make_unique<Fig4Campaign>(opts);
-  throw Error("unknown campaign kind '" + opts.bench +
-              "' (fleet-capable: table4, fig4)");
+  for (const KindEntry& k : kKinds) {
+    if (opts.bench == k.name) return k.make(opts);
+  }
+  std::string names;
+  for (const KindEntry& k : kKinds) {
+    names += names.empty() ? "" : ", ";
+    names += k.name;
+  }
+  throw Error("unknown campaign kind '" + opts.bench + "' (registered: " +
+              names + ")");
 }
 
 Json campaign_manifest(const Campaign& campaign) {

@@ -1,7 +1,8 @@
-// First-class campaign definitions: the trial bodies behind bench_table4 and
-// bench_fig4, factored out of the bench harnesses so the SAME code produces
-// a trial's JSONL row everywhere it can run — the single-process bench loop,
-// and a `ckptfi-worker` executing a leased shard on another host.
+// First-class campaign definitions: the trial bodies behind every paper
+// campaign bench (tables IV-VIII, figures 2-7, the N-EV guard ablation),
+// factored out of the bench harnesses so the SAME code produces a trial's
+// JSONL row everywhere it can run — the single-process bench loop, and a
+// `ckptfi-worker` executing a leased shard on another host.
 //
 // A campaign is a pure function:
 //
@@ -45,8 +46,10 @@ std::size_t campaign_model_width(std::size_t width, const std::string& model);
 /// Everything that parameterizes a campaign. A pure function of the bench's
 /// BenchOptions + the campaign kind; serialized as JSON inside the manifest.
 struct CampaignOptions {
-  std::string bench = "table4";  ///< "table4" | "fig4"
-  std::string mode = "train";    ///< fig4: "train" | "predict"
+  std::string bench = "table4";  ///< campaign kind: one of campaign_kinds()
+  /// fig4: "train" | "predict"; table7: GEMM compute precision, "fp64" |
+  /// "fp16"; every other kind: "train".
+  std::string mode = "train";
   /// fig4: injected-layer override (canonical names); empty = the paper's
   /// first/middle/last trio.
   std::vector<std::string> layers;
@@ -80,7 +83,8 @@ struct CampaignCell {
 
 class Campaign {
  public:
-  /// Build the campaign for opts.bench; throws Error on an unknown kind.
+  /// Build the campaign for opts.bench; throws Error on an unknown kind
+  /// (naming the registered ones) or a mode the kind does not know.
   static std::unique_ptr<Campaign> make(const CampaignOptions& opts);
 
   virtual ~Campaign() = default;
@@ -107,10 +111,11 @@ class Campaign {
   virtual Json run_trial(const std::string& cell,
                          const TrialContext& trial) = 0;
 
-  /// Campaign-level clean-baseline summary (fig4 train mode: the error-free
-  /// trajectory the bench prints alongside the injected series). Null when
-  /// the campaign has none. May train the baseline — call it outside the
-  /// trial fan-out.
+  /// Campaign-level clean-baseline summary: what the bench prints beside
+  /// the injected series (fig4 train mode: the error-free trajectory; fig3,
+  /// fig5, fig7 and the guard ablation: an object keyed by "framework/model"
+  /// panel). Null when the campaign has none. May train the baseline — call
+  /// it outside the trial fan-out.
   virtual Json clean_summary() { return Json(); }
 
  protected:
@@ -119,6 +124,10 @@ class Campaign {
   CampaignOptions opts_;
   std::vector<CampaignCell> cells_;  ///< filled by the concrete constructor
 };
+
+/// Registered campaign kinds (the values CampaignOptions::bench accepts),
+/// in registry order.
+std::vector<std::string> campaign_kinds();
 
 /// The fleet manifest: options + fingerprint + derived cells, as JSON
 /// (schema in docs/FLEET.md). This is what --fleet-manifest=PATH writes and

@@ -1,5 +1,5 @@
 // Durable campaign trial-row artifacts (--trials-out JSONL), shared by the
-// bench harnesses (bench::TrialRows), the fleet coordinator and the resume
+// bench driver (bench::run_campaign), the fleet coordinator and the resume
 // machinery.
 //
 // One JSON line per trial is the campaign's unit of durable work: per-trial

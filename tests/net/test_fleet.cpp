@@ -3,9 +3,11 @@
 // must produce a --trials-out byte-identical to the single-process bench —
 // in the happy path, after a worker is SIGKILLed mid-shard (its lease
 // re-issued to the survivor), and when the coordinator heals a thinned,
-// torn prior artifact via --resume-from. The coordinator runs in-process
-// (fleet::Fleetd) so the tests can assert on its stats; the workers are the
-// real binary, fork/exec'd, so death is a real process death.
+// torn prior artifact via --resume-from. A table7 fp16 campaign pins the
+// kind registry path and the compute-precision hand-off to workers. The
+// coordinator runs in-process (fleet::Fleetd) so the tests can assert on its
+// stats; the workers are the real binary, fork/exec'd, so death is a real
+// process death.
 #include "fleetd.hpp"
 
 #include <gtest/gtest.h>
@@ -50,32 +52,32 @@ struct Baseline {
   Json manifest;
 };
 
+Baseline capture(const std::string& bench_bin, const std::string& flags) {
+  // ctest runs every TEST as its own process, possibly in parallel; the
+  // scratch names must be per-process or concurrent Fleet tests race on
+  // each other's baseline files.
+  const std::string tag = std::to_string(getpid());
+  const fs::path dir = fs::temp_directory_path();
+  const fs::path out = dir / ("fleet_baseline_" + tag + ".jsonl");
+  const fs::path manifest = dir / ("fleet_manifest_" + tag + ".json");
+  const std::string prefix =
+      "cd " + dir.string() + " && \"" + bench_bin + "\"" + kTinyScale + flags;
+  const std::string bench = prefix + " --jobs=1 --trials-out=" +
+                            out.string() + " > /dev/null";
+  const std::string expo =
+      prefix + " --fleet-manifest=" + manifest.string() + " > /dev/null";
+  EXPECT_EQ(std::system(bench.c_str()), 0) << bench;
+  EXPECT_EQ(std::system(expo.c_str()), 0) << expo;
+  Baseline r;
+  r.rows = slurp(out);
+  r.manifest = Json::parse(slurp(manifest));
+  fs::remove(out);
+  fs::remove(manifest);
+  return r;
+}
+
 const Baseline& baseline() {
-  static const Baseline b = [] {
-    // ctest runs every TEST as its own process, possibly in parallel; the
-    // scratch names must be per-process or concurrent Fleet tests race on
-    // each other's baseline files.
-    const std::string tag = std::to_string(getpid());
-    const fs::path dir = fs::temp_directory_path();
-    const fs::path out = dir / ("fleet_baseline_" + tag + ".jsonl");
-    const fs::path manifest = dir / ("fleet_manifest_" + tag + ".json");
-    const std::string bench = "cd " + dir.string() + " && \"" +
-                              CKPTFI_BENCH_TABLE4 + "\"" + kTinyScale +
-                              " --jobs=1 --trials-out=" + out.string() +
-                              " > /dev/null";
-    const std::string expo = "cd " + dir.string() + " && \"" +
-                             CKPTFI_BENCH_TABLE4 + "\"" + kTinyScale +
-                             " --fleet-manifest=" + manifest.string() +
-                             " > /dev/null";
-    EXPECT_EQ(std::system(bench.c_str()), 0) << bench;
-    EXPECT_EQ(std::system(expo.c_str()), 0) << expo;
-    Baseline r;
-    r.rows = slurp(out);
-    r.manifest = Json::parse(slurp(manifest));
-    fs::remove(out);
-    fs::remove(manifest);
-    return r;
-  }();
+  static const Baseline b = capture(CKPTFI_BENCH_TABLE4, "");
   return b;
 }
 
@@ -188,6 +190,35 @@ TEST(Fleet, CoordinatorHealsThinnedTornArtifactViaResume) {
   EXPECT_EQ(slurp(out), baseline().rows)
       << "healed artifact must match the uninterrupted campaign bitwise";
   fs::remove(prior);
+  fs::remove(out);
+}
+
+TEST(Fleet, Table7Fp16WorkersMatchTheBench) {
+  // table7's compute precision rides in the manifest's mode slot and the
+  // campaign kind applies it on each worker: a worker computing fp64 would
+  // stream different rows under the fp16 campaign's fingerprint.
+  const Baseline bench =
+      capture(CKPTFI_BENCH_TABLE7, " --compute-precision=fp16");
+  ASSERT_EQ(bench.manifest.at("options").at("mode").as_string(), "fp16");
+  const fs::path out = fs::temp_directory_path() /
+                       ("fleet_table7_" + std::to_string(getpid()) + ".jsonl");
+  fleet::FleetdOptions opts;
+  opts.manifest = bench.manifest;
+  opts.trials_out = out.string();
+  opts.shard_trials = 2;
+  fleet::Fleetd fleetd(std::move(opts));
+  fleetd.start();
+  const pid_t a = spawn_worker(fleetd.port());
+  const pid_t b = spawn_worker(fleetd.port());
+  const fleet::FleetdStats stats = fleetd.run();
+  for (const pid_t pid : {a, b}) {
+    const int status = reap(pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "worker exit status " << status;
+  }
+  EXPECT_EQ(stats.workers_seen, 2u);
+  EXPECT_EQ(slurp(out), bench.rows)
+      << "fp16 fleet artifact differs from the single-process bench";
   fs::remove(out);
 }
 

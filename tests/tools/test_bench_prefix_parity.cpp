@@ -31,8 +31,7 @@ std::string slurp(const fs::path& p) {
 }
 
 /// Run one bench under `backend`, writing --trials-out to `out`. The bench
-/// runs inside the temp dir so side artifacts (fig4_log_*.json) stay out of
-/// the build tree.
+/// runs inside the temp dir so nothing it writes lands in the build tree.
 void run_bench(const std::string& binary, const std::string& backend,
                const std::string& flags, const fs::path& out) {
   const std::string cmd = "cd " + fs::temp_directory_path().string() +
