@@ -34,9 +34,11 @@ mh5::File ExperimentRunner::clone_bytes(
   return mh5::File::deserialize_lazy(bytes);
 }
 
-void ExperimentRunner::load_into(nn::Model& model,
-                                 const mh5::File& ckpt) const {
-  adapter_->load_from_file(model, ckpt);
+std::unique_ptr<nn::Model> ExperimentRunner::model_from(
+    const mh5::File& ckpt) const {
+  auto model = models::make_model(cfg_.model, cfg_.model_cfg);
+  adapter_->load_from_file(*model, ckpt);
+  return model;
 }
 
 void ExperimentRunner::cache_baseline_snapshot() {
@@ -134,8 +136,7 @@ ExperimentRunner::resume_impl(const mh5::File& ckpt, std::size_t epochs,
             "resume_training: checkpoint is at/past total_epochs");
     epochs = cfg_.total_epochs - from_epoch;
   }
-  auto model = make_model();
-  load_into(*model, ckpt);
+  auto model = model_from(ckpt);
 
   // Prefix entry: refuse (and fall back to the full path) rather than enter
   // past any layer that does not guarantee a bitwise-identical resumed run.
@@ -227,8 +228,7 @@ obs::DivergenceTrace ExperimentRunner::divergence_vs_clean(
 nn::EvalResult ExperimentRunner::predict(const mh5::File& ckpt) {
   obs::Span span("experiment.predict", "predict", "experiment.predict_time");
   obs::counter_add("experiment.predicts");
-  auto model = make_model();
-  load_into(*model, ckpt);
+  auto model = model_from(ckpt);
   return nn::evaluate_with_nev(*model, test_batches_);
 }
 
@@ -239,8 +239,7 @@ nn::EvalResult ExperimentRunner::predict_subset(const mh5::File& ckpt,
   obs::counter_add("experiment.predicts");
   require(num_parts > 0 && part < num_parts,
           "predict_subset: bad part/num_parts");
-  auto model = make_model();
-  load_into(*model, ckpt);
+  auto model = model_from(ckpt);
   std::vector<nn::Batch> slice;
   for (std::size_t i = part; i < test_batches_.size(); i += num_parts) {
     nn::Batch b;
@@ -254,8 +253,7 @@ nn::EvalResult ExperimentRunner::predict_subset(const mh5::File& ckpt,
 
 std::map<std::string, std::vector<double>> ExperimentRunner::weights_of(
     const mh5::File& ckpt) {
-  auto model = make_model();
-  load_into(*model, ckpt);
+  auto model = model_from(ckpt);
   std::map<std::string, std::vector<double>> out;
   for (const auto& p : model->params()) {
     out[p.name] = p.value->vec();
@@ -313,9 +311,8 @@ std::shared_ptr<const PrefixEntryData> ExperimentRunner::train_prefix(
         // The clean checkpoint at `epoch` has bitwise the same upstream
         // weights as every corrupted clone in the trial group, so the clean
         // model's entry-batch forward over [0, seg) *is* each trial's.
-        auto model = make_model();
         const mh5::File ckpt = checkpoint_at(epoch);
-        load_into(*model, ckpt);
+        auto model = model_from(ckpt);
         const std::vector<nn::Batch> batches = train_loader_->batches(epoch);
         require(!batches.empty(), "train_prefix: no batches");
 
@@ -345,9 +342,8 @@ std::shared_ptr<const PrefixEntryData> ExperimentRunner::eval_prefix(
       PrefixKey{epoch, seg, /*eval=*/true}, [&]() -> PrefixEntryData {
         obs::Span span("experiment.prefix_build", "prefix",
                        "experiment.prefix_build_time");
-        auto model = make_model();
         const mh5::File ckpt = checkpoint_at(epoch);
-        load_into(*model, ckpt);
+        auto model = model_from(ckpt);
         // Eval forwards are pure, so all test batches' boundary activations
         // are reusable by every trial in the group — no state, no probes.
         PrefixEntryData entry;
@@ -380,8 +376,7 @@ nn::EvalResult ExperimentRunner::predict_from_segment(const mh5::File& ckpt,
                                                       std::size_t seg) {
   obs::Span span("experiment.predict", "predict", "experiment.predict_time");
   obs::counter_add("experiment.predicts");
-  auto model = make_model();
-  load_into(*model, ckpt);
+  auto model = model_from(ckpt);
   if (seg == 0 || !model->prefix_safe_upto(seg, /*training=*/false)) {
     if (seg > 0) obs::counter_add("prefix.unsafe_refusals");
     return nn::evaluate_with_nev(*model, test_batches_);
@@ -400,8 +395,7 @@ nn::EvalResult ExperimentRunner::predict_subset_from_segment(
   obs::counter_add("experiment.predicts");
   require(num_parts > 0 && part < num_parts,
           "predict_subset: bad part/num_parts");
-  auto model = make_model();
-  load_into(*model, ckpt);
+  auto model = model_from(ckpt);
   std::vector<nn::Batch> slice;
   for (std::size_t i = part; i < test_batches_.size(); i += num_parts) {
     nn::Batch b;

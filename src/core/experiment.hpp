@@ -185,7 +185,10 @@ class ExperimentRunner {
  private:
   mh5::File clone_bytes(
       const std::shared_ptr<const std::vector<std::uint8_t>>& bytes) const;
-  void load_into(nn::Model& model, const mh5::File& ckpt) const;
+  /// A model holding `ckpt`'s weights. Skips make_model()'s random init:
+  /// load_from_file overwrites every param (or throws), so it would be
+  /// dead work.
+  std::unique_ptr<nn::Model> model_from(const mh5::File& ckpt) const;
 
   void cache_baseline_snapshot();
 

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/trace.hpp"
 #include "util/common.hpp"
 
 namespace ckptfi::core {
@@ -16,7 +17,7 @@ Json InjectionRecord::to_json() const {
   if (canonical_index) j["canonical_index"] = *canonical_index;
   Json bits_json = Json::array();
   for (int b : bits) bits_json.push_back(b);
-  j["bits"] = bits_json;
+  j["bits"] = std::move(bits_json);
   if (scale) j["scale"] = *scale;
   j["old_value"] = old_value;
   j["new_value"] = new_value;
@@ -68,14 +69,17 @@ std::string InjectionLog::meta(const std::string& key) const {
 }
 
 Json InjectionLog::to_json() const {
+  // A campaign row embeds this log (1000 records on the predict benches), so
+  // the subtrees are moved into place rather than deep-copied.
+  obs::Span span("injection_log.to_json", "log");
   Json j = Json::object();
   j["version"] = 1;
   Json meta_json = Json::object();
   for (const auto& [k, v] : meta_) meta_json[k] = v;
-  j["meta"] = meta_json;
+  j["meta"] = std::move(meta_json);
   Json arr = Json::array();
   for (const auto& r : records_) arr.push_back(r.to_json());
-  j["injections"] = arr;
+  j["injections"] = std::move(arr);
   if (!divergence_.is_null()) j["divergence"] = divergence_;
   return j;
 }

@@ -101,9 +101,10 @@ void FrameworkAdapter::load_from_file(nn::Model& model,
     const mh5::Dataset& ds = node->dataset();
     require(ds.num_elements() == p.value->numel(),
             "load_checkpoint: size mismatch at '" + path + "'");
+    const std::vector<double> stored = ds.read_doubles();
     Tensor& t = *p.value;
     for (std::uint64_t i = 0; i < t.numel(); ++i) {
-      t[i] = ds.get_double(stored_index(i, t.shape(), kind));
+      t[i] = stored[stored_index(i, t.shape(), kind)];
     }
   }
 }

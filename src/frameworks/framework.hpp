@@ -87,6 +87,8 @@ class FrameworkAdapter {
   /// Load a checkpoint produced by save_checkpoint back into the model.
   /// Values quantised at save time load exactly; layouts are un-permuted.
   void load_checkpoint(nn::Model& model, const std::string& path) const;
+  /// Overwrites every param of `model`, or throws when a dataset is missing
+  /// or wrong-sized, so the model need not be initialised first.
   void load_from_file(nn::Model& model, const mh5::File& file) const;
 
   /// canonical name -> checkpoint dataset path, for every model parameter.

@@ -157,9 +157,44 @@ void Dataset::set_int(std::uint64_t i, std::int64_t v) {
   }
 }
 
+namespace {
+
+// Decode every Word-sized element of `raw` with `convert`. Same little-endian
+// load as element_bits(), hoisted out of the per-element index/fault checks.
+template <typename Word, typename Convert>
+void decode_words(const std::uint8_t* raw, std::vector<double>& out,
+                  Convert convert) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    Word w;
+    std::memcpy(&w, raw + i * sizeof w, sizeof w);
+    out[i] = convert(w);
+  }
+}
+
+}  // namespace
+
 std::vector<double> Dataset::read_doubles() const {
+  // One fault-in (and CRC check) and one dtype dispatch per dataset; the
+  // float decodes are get_double()'s, bit for bit.
+  ensure_materialized();
   std::vector<double> out(nelem_);
-  for (std::uint64_t i = 0; i < nelem_; ++i) out[i] = get_double(i);
+  switch (dtype_) {
+    case DType::F16:
+      decode_words<std::uint16_t>(raw_.data(), out, [](std::uint16_t w) {
+        return static_cast<double>(f16::from_bits(w).to_float());
+      });
+      break;
+    case DType::F32:
+      decode_words<std::uint32_t>(raw_.data(), out, [](std::uint32_t w) {
+        return static_cast<double>(bits_to_f32(w));
+      });
+      break;
+    case DType::F64:
+      decode_words<std::uint64_t>(raw_.data(), out, bits_to_f64);
+      break;
+    default:  // integer datasets are metadata, never weights
+      for (std::uint64_t i = 0; i < nelem_; ++i) out[i] = get_double(i);
+  }
   return out;
 }
 

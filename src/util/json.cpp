@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "util/common.hpp"
@@ -88,9 +87,21 @@ const std::vector<std::pair<std::string, Json>>& Json::members() const {
 
 namespace {
 
+bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
 void escape_into(std::string& out, const std::string& s) {
   out += '"';
-  for (char c : s) {
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  while (p != end) {
+    // Copy the run of bytes that need no escape in one append.
+    const char* run = p;
+    while (p != end && !needs_escape(*p)) ++p;
+    out.append(run, p);
+    if (p == end) break;
+    const char c = *p++;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -107,17 +118,32 @@ void escape_into(std::string& out, const std::string& s) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const auto u = static_cast<unsigned char>(c);
+        const char esc[] = {'\\', 'u', '0', '0', kHex[u >> 4], kHex[u & 0xf]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
   out += '"';
+}
+
+void append_int(std::string& out, std::int64_t v) {
+  char buf[24];  // "-9223372036854775808" is 20 chars
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  (void)ec;
+  out.append(buf, end);
+}
+
+void append_double(std::string& out, double v) {
+  // to_chars(general, 17) is specified as printf("%.17g"), but ignores the
+  // locale and skips the format-string machinery.
+  char buf[32];  // "%.17g" needs at most 24: sign, 17 digits, '.', "e-308"
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  (void)ec;
+  out.append(buf, end);
 }
 
 void newline_indent(std::string& out, int indent, int depth) {
@@ -137,7 +163,7 @@ void Json::dump_impl(std::string& out, int indent, int depth) const {
       out += bool_ ? "true" : "false";
       break;
     case Type::Int:
-      out += std::to_string(int_);
+      append_int(out, int_);
       break;
     case Type::Double: {
       if (std::isnan(double_)) {
@@ -145,9 +171,7 @@ void Json::dump_impl(std::string& out, int indent, int depth) const {
       } else if (std::isinf(double_)) {
         out += double_ > 0 ? "\"Inf\"" : "\"-Inf\"";
       } else {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.17g", double_);
-        out += buf;
+        append_double(out, double_);
       }
       break;
     }
@@ -240,8 +264,16 @@ class Parser {
   Json value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      // Each nesting level is a recursion; bound it so hostile input (a
+      // fleet frame, a resumed JSONL line) throws instead of overflowing
+      // the stack.
+      if (++depth_ > kMaxDepth)
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      Json v = c == '{' ? object() : array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return Json(string());
     if (c == 't') {
       if (!consume_literal("true")) fail("bad literal");
@@ -399,8 +431,11 @@ class Parser {
     }
   }
 
+  static constexpr int kMaxDepth = 256;
+
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "util/common.hpp"
+#include "util/rng.hpp"
 
 namespace ckptfi {
 namespace {
@@ -116,6 +124,116 @@ TEST(Json, RoundTripPrettyAndCompact) {
 TEST(Json, LargeIntsPreserved) {
   const std::int64_t big = 9007199254740993;  // not representable in double
   EXPECT_EQ(Json::parse(Json(big).dump()).as_int(), big);
+}
+
+// --- the text format every artifact row is written in ----------------------
+
+std::string printf_17g(double d) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", d);
+  return buf;
+}
+
+TEST(JsonFormat, DoublesMatchPrintf17g) {
+  std::vector<double> cases = {
+      0.0,
+      -0.0,
+      1.0,
+      -1.0,
+      100.0,
+      1e16,
+      1e17,
+      123456789012345678.0,
+      0.1,
+      1.0 / 3.0,
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::epsilon(),
+  };
+  for (int e = -1074; e <= 1023; ++e) cases.push_back(std::ldexp(1.0, e));
+  for (int k = 0; k < 1000; ++k) cases.push_back(static_cast<double>(k * 7919));
+  Rng rng(20211013);
+  for (int k = 0; k < 100000; ++k) {
+    // Random bit patterns cover every exponent, subnormals included.
+    const double d = std::bit_cast<double>(rng.next_u64());
+    if (std::isfinite(d)) cases.push_back(d);
+  }
+  for (int k = 0; k < 20000; ++k) {
+    // Random subnormals: exponent field zero, random mantissa and sign.
+    cases.push_back(std::bit_cast<double>(rng.next_u64() &
+                                          0x800fffffffffffffull));
+  }
+  for (const double d : cases) {
+    ASSERT_EQ(Json(d).dump(), printf_17g(d)) << std::hexfloat << d;
+  }
+}
+
+TEST(JsonFormat, NonFiniteDoublesAreStrings) {
+  EXPECT_EQ(Json(std::numeric_limits<double>::quiet_NaN()).dump(), "\"NaN\"");
+  EXPECT_EQ(Json(-std::numeric_limits<double>::quiet_NaN()).dump(), "\"NaN\"");
+  EXPECT_EQ(Json(std::numeric_limits<double>::infinity()).dump(), "\"Inf\"");
+  EXPECT_EQ(Json(-std::numeric_limits<double>::infinity()).dump(), "\"-Inf\"");
+}
+
+TEST(JsonFormat, Int64Extremes) {
+  const std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(Json(lo).dump(), "-9223372036854775808");
+  EXPECT_EQ(Json(hi).dump(), "9223372036854775807");
+  EXPECT_EQ(Json(std::int64_t{0}).dump(), "0");
+  EXPECT_EQ(Json::parse(Json(lo).dump()).as_int(), lo);
+  EXPECT_EQ(Json::parse(Json(hi).dump()).as_int(), hi);
+}
+
+TEST(JsonFormat, EveryByteEscapedOrPassedThrough) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) all += static_cast<char>(b);
+  std::string expected = "\"";
+  for (int b = 0; b < 256; ++b) {
+    if (b == '"') {
+      expected += "\\\"";
+    } else if (b == '\\') {
+      expected += "\\\\";
+    } else if (b == '\n') {
+      expected += "\\n";
+    } else if (b == '\r') {
+      expected += "\\r";
+    } else if (b == '\t') {
+      expected += "\\t";
+    } else if (b < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", b);
+      expected += buf;
+    } else {
+      expected += static_cast<char>(b);  // 0x7f and >= 0x80 unchanged
+    }
+  }
+  expected += '"';
+  EXPECT_EQ(Json(all).dump(), expected);
+  // Escaped control bytes and the raw high bytes read back verbatim.
+  EXPECT_EQ(Json::parse(Json(all).dump()).as_string(), all);
+}
+
+TEST(JsonParse, DeepNestingThrowsInsteadOfOverflowing) {
+  // A megabyte of '[' once recursed until the stack overflowed.
+  EXPECT_THROW(Json::parse(std::string(1000000, '[')), FormatError);
+  EXPECT_THROW(Json::parse(std::string(1000000, '{')), FormatError);
+  std::string mixed;
+  for (int i = 0; i < 500000; ++i) mixed += "[{\"k\":";
+  EXPECT_THROW(Json::parse(mixed), FormatError);
+}
+
+TEST(JsonParse, NestingUpToTheLimitParses) {
+  const int limit = 256;
+  const std::string ok =
+      std::string(limit, '[') + std::string(limit, ']');
+  EXPECT_EQ(Json::parse(ok).dump(), ok);
+  const std::string deep =
+      std::string(limit + 1, '[') + std::string(limit + 1, ']');
+  EXPECT_THROW(Json::parse(deep), FormatError);
 }
 
 }  // namespace
