@@ -44,8 +44,7 @@
 //                      layer-targeted benches: reuse cached activation
 //                      prefixes for trial groups that share an injected
 //                      layer (core::PrefixCache). Bitwise-identical to a
-//                      full recompute; default on, env CKPTFI_PREFIX_REUSE
-//                      is the global escape hatch.
+//                      full recompute; default on.
 //   --progress=N       heartbeat: print trials done/total, p50 trial time
 //                      and ETA to stderr every ~N seconds while a campaign
 //                      runs (0 = off, the default)
@@ -70,15 +69,6 @@
 
 namespace ckptfi::bench {
 
-/// Process-wide default for --prefix-reuse: on unless CKPTFI_PREFIX_REUSE is
-/// set to off/0/false (the escape hatch the CI matrix flips).
-inline bool default_prefix_reuse() {
-  const char* e = std::getenv("CKPTFI_PREFIX_REUSE");
-  if (e == nullptr) return true;
-  const std::string v = e;
-  return !(v == "off" || v == "0" || v == "false");
-}
-
 struct BenchOptions {
   std::size_t trainings = 6;
   std::size_t train_images = 160;
@@ -90,7 +80,7 @@ struct BenchOptions {
   std::uint64_t seed = 42;
   std::size_t jobs = 1;   ///< campaign fan-out (trials in flight per cell)
   std::size_t progress = 0;  ///< heartbeat period in seconds (0 = silent)
-  bool prefix_reuse = default_prefix_reuse();  ///< cached-prefix trial entry
+  bool prefix_reuse = true;  ///< cached-prefix trial entry
   std::string json_out;   ///< metrics snapshot destination ("" = don't emit)
   std::string trace_out;  ///< Chrome trace destination ("" = don't record)
   std::string trials_out; ///< per-trial JSONL destination ("" = don't emit)
@@ -182,7 +172,13 @@ inline BenchOptions BenchOptions::parse(int argc, char** argv,
     }
     if (key == "prefix-reuse") {
       const std::string v = arg.substr(eq + 1);
-      o.prefix_reuse = !(v == "off" || v == "0" || v == "false");
+      if (v != "on" && v != "off") {
+        std::fprintf(stderr,
+                     "bench: --prefix-reuse wants on or off, got '%s'\n",
+                     v.c_str());
+        std::exit(2);
+      }
+      o.prefix_reuse = v == "on";
       continue;
     }
     if (key == "json-out" || key == "trace-out") {

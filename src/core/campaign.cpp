@@ -1,10 +1,11 @@
 #include "core/campaign.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <iterator>
 #include <map>
-#include <mutex>
+#include <optional>
 
 #include "core/corrupter.hpp"
 #include "core/equivalent.hpp"
@@ -88,7 +89,13 @@ CampaignOptions CampaignOptions::from_json(const Json& j) {
       o.layers.push_back(l.as_string());
   }
   const auto as_size = [&](const char* key) {
-    return static_cast<std::size_t>(j.at(key).as_int());
+    const std::int64_t v = j.at(key).as_int();
+    if (v < 0) {
+      throw FormatError("campaign options: '" + std::string(key) +
+                        "' must not be negative (got " + std::to_string(v) +
+                        ")");
+    }
+    return static_cast<std::size_t>(v);
   };
   o.trainings = as_size("trainings");
   o.train_images = as_size("train_images");
@@ -97,7 +104,14 @@ CampaignOptions CampaignOptions::from_json(const Json& j) {
   o.total_epochs = as_size("total_epochs");
   o.restart_epoch = as_size("restart_epoch");
   o.resume_epochs = as_size("resume_epochs");
-  o.seed = std::stoull(j.at("seed").as_string());
+  // A plain decimal u64: from_chars takes no sign, space or trailing junk.
+  const std::string& seed = j.at("seed").as_string();
+  const auto [end, ec] =
+      std::from_chars(seed.data(), seed.data() + seed.size(), o.seed);
+  if (ec != std::errc() || end != seed.data() + seed.size()) {
+    throw FormatError("campaign options: 'seed' must be a decimal u64 (got '" +
+                      seed + "')");
+  }
   o.prefix_reuse = j.at("prefix_reuse").as_bool();
   return o;
 }
@@ -107,7 +121,7 @@ namespace {
 ExperimentConfig experiment_config(const CampaignOptions& o,
                                    const std::string& framework,
                                    const std::string& model,
-                                   int precision_bits = 64) {
+                                   int precision_bits) {
   ExperimentConfig cfg;
   cfg.framework = framework;
   cfg.model = model;
@@ -121,239 +135,10 @@ ExperimentConfig experiment_config(const CampaignOptions& o,
   return cfg;
 }
 
-// ------------------------------------------------------------- Table IV --
-//
-// Cells are framework/model/rate; each trial corrupts the restart checkpoint
-// with `rate` full-bit-range flips and resumes training, recording collapse
-// (N-EV), accuracies and the divergence trace. Body lifted verbatim from
-// bench_table4_nev_incidence so bench and fleet rows are the same bytes.
-class Table4Campaign final : public Campaign {
- public:
-  explicit Table4Campaign(CampaignOptions opts) : Campaign(std::move(opts)) {
-    for (const auto& framework : fw::framework_names()) {
-      for (const auto& model : models::model_names()) {
-        for (const std::uint64_t rate : kRates) {
-          cells_.push_back({framework + "/" + model + "/" +
-                                std::to_string(rate),
-                            opts_.trainings});
-        }
-      }
-    }
-    fp_hex_ = opts_.fingerprint_hex();
-  }
-
-  void prepare_cell(const std::string& cell) override {
-    const Parsed p = parse_cell(cell);
-    ExperimentRunner& runner = runner_for(p.framework, p.model);
-    // Train the baseline and snapshot the restart checkpoint before the
-    // fan-out, so trials start from a warm immutable cache; the clean probed
-    // run is likewise memoized up front so trials only read it.
-    runner.restart_checkpoint();
-    runner.clean_probed_run(opts_.resume_epochs);
-  }
-
-  Json run_trial(const std::string& cell, const TrialContext& trial) override {
-    const Parsed p = parse_cell(cell);
-    ExperimentRunner& runner = *runners_.at(p.framework + "/" + p.model);
-    mh5::File ckpt = runner.restart_checkpoint();
-    CorrupterConfig cc;
-    cc.injection_attempts = static_cast<double>(p.rate);
-    cc.corruption_mode = CorruptionMode::BitRange;
-    cc.first_bit = 0;
-    cc.last_bit = 63;  // full range, critical bit included
-    cc.seed = trial.seed;
-    Corrupter corrupter(cc);
-    InjectionReport rep = corrupter.corrupt(ckpt);
-    ExperimentRunner::ProbedResume probed =
-        runner.resume_training_probed(ckpt, opts_.resume_epochs);
-    const nn::TrainResult& res = probed.result;
-    const obs::DivergenceTrace div =
-        runner.divergence_vs_clean(probed.probes, opts_.resume_epochs);
-    const ExperimentRunner::CleanProbedRun& clean =
-        runner.clean_probed_run(opts_.resume_epochs);
-    Json row = Json::object();
-    row["cell"] = cell;
-    row["trial"] = trial.index;
-    row["seed"] = std::to_string(trial.seed);
-    row["collapsed"] = res.collapsed;
-    row["final_accuracy"] = res.final_accuracy;
-    row["clean_accuracy"] = clean.result.final_accuracy;
-    row["log"] = rep.log.to_json();
-    row["divergence"] = div.to_json();
-    stamp_fingerprint(row, fp_hex_);
-    return row;
-  }
-
- private:
-  static constexpr std::uint64_t kRates[] = {1, 10, 100, 1000};
-
-  struct Parsed {
-    std::string framework;
-    std::string model;
-    std::uint64_t rate;
-  };
-
-  static Parsed parse_cell(const std::string& cell) {
-    const std::vector<std::string> parts = split_path(cell);
-    if (parts.size() != 3) {
-      throw Error("table4: bad cell name '" + cell + "'");
-    }
-    return {parts[0], parts[1], std::stoull(parts[2])};
-  }
-
-  ExperimentRunner& runner_for(const std::string& framework,
-                               const std::string& model) {
-    const std::string key = framework + "/" + model;
-    auto it = runners_.find(key);
-    if (it == runners_.end()) {
-      it = runners_
-               .emplace(key, std::make_unique<ExperimentRunner>(
-                                 experiment_config(opts_, framework, model)))
-               .first;
-    }
-    return *it->second;
-  }
-
-  std::string fp_hex_;
-  /// Keyed framework/model; built in prepare_cell (single-threaded), only
-  /// read by run_trial. Runners serialize their own mutating paths.
-  std::map<std::string, std::unique_ptr<ExperimentRunner>> runners_;
-};
-
-// ------------------------------------------------------------- Figure 4 --
-//
-// Per-layer injection into chainer/alexnet. Cells are one per injected
-// layer; mode "train" resumes training (the paper's trajectories), mode
-// "predict" is the inference-only prefix-reuse campaign. Bodies lifted from
-// bench_fig4_layer_injection.
-class Fig4Campaign final : public Campaign {
- public:
-  explicit Fig4Campaign(CampaignOptions opts) : Campaign(std::move(opts)) {
-    layers_ = opts_.layers;
-    if (layers_.empty()) layers_ = {"conv1", "conv4", "fc8"};
-    const std::string prefix =
-        opts_.mode == "predict" ? "fig4predict/" : "fig4/";
-    for (const std::string& layer : layers_) {
-      cells_.push_back({prefix + layer, opts_.trainings});
-    }
-    fp_hex_ = opts_.fingerprint_hex();
-  }
-
-  void prepare_cell(const std::string& cell) override {
-    layer_of(cell);  // validates the name
-    ensure_runner();
-    runner_->restart_checkpoint();
-    if (opts_.mode == "train") runner_->clean_probed_run();
-  }
-
-  Json clean_summary() override {
-    if (opts_.mode != "train") return Json();
-    ensure_runner();
-    const ExperimentRunner::CleanProbedRun& clean =
-        runner_->clean_probed_run();
-    Json j = Json::object();
-    Json traj = Json::array();
-    for (const auto& s : clean.result.epochs)
-      traj.push_back(s.test_accuracy);
-    j["trajectory"] = std::move(traj);
-    j["final_accuracy"] = clean.result.final_accuracy;
-    return j;
-  }
-
-  Json run_trial(const std::string& cell, const TrialContext& trial) override {
-    const std::string layer = layer_of(cell);
-    ExperimentRunner& runner = *runner_;
-    mh5::File ckpt = runner.restart_checkpoint();
-    InjectionReport rep = corrupt_layer(ckpt, layer, trial.seed);
-    const std::size_t seg =
-        opts_.prefix_reuse ? runner.entry_segment(rep.log) : 0;
-
-    Json row = Json::object();
-    row["cell"] = cell;
-    row["trial"] = trial.index;
-    row["seed"] = std::to_string(trial.seed);
-
-    if (opts_.mode == "predict") {
-      const nn::EvalResult ev = runner.predict_from_segment(ckpt, seg);
-      row["accuracy"] = ev.accuracy;
-      row["nev"] = ev.nev;
-      row["log"] = rep.log.to_json();
-      stamp_fingerprint(row, fp_hex_);
-      return row;
-    }
-
-    const std::size_t epochs =
-        runner.config().total_epochs - runner.config().restart_epoch;
-    ExperimentRunner::ProbedResume probed =
-        runner.resume_training_probed_from_segment(ckpt, seg);
-    const nn::TrainResult& res = probed.result;
-    const obs::DivergenceTrace div = runner.divergence_vs_clean(probed.probes);
-    if (trial.index == 0) {
-      // Trial 0's log is the replayable artifact: it carries the model
-      // meta and its divergence trace, so the row alone can seed a replay
-      // (core::replay_injection_log) wherever it was produced.
-      rep.log.set_meta("framework", "chainer");
-      rep.log.set_meta("model", "alexnet");
-      rep.log.set_divergence(div.to_json());
-    }
-    const ExperimentRunner::CleanProbedRun& clean = runner.clean_probed_run();
-    row["collapsed"] = res.collapsed;
-    row["final_accuracy"] = res.final_accuracy;
-    row["clean_accuracy"] = clean.result.final_accuracy;
-    Json traj = Json::array();
-    for (std::size_t e = 0; e < res.epochs.size() && e < epochs; ++e)
-      traj.push_back(res.epochs[e].test_accuracy);
-    row["accuracy"] = std::move(traj);
-    row["log"] = rep.log.to_json();
-    row["divergence"] = div.to_json();
-    stamp_fingerprint(row, fp_hex_);
-    return row;
-  }
-
- private:
-  void ensure_runner() {
-    if (runner_ != nullptr) return;
-    runner_ = std::make_unique<ExperimentRunner>(
-        experiment_config(opts_, "chainer", "alexnet"));
-    model_ = runner_->make_model();
-    ctx_ = std::make_unique<ModelContext>(runner_->make_context(*model_));
-  }
-
-  std::string layer_of(const std::string& cell) const {
-    const auto slash = cell.rfind('/');
-    const std::string layer =
-        slash == std::string::npos ? cell : cell.substr(slash + 1);
-    if (std::find(layers_.begin(), layers_.end(), layer) == layers_.end()) {
-      throw Error("fig4: unknown cell '" + cell + "'");
-    }
-    return layer;
-  }
-
-  InjectionReport corrupt_layer(mh5::File& ckpt, const std::string& layer,
-                                std::uint64_t seed) {
-    CorrupterConfig cc;
-    cc.injection_attempts = 1000;
-    cc.corruption_mode = CorruptionMode::BitRange;
-    cc.first_bit = 0;
-    cc.last_bit = 61;
-    cc.use_random_locations = false;
-    cc.locations_to_corrupt = {"predictor/" + layer};
-    cc.seed = seed;
-    Corrupter corrupter(cc);
-    return corrupter.corrupt(ckpt, ctx_.get());
-  }
-
-  std::string fp_hex_;
-  std::vector<std::string> layers_;
-  std::unique_ptr<ExperimentRunner> runner_;
-  std::unique_ptr<nn::Model> model_;  ///< keeps ctx_'s layer references alive
-  std::unique_ptr<ModelContext> ctx_;
-};
-
 // ------------------------------------------------------------ grid kinds --
 //
-// The other paper campaigns share one shape: a fixed cell list, each cell
-// naming the ExperimentRunner its trials run on (framework/model/checkpoint
+// Every paper campaign has one shape: a fixed cell list, each cell naming
+// the ExperimentRunner its trials run on (framework/model/checkpoint
 // precision) plus the one knob the cell varies. Every body below was lifted
 // from its bench harness with the row keys in the bench's order, so
 // artifacts stay byte-identical to the pre-campaign benches.
@@ -362,7 +147,8 @@ struct CellSpec {
   std::string model = "alexnet";
   int precision = 64;         ///< checkpoint float width
   std::uint64_t count = 0;    ///< bit-flips or scaled weights per trial
-  std::string variant = "";   ///< table6 bit mask / ablation guard mode
+  std::string variant = "";   ///< table6 bit mask / ablation guard mode /
+                              ///< fig4 injected layer
   int first_bit = 0;          ///< fig2's injected bit range
   int last_bit = 63;
   double factor = 0.0;        ///< fig7 scaling factor
@@ -407,6 +193,25 @@ class GridCampaign : public Campaign {
     return *runners_.at(runner_key(s));
   }
 
+  /// The entry segment of a trial whose corruption `log` records: the
+  /// runner's deepest safe prefix when prefix reuse is on, else 0 (the full
+  /// path).
+  std::size_t entry_segment(ExperimentRunner& r,
+                            const InjectionLog& log) const {
+    return opts_.prefix_reuse ? r.entry_segment(log) : 0;
+  }
+
+  /// Builds, once, the canonical-coordinate context that fig4/6/7 corrupt
+  /// through, from `r`'s model (each of those kinds runs one panel). Like
+  /// runner_for, only prepare_cell calls this; run_trial reads context().
+  void build_context(ExperimentRunner& r) {
+    if (ctx_) return;
+    const std::unique_ptr<nn::Model> model = r.make_model();
+    ctx_.emplace(r.make_context(*model));
+  }
+
+  const ModelContext* context() const { return &ctx_.value(); }
+
   /// `value(runner)` per distinct framework/model panel, in cell order.
   template <class F>
   Json per_panel(F value) {
@@ -441,6 +246,7 @@ class GridCampaign : public Campaign {
   std::string fp_hex_;
   std::map<std::string, CellSpec> specs_;
   std::map<std::string, std::unique_ptr<ExperimentRunner>> runners_;
+  std::optional<ModelContext> ctx_;
 };
 
 CorrupterConfig bit_range(std::uint64_t flips, int first_bit, int last_bit,
@@ -469,6 +275,55 @@ const char* paper_layer(std::size_t trial) {
   return kPaperLayers[trial];
 }
 
+// Table IV: full-range flips (critical bit included) resumed with probes;
+// rows record collapse (N-EV), accuracies and the divergence trace. Cells
+// framework/model/rate.
+class Table4Campaign final : public GridCampaign {
+ public:
+  explicit Table4Campaign(CampaignOptions opts)
+      : GridCampaign(std::move(opts)) {
+    for (const auto& framework : fw::framework_names()) {
+      for (const auto& model : models::model_names()) {
+        for (const std::uint64_t rate : {1, 10, 100, 1000}) {
+          add_cell(framework + "/" + model + "/" + std::to_string(rate),
+                   opts_.trainings,
+                   {.framework = framework, .model = model, .count = rate});
+        }
+      }
+    }
+  }
+
+  void prepare_cell(const std::string& cell) override {
+    // Train the baseline and snapshot the restart checkpoint before the
+    // fan-out, so trials start from a warm immutable cache; the clean probed
+    // run is likewise memoized up front so trials only read it.
+    ExperimentRunner& runner = runner_for(spec(cell));
+    runner.restart_checkpoint();
+    runner.clean_probed_run(opts_.resume_epochs);
+  }
+
+  Json run_trial(const std::string& cell, const TrialContext& trial) override {
+    const CellSpec& s = spec(cell);
+    ExperimentRunner& runner = this->runner(s);
+    mh5::File ckpt = runner.restart_checkpoint();
+    const InjectionReport rep =
+        Corrupter(bit_range(s.count, 0, 63, trial.seed)).corrupt(ckpt);
+    ExperimentRunner::ProbedResume probed =
+        runner.resume_training_probed(ckpt, opts_.resume_epochs);
+    const ExperimentRunner::CleanProbedRun& clean =
+        runner.clean_probed_run(opts_.resume_epochs);
+    Json row = trial_row(cell, trial);
+    row["collapsed"] = probed.result.collapsed;
+    row["final_accuracy"] = probed.result.final_accuracy;
+    row["clean_accuracy"] = clean.result.final_accuracy;
+    row["log"] = rep.log.to_json();
+    row["divergence"] =
+        runner.divergence_vs_clean(probed.probes, opts_.resume_epochs)
+            .to_json();
+    return stamped(std::move(row));
+  }
+};
+
 // Table V: one flip below the exponent MSB; RWC = the resumed accuracy
 // exactly equals the clean probed resume's. Cells framework/model, model-major.
 class Table5Campaign final : public GridCampaign {
@@ -496,11 +351,8 @@ class Table5Campaign final : public GridCampaign {
             .corrupt(ckpt);
     // The flip lands in a random layer; the log tells us which, and the
     // prefix upstream of it is reusable across the cell.
-    const std::size_t seg =
-        opts_.prefix_reuse ? runner.entry_segment(rep.log) : 0;
-    ExperimentRunner::ProbedResume probed =
-        runner.resume_training_probed_from_segment(ckpt, seg,
-                                                   opts_.resume_epochs);
+    ExperimentRunner::ProbedResume probed = runner.resume_training_probed(
+        ckpt, opts_.resume_epochs, entry_segment(runner, rep.log));
     const nn::TrainResult& res = probed.result;
     const ExperimentRunner::CleanProbedRun& clean =
         runner.clean_probed_run(opts_.resume_epochs);
@@ -552,10 +404,9 @@ class Table6Campaign final : public GridCampaign {
       log = rep.log.to_json();
       // 10 random weights scatter across layers; the shallowest one bounds
       // the reusable prefix (often 0 — then this is a no-op).
-      if (opts_.prefix_reuse) seg = runner.entry_segment(rep.log);
+      seg = entry_segment(runner, rep.log);
     }
-    const nn::TrainResult res =
-        runner.resume_training_from_segment(ckpt, seg, 1);
+    const nn::TrainResult res = runner.resume_training(ckpt, 1, seg);
     Json row = trial_row(cell, trial);
     row["collapsed"] = res.collapsed;
     row["final_accuracy"] = res.final_accuracy;
@@ -572,10 +423,6 @@ class Table7Campaign final : public GridCampaign {
  public:
   explicit Table7Campaign(CampaignOptions opts)
       : GridCampaign(std::move(opts)) {
-    if (opts_.mode != "fp64" && opts_.mode != "fp16") {
-      throw Error("table7: mode is the compute precision, fp64 or fp16 (got '" +
-                  opts_.mode + "')");
-    }
     for (const int precision : {16, 32}) {
       for (const auto& model : models::model_names()) {
         for (const std::uint64_t rate : {1, 10, 100, 1000}) {
@@ -734,6 +581,82 @@ class Fig3Campaign final : public GridCampaign {
   }
 };
 
+// Figure 4: 1000 flips confined to one chainer/alexnet layer per cell. Mode
+// "train" resumes training (the paper's trajectories); mode "predict" is the
+// inference-only campaign, where every test batch of a deep-layer trial
+// reuses the cached prefix.
+class Fig4Campaign final : public GridCampaign {
+ public:
+  explicit Fig4Campaign(CampaignOptions opts) : GridCampaign(std::move(opts)) {
+    std::vector<std::string> layers = opts_.layers;
+    if (layers.empty())
+      layers.assign(std::begin(kPaperLayers), std::end(kPaperLayers));
+    for (const std::string& layer : layers) {
+      add_cell((predict() ? "fig4predict/" : "fig4/") + layer, opts_.trainings,
+               {.variant = layer});
+    }
+  }
+
+  void prepare_cell(const std::string& cell) override {
+    ExperimentRunner& runner = runner_for(spec(cell));
+    runner.restart_checkpoint();
+    if (!predict()) runner.clean_probed_run();
+    build_context(runner);
+  }
+
+  /// Train mode: the error-free trajectory and its final accuracy.
+  Json clean_summary() override {
+    if (predict()) return Json();
+    const nn::TrainResult& clean = runner_for({}).clean_probed_run().result;
+    Json j = Json::object();
+    j["trajectory"] = accuracy_curve(clean);
+    j["final_accuracy"] = clean.final_accuracy;
+    return j;
+  }
+
+  Json run_trial(const std::string& cell, const TrialContext& trial) override {
+    const CellSpec& s = spec(cell);
+    ExperimentRunner& runner = this->runner(s);
+    mh5::File ckpt = runner.restart_checkpoint();
+    CorrupterConfig cc = bit_range(1000, 0, 61, trial.seed);
+    cc.use_random_locations = false;
+    cc.locations_to_corrupt = {"predictor/" + s.variant};
+    InjectionReport rep = Corrupter(cc).corrupt(ckpt, context());
+    const std::size_t seg = entry_segment(runner, rep.log);
+    Json row = trial_row(cell, trial);
+
+    if (predict()) {
+      const nn::EvalResult ev = runner.predict(ckpt, seg);
+      row["accuracy"] = ev.accuracy;
+      row["nev"] = ev.nev;
+      row["log"] = rep.log.to_json();
+      return stamped(std::move(row));
+    }
+
+    ExperimentRunner::ProbedResume probed =
+        runner.resume_training_probed(ckpt, 0, seg);
+    const obs::DivergenceTrace div = runner.divergence_vs_clean(probed.probes);
+    if (trial.index == 0) {
+      // Trial 0's log is the replayable artifact: it carries the model
+      // meta and its divergence trace, so the row alone can seed a replay
+      // (core::replay_injection_log) wherever it was produced.
+      rep.log.set_meta("framework", "chainer");
+      rep.log.set_meta("model", "alexnet");
+      rep.log.set_divergence(div.to_json());
+    }
+    row["collapsed"] = probed.result.collapsed;
+    row["final_accuracy"] = probed.result.final_accuracy;
+    row["clean_accuracy"] = runner.clean_probed_run().result.final_accuracy;
+    row["accuracy"] = accuracy_curve(probed.result);
+    row["log"] = rep.log.to_json();
+    row["divergence"] = div.to_json();
+    return stamped(std::move(row));
+  }
+
+ private:
+  bool predict() const { return opts_.mode == "predict"; }
+};
+
 // Figure 5: a Chainer/AlexNet per-layer injection sequence replayed at the
 // equivalent location of PyTorch and TensorFlow checkpoints. The source logs
 // are a function of the options alone (one corruption per layer at seed
@@ -810,9 +733,7 @@ class Fig6Campaign final : public GridCampaign {
     // same zeroed optimizer velocity, so every nonzero diff is
     // injection-caused) and the divergence baseline.
     runner.clean_probed_run();
-    if (model_ != nullptr) return;
-    model_ = runner.make_model();
-    ctx_ = std::make_unique<ModelContext>(runner.make_context(*model_));
+    build_context(runner);
   }
 
   Json run_trial(const std::string& cell, const TrialContext& trial) override {
@@ -822,11 +743,9 @@ class Fig6Campaign final : public GridCampaign {
     CorrupterConfig cc = bit_range(1000, 0, 61, trial.seed);
     cc.use_random_locations = false;
     cc.locations_to_corrupt = {std::string("model_weights/") + layer};
-    const InjectionReport rep = Corrupter(cc).corrupt(ckpt, ctx_.get());
-    const std::size_t seg =
-        opts_.prefix_reuse ? runner.entry_segment(rep.log) : 0;
+    const InjectionReport rep = Corrupter(cc).corrupt(ckpt, context());
     ExperimentRunner::ProbedResume probed =
-        runner.resume_training_probed_from_segment(ckpt, seg);
+        runner.resume_training_probed(ckpt, 0, entry_segment(runner, rep.log));
     const ExperimentRunner::CleanProbedRun& clean = runner.clean_probed_run();
 
     // Only weights that differ from the clean twin count (paper).
@@ -855,10 +774,6 @@ class Fig6Campaign final : public GridCampaign {
     row["divergence"] = runner.divergence_vs_clean(probed.probes).to_json();
     return stamped(std::move(row));
   }
-
- private:
-  std::unique_ptr<nn::Model> model_;  ///< keeps ctx_'s layer references alive
-  std::unique_ptr<ModelContext> ctx_;
 };
 
 // Figure 7: Chainer/ResNet50 weight tensors multiplied by a scaling factor
@@ -879,11 +794,12 @@ class Fig7Campaign final : public GridCampaign {
   void prepare_cell(const std::string& cell) override {
     ExperimentRunner& runner = runner_for(spec(cell));
     runner.checkpoint_at(opts_.total_epochs);
-    if (model_ != nullptr) return;
-    model_ = runner.make_model();
-    ctx_ = std::make_unique<ModelContext>(runner.make_context(*model_));
+    build_context(runner);
+    if (!weight_locations_.empty()) return;
     // The paper scales "values of the model": weight (W) datasets only.
-    for (const auto& layer : model_->weight_layer_names()) {
+    const ExperimentConfig& cfg = runner.config();
+    for (const auto& layer :
+         models::make_model(cfg.model, cfg.model_cfg)->weight_layer_names()) {
       weight_locations_.push_back(runner.adapter().dataset_path(
           layer + "/W", layer.rfind("fc", 0) == 0 ? fw::ParamKind::DenseW
                                                   : fw::ParamKind::ConvW));
@@ -908,15 +824,13 @@ class Fig7Campaign final : public GridCampaign {
     cc.use_random_locations = false;
     cc.locations_to_corrupt = weight_locations_;
     cc.seed = trial.seed;
-    Corrupter(cc).corrupt(ckpt, ctx_.get());
+    Corrupter(cc).corrupt(ckpt, context());
     Json row = trial_row(cell, trial);
     row["accuracy"] = 100.0 * runner.predict(ckpt).accuracy;
     return stamped(std::move(row));
   }
 
  private:
-  std::unique_ptr<nn::Model> model_;  ///< keeps ctx_'s layer references alive
-  std::unique_ptr<ModelContext> ctx_;
   std::vector<std::string> weight_locations_;
 };
 
@@ -969,20 +883,22 @@ std::unique_ptr<Campaign> make_kind(const CampaignOptions& opts) {
 }
 
 /// The campaign registry: kind name (CampaignOptions::bench, and the name
-/// every row fingerprint was computed with) -> constructor.
+/// every row fingerprint was computed with) -> constructor, and the modes
+/// the kind runs ('|'-separated).
 struct KindEntry {
   const char* name;
   std::unique_ptr<Campaign> (*make)(const CampaignOptions&);
+  const char* modes = "train";
 };
 constexpr KindEntry kKinds[] = {
     {"table4", make_kind<Table4Campaign>},
     {"table5", make_kind<Table5Campaign>},
     {"table6", make_kind<Table6Campaign>},
-    {"table7", make_kind<Table7Campaign>},
+    {"table7", make_kind<Table7Campaign>, "fp64|fp16"},
     {"table8", make_kind<Table8Campaign>},
     {"fig2", make_kind<Fig2Campaign>},
     {"fig3", make_kind<Fig3Campaign>},
-    {"fig4", make_kind<Fig4Campaign>},
+    {"fig4", make_kind<Fig4Campaign>, "train|predict"},
     {"fig5", make_kind<Fig5Campaign>},
     {"fig6", make_kind<Fig6Campaign>},
     {"fig7", make_kind<Fig7Campaign>},
@@ -999,7 +915,13 @@ std::vector<std::string> campaign_kinds() {
 
 std::unique_ptr<Campaign> Campaign::make(const CampaignOptions& opts) {
   for (const KindEntry& k : kKinds) {
-    if (opts.bench == k.name) return k.make(opts);
+    if (opts.bench != k.name) continue;
+    const std::vector<std::string> modes = split_path(k.modes, '|');
+    if (std::find(modes.begin(), modes.end(), opts.mode) == modes.end()) {
+      throw Error(opts.bench + ": unknown mode '" + opts.mode + "' (runs: " +
+                  k.modes + ")");
+    }
+    return k.make(opts);
   }
   std::string names;
   for (const KindEntry& k : kKinds) {

@@ -48,7 +48,7 @@ std::size_t campaign_model_width(std::size_t width, const std::string& model);
 struct CampaignOptions {
   std::string bench = "table4";  ///< campaign kind: one of campaign_kinds()
   /// fig4: "train" | "predict"; table7: GEMM compute precision, "fp64" |
-  /// "fp16"; every other kind: "train".
+  /// "fp16"; every other kind: "train". Campaign::make refuses any other.
   std::string mode = "train";
   /// fig4: injected-layer override (canonical names); empty = the paper's
   /// first/middle/last trio.
@@ -73,6 +73,8 @@ struct CampaignOptions {
   std::string fingerprint_hex() const;
 
   Json to_json() const;
+  /// Throws FormatError on a missing or mistyped key, a negative size, or a
+  /// seed that is not a plain decimal u64.
   static CampaignOptions from_json(const Json& j);
 };
 
@@ -107,7 +109,8 @@ class Campaign {
 
   /// One trial's JSONL row — a pure function of (options, cell, index).
   /// Thread-safe after prepare_cell(cell); trial.seed must equal
-  /// trial_seed(cell_seed(cell), trial.index).
+  /// trial_seed(cell_seed(cell), trial.index). Throws Error on an unknown
+  /// cell name.
   virtual Json run_trial(const std::string& cell,
                          const TrialContext& trial) = 0;
 

@@ -114,8 +114,9 @@ const nn::TrainResult& ExperimentRunner::clean_resume() {
 }
 
 nn::TrainResult ExperimentRunner::resume_training(const mh5::File& ckpt,
-                                                  std::size_t epochs) {
-  return resume_impl(ckpt, epochs, /*probes=*/nullptr).first;
+                                                  std::size_t epochs,
+                                                  std::size_t seg) {
+  return resume_impl(ckpt, epochs, /*probes=*/nullptr, seg).first;
 }
 
 std::pair<nn::TrainResult, std::unique_ptr<nn::Model>>
@@ -183,9 +184,9 @@ std::size_t ExperimentRunner::resolve_resume_epochs(std::size_t epochs) const {
 }
 
 ExperimentRunner::ProbedResume ExperimentRunner::resume_training_probed(
-    const mh5::File& ckpt, std::size_t epochs) {
+    const mh5::File& ckpt, std::size_t epochs, std::size_t seg) {
   ProbedResume out;
-  auto [result, model] = resume_impl(ckpt, epochs, &out.probes);
+  auto [result, model] = resume_impl(ckpt, epochs, &out.probes, seg);
   out.result = std::move(result);
   out.model = std::move(model);
   return out;
@@ -225,11 +226,20 @@ obs::DivergenceTrace ExperimentRunner::divergence_vs_clean(
   return obs::diverge(clean_probed_run(epochs).probes, trial);
 }
 
-nn::EvalResult ExperimentRunner::predict(const mh5::File& ckpt) {
+nn::EvalResult ExperimentRunner::predict(const mh5::File& ckpt,
+                                         std::size_t seg) {
   obs::Span span("experiment.predict", "predict", "experiment.predict_time");
   obs::counter_add("experiment.predicts");
   auto model = model_from(ckpt);
-  return nn::evaluate_with_nev(*model, test_batches_);
+  if (seg > 0 && !model->prefix_safe_upto(seg, /*training=*/false)) {
+    obs::counter_add("prefix.unsafe_refusals");
+    seg = 0;
+  }
+  if (seg == 0) return nn::evaluate_with_nev(*model, test_batches_);
+  const auto epoch = static_cast<std::size_t>(fw::checkpoint_epoch(ckpt));
+  const auto prefix = eval_prefix(epoch, seg);
+  obs::counter_add("prefix.segments_skipped", seg);
+  return nn::evaluate_with_nev(*model, test_batches_, seg, prefix->boundary);
 }
 
 nn::EvalResult ExperimentRunner::predict_subset(const mh5::File& ckpt,
@@ -261,7 +271,7 @@ std::map<std::string, std::vector<double>> ExperimentRunner::weights_of(
   return out;
 }
 
-// --- prefix-reuse entry points ---------------------------------------------
+// --- prefix reuse -----------------------------------------------------------
 
 std::size_t ExperimentRunner::entry_segment(const InjectionLog& log) {
   if (log.empty()) return 0;
@@ -354,68 +364,6 @@ std::shared_ptr<const PrefixEntryData> ExperimentRunner::eval_prefix(
         }
         return entry;
       });
-}
-
-nn::TrainResult ExperimentRunner::resume_training_from_segment(
-    const mh5::File& ckpt, std::size_t seg, std::size_t epochs) {
-  return resume_impl(ckpt, epochs, /*probes=*/nullptr, seg).first;
-}
-
-ExperimentRunner::ProbedResume
-ExperimentRunner::resume_training_probed_from_segment(const mh5::File& ckpt,
-                                                      std::size_t seg,
-                                                      std::size_t epochs) {
-  ProbedResume out;
-  auto [result, model] = resume_impl(ckpt, epochs, &out.probes, seg);
-  out.result = std::move(result);
-  out.model = std::move(model);
-  return out;
-}
-
-nn::EvalResult ExperimentRunner::predict_from_segment(const mh5::File& ckpt,
-                                                      std::size_t seg) {
-  obs::Span span("experiment.predict", "predict", "experiment.predict_time");
-  obs::counter_add("experiment.predicts");
-  auto model = model_from(ckpt);
-  if (seg == 0 || !model->prefix_safe_upto(seg, /*training=*/false)) {
-    if (seg > 0) obs::counter_add("prefix.unsafe_refusals");
-    return nn::evaluate_with_nev(*model, test_batches_);
-  }
-  const auto epoch = static_cast<std::size_t>(fw::checkpoint_epoch(ckpt));
-  const auto prefix = eval_prefix(epoch, seg);
-  obs::counter_add("prefix.segments_skipped", seg);
-  return nn::evaluate_with_nev_prefixed(*model, seg, prefix->boundary,
-                                        test_batches_);
-}
-
-nn::EvalResult ExperimentRunner::predict_subset_from_segment(
-    const mh5::File& ckpt, std::size_t seg, std::size_t part,
-    std::size_t num_parts) {
-  obs::Span span("experiment.predict", "predict", "experiment.predict_time");
-  obs::counter_add("experiment.predicts");
-  require(num_parts > 0 && part < num_parts,
-          "predict_subset: bad part/num_parts");
-  auto model = model_from(ckpt);
-  std::vector<nn::Batch> slice;
-  for (std::size_t i = part; i < test_batches_.size(); i += num_parts) {
-    nn::Batch b;
-    b.x = test_batches_[i].x;
-    b.y = test_batches_[i].y;
-    slice.push_back(std::move(b));
-  }
-  require(!slice.empty(), "predict_subset: empty slice");
-  if (seg == 0 || !model->prefix_safe_upto(seg, /*training=*/false)) {
-    if (seg > 0) obs::counter_add("prefix.unsafe_refusals");
-    return nn::evaluate_with_nev(*model, slice);
-  }
-  const auto epoch = static_cast<std::size_t>(fw::checkpoint_epoch(ckpt));
-  const auto prefix = eval_prefix(epoch, seg);
-  // Slice the boundary cache with the same stride as the batches.
-  std::vector<Tensor> boundaries;
-  for (std::size_t i = part; i < prefix->boundary.size(); i += num_parts)
-    boundaries.push_back(prefix->boundary[i]);
-  obs::counter_add("prefix.segments_skipped", seg);
-  return nn::evaluate_with_nev_prefixed(*model, seg, boundaries, slice);
 }
 
 }  // namespace ckptfi::core

@@ -81,9 +81,12 @@ class ExperimentRunner {
 
   /// Resume training from `ckpt` for `epochs` epochs (or to total_epochs
   /// when epochs == 0). The epoch counter continues from the checkpoint's
-  /// recorded epoch, so batch schedules line up with the clean run.
+  /// recorded epoch, so batch schedules line up with the clean run. `seg` > 0
+  /// enters the first resumed batch at that segment (see "prefix reuse"
+  /// below); seg == 0 is the full path.
   nn::TrainResult resume_training(const mh5::File& ckpt,
-                                  std::size_t epochs = 0);
+                                  std::size_t epochs = 0,
+                                  std::size_t seg = 0);
 
   /// Same, but also hands back the trained model (for weight-propagation
   /// studies, paper Fig. 6).
@@ -100,9 +103,12 @@ class ExperimentRunner {
 
   /// resume_training_with_model plus probes. Probed and unprobed resumes of
   /// the same checkpoint produce bit-identical weights and TrainResults —
-  /// probes only observe.
+  /// probes only observe. With `seg` > 0 the cached upstream forward probe
+  /// stats are spliced into the entry step, so the timeline layout, step
+  /// schedule and DivergenceTrace match the full run's bitwise.
   ProbedResume resume_training_probed(const mh5::File& ckpt,
-                                      std::size_t epochs = 0);
+                                      std::size_t epochs = 0,
+                                      std::size_t seg = 0);
 
   /// The clean baseline a probed trial diverges from: restart checkpoint
   /// resumed for `epochs` epochs (total_epochs - restart_epoch when 0) with
@@ -123,8 +129,9 @@ class ExperimentRunner {
                                            std::size_t epochs = 0);
 
   /// Load `ckpt` and evaluate on the full test set (paper Table VIII uses
-  /// prediction-only runs). NaN logits count as N-EV.
-  nn::EvalResult predict(const mh5::File& ckpt);
+  /// prediction-only runs). NaN logits count as N-EV. `seg` > 0 enters every
+  /// test batch at that segment with its cached boundary activation.
+  nn::EvalResult predict(const mh5::File& ckpt, std::size_t seg = 0);
 
   /// Evaluate on the `part`-th of `num_parts` slices of the test set — the
   /// paper's "10 predictions, each over different images".
@@ -134,16 +141,17 @@ class ExperimentRunner {
   /// Canonical-name -> weight values snapshot of a checkpoint.
   std::map<std::string, std::vector<double>> weights_of(const mh5::File& ckpt);
 
-  // --- prefix-reuse entry points -----------------------------------------
+  // --- prefix reuse ---------------------------------------------------------
   //
   // A layer-targeted trial corrupts datasets of known layers, so everything
   // upstream of the shallowest injected layer is bitwise the clean baseline.
-  // These entry points skip that prefix via core::PrefixCache: training
-  // resumes reuse the cached upstream forward for the entry batch only (the
-  // first optimizer step makes upstream weights diverge), predictions reuse
-  // cached boundary activations for every test batch. Prefixed and full runs
-  // are bitwise-identical in results, probe timelines and divergence traces;
-  // any unsafe/unmappable situation falls back to the full path (counted in
+  // The `seg` argument of resume_training, resume_training_probed and
+  // predict skips that prefix via core::PrefixCache: training resumes reuse
+  // the cached upstream forward for the entry batch only (the first
+  // optimizer step makes upstream weights diverge), predictions reuse cached
+  // boundary activations for every test batch. Prefixed and full runs are
+  // bitwise-identical in results, probe timelines and divergence traces; any
+  // unsafe/unmappable situation falls back to the full path (counted in
   // `prefix.unsafe_refusals`), never to an approximation.
 
   /// Deepest safe entry segment for a corrupted checkpoint: the segment of
@@ -151,28 +159,6 @@ class ExperimentRunner {
   /// (no skippable prefix) for an empty log or any record that cannot be
   /// mapped to a model layer — 0 always degrades to the full path.
   std::size_t entry_segment(const InjectionLog& log);
-
-  /// resume_training entering the network at segment `seg` for the first
-  /// resumed batch. seg == 0 is exactly resume_training.
-  nn::TrainResult resume_training_from_segment(const mh5::File& ckpt,
-                                               std::size_t seg,
-                                               std::size_t epochs = 0);
-
-  /// resume_training_probed with prefix entry: the cached upstream forward
-  /// probe stats are spliced into the entry step, so the timeline layout,
-  /// step schedule and DivergenceTrace match the full run's bitwise.
-  ProbedResume resume_training_probed_from_segment(const mh5::File& ckpt,
-                                                   std::size_t seg,
-                                                   std::size_t epochs = 0);
-
-  /// predict entering at `seg` with cached per-batch boundary activations.
-  nn::EvalResult predict_from_segment(const mh5::File& ckpt, std::size_t seg);
-
-  /// predict_subset entering at `seg` (the boundary cache is sliced with the
-  /// same stride as the batches).
-  nn::EvalResult predict_subset_from_segment(const mh5::File& ckpt,
-                                             std::size_t seg, std::size_t part,
-                                             std::size_t num_parts);
 
   /// The runner's prefix cache (introspection for tests/reports).
   const PrefixCache& prefix_cache() const { return prefix_cache_; }

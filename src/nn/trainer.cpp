@@ -1,5 +1,6 @@
 #include "nn/trainer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 
@@ -124,61 +125,24 @@ TrainResult Trainer::fit(const BatchProvider& provider,
 }
 
 double evaluate(Model& model, const std::vector<Batch>& batches) {
-  require(!batches.empty(), "evaluate: no batches");
   obs::Span span("trainer.evaluate", "eval", "trainer.eval_time");
-  double acc_sum = 0.0;
-  std::size_t total = 0, correct = 0;
-  (void)acc_sum;
-  for (const Batch& b : batches) {
-    Tensor logits = model.forward(b.x, /*training=*/false);
-    const std::size_t n = b.y.size();
-    correct += static_cast<std::size_t>(
-        std::lround(accuracy(logits, b.y) * static_cast<double>(n)));
-    total += n;
-  }
-  return static_cast<double>(correct) / static_cast<double>(total);
+  return evaluate_with_nev(model, batches).accuracy;
 }
 
-EvalResult evaluate_with_nev(Model& model, const std::vector<Batch>& batches) {
-  require(!batches.empty(), "evaluate_with_nev: no batches");
-  EvalResult res;
-  std::size_t total = 0, correct = 0;
-  for (const Batch& b : batches) {
-    Tensor logits = model.forward(b.x, /*training=*/false);
-    for (double v : logits.vec()) {
-      if (is_nev(v)) {
-        res.nev = true;
-        break;
-      }
-    }
-    const std::size_t n = b.y.size();
-    correct += static_cast<std::size_t>(
-        std::lround(accuracy(logits, b.y) * static_cast<double>(n)));
-    total += n;
-  }
-  res.accuracy = static_cast<double>(correct) / static_cast<double>(total);
-  return res;
-}
-
-EvalResult evaluate_with_nev_prefixed(Model& model, std::size_t seg,
-                                      const std::vector<Tensor>& boundaries,
-                                      const std::vector<Batch>& batches) {
-  require(!batches.empty(), "evaluate_with_nev_prefixed: no batches");
-  require(boundaries.size() == batches.size(),
-          "evaluate_with_nev_prefixed: boundary/batch count mismatch");
-  // Same accumulation as evaluate_with_nev, entering at `seg`: identical
-  // logits (upstream weights are bitwise clean, eval forwards are pure)
-  // produce identical accuracy and N-EV flags.
+EvalResult evaluate_with_nev(Model& model, const std::vector<Batch>& batches,
+                             std::size_t seg,
+                             const std::vector<Tensor>& boundaries) {
+  require(!batches.empty(), "evaluate: no batches");
+  require(seg == 0 || boundaries.size() == batches.size(),
+          "evaluate: boundary/batch count mismatch");
   EvalResult res;
   std::size_t total = 0, correct = 0;
   for (std::size_t i = 0; i < batches.size(); ++i) {
-    Tensor logits = model.forward_from(seg, boundaries[i], /*training=*/false);
-    for (double v : logits.vec()) {
-      if (is_nev(v)) {
-        res.nev = true;
-        break;
-      }
-    }
+    const Tensor logits =
+        seg > 0 ? model.forward_from(seg, boundaries[i], /*training=*/false)
+                : model.forward(batches[i].x, /*training=*/false);
+    res.nev = res.nev || std::any_of(logits.vec().begin(), logits.vec().end(),
+                                     [](double v) { return is_nev(v); });
     const std::size_t n = batches[i].y.size();
     correct += static_cast<std::size_t>(
         std::lround(accuracy(logits, batches[i].y) * static_cast<double>(n)));

@@ -118,15 +118,15 @@ struct EvalResult {
   double accuracy = 0.0;
   bool nev = false;
 };
-EvalResult evaluate_with_nev(Model& model, const std::vector<Batch>& batches);
 
-/// evaluate_with_nev entering the network at segment `seg` with cached
-/// boundary activations (one per batch, from core::PrefixCache). Inference
-/// prefix-reuse is valid for *every* batch — eval forwards are pure and the
-/// corrupted checkpoint's upstream weights are bitwise the clean ones — so
-/// logits, accuracy and N-EV flags match the full evaluation exactly.
-EvalResult evaluate_with_nev_prefixed(Model& model, std::size_t seg,
-                                      const std::vector<Tensor>& boundaries,
-                                      const std::vector<Batch>& batches);
+/// evaluate() plus the N-EV flag. With `seg` > 0 every batch enters the
+/// network at segment `seg` with its cached boundary activation
+/// (`boundaries`, one per batch, from core::PrefixCache). Inference prefix
+/// reuse is valid for *every* batch — eval forwards are pure and a corrupted
+/// checkpoint's upstream weights are bitwise the clean ones — so logits,
+/// accuracy and N-EV flags match the full evaluation exactly.
+EvalResult evaluate_with_nev(Model& model, const std::vector<Batch>& batches,
+                             std::size_t seg = 0,
+                             const std::vector<Tensor>& boundaries = {});
 
 }  // namespace ckptfi::nn

@@ -1,12 +1,19 @@
 // The campaign registry: every registered kind must survive the fleet
 // manifest round-trip — the rebuilt campaign has the same cells and
-// fingerprint and produces the same row for a sampled trial — and an
-// unknown kind is refused with the registered names in the message.
+// fingerprint and produces the same row for a sampled trial — keep its
+// pinned artifact shape, and refuse cells and modes it does not run; an
+// unknown kind is refused with the registered names in the message, and a
+// manifest with a negative size or a malformed seed with a FormatError.
 #include "core/campaign.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "core/scheduler.hpp"
 #include "util/common.hpp"
@@ -29,7 +36,146 @@ CampaignOptions tiny_options(const std::string& kind) {
   return o;
 }
 
+/// The sampled trial: the last one of the middle cell.
+const CampaignCell& sampled_cell(const Campaign& c) {
+  return c.cells()[c.cells().size() / 2];
+}
+
+TrialContext sampled_trial(const Campaign& c) {
+  const CampaignCell& cell = sampled_cell(c);
+  return {cell.trials - 1,
+          trial_seed(c.cell_seed(cell.name), cell.trials - 1)};
+}
+
+/// Per-cell trial counts in cell order, run-length coded ("2x36" is 36
+/// cells of 2 trials).
+std::string trials_per_cell(const Campaign& c) {
+  std::string out;
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < c.cells().size(); ++i) {
+    ++run;
+    const std::size_t trials = c.cells()[i].trials;
+    if (i + 1 < c.cells().size() && c.cells()[i + 1].trials == trials) continue;
+    out += (out.empty() ? "" : ",") + std::to_string(trials) + "x" +
+           std::to_string(run);
+    run = 0;
+  }
+  return out;
+}
+
+/// A row's top-level keys in order, comma-joined.
+std::string key_sequence(const Json& row) {
+  std::string out;
+  for (const auto& member : row.members())
+    out += (out.empty() ? "" : ",") + member.first;
+  return out;
+}
+
+/// What an artifact of each kind looks like at tiny_options. None of it
+/// depends on the kernel tier.
+struct Shape {
+  std::size_t cells;
+  std::string first_cell;
+  std::string last_cell;
+  std::string trials;  ///< trials_per_cell()
+  std::string keys;    ///< key_sequence() of the sampled row
+};
+
+const std::map<std::string, Shape>& pinned_shapes() {
+  static const std::map<std::string, Shape> shapes = {
+      {"table4",
+       {36, "chainer/resnet50/1", "tensorflow/alexnet/1000", "2x36",
+        "cell,trial,seed,collapsed,final_accuracy,clean_accuracy,log,"
+        "divergence,fp"}},
+      {"table5",
+       {9, "chainer/resnet50", "tensorflow/alexnet", "2x9",
+        "cell,trial,seed,rwc,collapsed,final_accuracy,clean_accuracy,log,"
+        "divergence,fp"}},
+      {"table6",
+       {18, "chainer/resnet50/maskbaseline",
+        "tensorflow/resnet50/mask11101101", "1x1,2x5,1x1,2x5,1x1,2x5",
+        "cell,trial,seed,collapsed,final_accuracy,log,fp"}},
+      {"table7",
+       {24, "chainer/resnet50/p16/1", "chainer/alexnet/p32/1000", "2x24",
+        "cell,trial,seed,collapsed,final_accuracy,log,fp"}},
+      {"table8",
+       {45, "chainer/resnet50/p16/predict0", "chainer/alexnet/p64/predict1000",
+        "1x1,2x4,1x1,2x4,1x1,2x4,1x1,2x4,1x1,2x4,1x1,2x4,1x1,2x4,1x1,2x4,"
+        "1x1,2x4",
+        "cell,trial,seed,nev,accuracy,log,fp"}},
+      {"fig2",
+       {7, "fig2/[0,63] full value", "fig2/[62,62] exponent MSB only", "2x7",
+        "cell,trial,seed,collapsed,final_accuracy,flips_applied,fp"}},
+      {"fig3",
+       {12, "chainer/resnet50/10", "tensorflow/alexnet/1000", "2x12",
+        "cell,trial,seed,curve,log,fp"}},
+      {"fig4",
+       {3, "fig4/conv1", "fig4/fc8", "2x3",
+        "cell,trial,seed,collapsed,final_accuracy,clean_accuracy,accuracy,"
+        "log,divergence,fp"}},
+      {"fig5",
+       {2, "fig5/pytorch", "fig5/tensorflow", "3x2",
+        "cell,trial,seed,layer,replayed,final_accuracy,accuracy,fp"}},
+      {"fig6",
+       {1, "fig6/propagation", "fig6/propagation", "3x1",
+        "cell,trial,seed,layer,collapsed,final_accuracy,clean_accuracy,"
+        "diff_weights,q1,median,q3,whisker_lo,whisker_hi,n_outliers,"
+        "divergence,fp"}},
+      {"fig7",
+       {20, "fig7/10x1.5", "fig7/1000x4500.0", "2x20",
+        "cell,trial,seed,accuracy,fp"}},
+      {"ablation_nev_guard",
+       {6, "ablation/100/unguarded", "ablation/1000/guard: clamp", "2x6",
+        "cell,trial,seed,collapsed,final_accuracy,fp"}},
+  };
+  return shapes;
+}
+
 class CampaignRegistry : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(CampaignRegistry, ArtifactShapeIsPinned) {
+  const std::unique_ptr<Campaign> c = Campaign::make(tiny_options(GetParam()));
+  ASSERT_FALSE(c->cells().empty());
+  c->prepare_cell(sampled_cell(*c).name);
+  const Json row = c->run_trial(sampled_cell(*c).name, sampled_trial(*c));
+  const auto pinned = pinned_shapes().find(GetParam());
+  ASSERT_NE(pinned, pinned_shapes().end()) << "no pinned shape for this kind";
+  const Shape& want = pinned->second;
+  EXPECT_EQ(c->cells().size(), want.cells);
+  EXPECT_EQ(c->cells().front().name, want.first_cell);
+  EXPECT_EQ(c->cells().back().name, want.last_cell);
+  EXPECT_EQ(trials_per_cell(*c), want.trials);
+  EXPECT_EQ(key_sequence(row), want.keys);
+}
+
+TEST_P(CampaignRegistry, RefusesCellsItDoesNotRun) {
+  const std::unique_ptr<Campaign> c = Campaign::make(tiny_options(GetParam()));
+  const TrialContext trial{0, trial_seed(1, 0)};
+  for (const std::string& cell :
+       {std::string("no/such/cell"), c->cells().front().name + "x",
+        std::string("chainer/alexnet/abc"), std::string("chainer/alexnet/7")}) {
+    EXPECT_THROW(c->prepare_cell(cell), Error) << cell;
+    EXPECT_THROW(c->run_trial(cell, trial), Error) << cell;
+  }
+}
+
+TEST_P(CampaignRegistry, RefusesModesItDoesNotRun) {
+  const std::string kind = GetParam();
+  const std::vector<std::string> runs =
+      kind == "fig4"     ? std::vector<std::string>{"train", "predict"}
+      : kind == "table7" ? std::vector<std::string>{"fp64", "fp16"}
+                         : std::vector<std::string>{"train"};
+  CampaignOptions o = tiny_options(kind);
+  for (const char* mode :
+       {"train", "predict", "fp64", "fp16", "Predict", "", "train|predict"}) {
+    o.mode = mode;
+    if (std::find(runs.begin(), runs.end(), mode) != runs.end()) {
+      EXPECT_NO_THROW(Campaign::make(o)) << mode;
+    } else {
+      EXPECT_THROW(Campaign::make(o), Error) << mode;
+    }
+  }
+}
 
 TEST_P(CampaignRegistry, ManifestRoundTripReplaysTheSameRow) {
   const std::unique_ptr<Campaign> built =
@@ -46,11 +192,8 @@ TEST_P(CampaignRegistry, ManifestRoundTripReplaysTheSameRow) {
     EXPECT_EQ(rebuilt->cells()[i].trials, built->cells()[i].trials);
   }
 
-  // Sample the last trial of a middle cell.
-  const CampaignCell& cell = built->cells()[built->cells().size() / 2];
-  const TrialContext trial{cell.trials - 1,
-                           trial_seed(built->cell_seed(cell.name),
-                                      cell.trials - 1)};
+  const CampaignCell& cell = sampled_cell(*built);
+  const TrialContext trial = sampled_trial(*built);
   built->prepare_cell(cell.name);
   rebuilt->prepare_cell(cell.name);
   const Json row = built->run_trial(cell.name, trial);
@@ -81,6 +224,43 @@ TEST(CampaignRegistryErrors, Table7RefusesAnUnknownComputePrecision) {
   CampaignOptions o = tiny_options("table7");
   o.mode = "fp8";
   EXPECT_THROW(Campaign::make(o), Error);
+}
+
+/// from_json(j) must throw FormatError naming `key`.
+void expect_refused(const Json& j, const std::string& key) {
+  try {
+    CampaignOptions::from_json(j);
+    ADD_FAILURE() << j.dump() << " must be refused";
+  } catch (const FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CampaignOptionsFromJson, RefusesNegativeSizes) {
+  for (const char* key : {"trainings", "train_images", "test_images", "width",
+                          "total_epochs", "restart_epoch", "resume_epochs"}) {
+    Json j = tiny_options("table4").to_json();
+    j[key] = -1;
+    expect_refused(j, key);
+  }
+  // The fleet coordinator reads options through the manifest.
+  Json m = campaign_manifest(*Campaign::make(tiny_options("table4")));
+  m["options"]["trainings"] = -1;
+  EXPECT_THROW(campaign_from_manifest(m), FormatError);
+}
+
+TEST(CampaignOptionsFromJson, RefusesSeedsThatAreNotPlainDecimalU64) {
+  for (const char* seed : {"-1", "42abc", " 7", "7 ", "abc", "", "+7", "0x10",
+                           "18446744073709551616"}) {
+    Json j = tiny_options("table4").to_json();
+    j["seed"] = seed;
+    expect_refused(j, "seed");
+  }
+  Json j = tiny_options("table4").to_json();
+  j["seed"] = "18446744073709551615";
+  EXPECT_EQ(CampaignOptions::from_json(j).seed,
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 }  // namespace

@@ -116,7 +116,7 @@ TEST_P(PrefixReuseParity, TrainingParityMidLayer) {
   ExperimentRunner::ProbedResume full =
       runner.resume_training_probed(full_ckpt);
   ExperimentRunner::ProbedResume prefixed =
-      runner.resume_training_probed_from_segment(prefixed_ckpt, seg);
+      runner.resume_training_probed(prefixed_ckpt, 0, seg);
 
   expect_same_result(full.result, prefixed.result);
   expect_same_weights(*full.model, *prefixed.model);
@@ -144,16 +144,9 @@ TEST_P(PrefixReuseParity, PredictionParityLastLayer) {
   ASSERT_GT(seg, 0u);
 
   const nn::EvalResult full = runner.predict(ckpt);
-  const nn::EvalResult prefixed = runner.predict_from_segment(ckpt, seg);
+  const nn::EvalResult prefixed = runner.predict(ckpt, seg);
   EXPECT_EQ(full.accuracy, prefixed.accuracy);
   EXPECT_EQ(full.nev, prefixed.nev);
-
-  // Subset prediction slices the cached boundaries with the batch stride.
-  const nn::EvalResult full_sub = runner.predict_subset(ckpt, 1, 2);
-  const nn::EvalResult prefixed_sub =
-      runner.predict_subset_from_segment(ckpt, seg, 1, 2);
-  EXPECT_EQ(full_sub.accuracy, prefixed_sub.accuracy);
-  EXPECT_EQ(full_sub.nev, prefixed_sub.nev);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAdapters, PrefixReuseParity,
@@ -178,7 +171,7 @@ std::vector<std::string> run_campaign(ExperimentRunner& runner,
         corrupt_layer(runner, ctx, "predictor/conv4", trial.seed, &log);
     const std::size_t seg = prefix ? runner.entry_segment(log) : 0;
     ExperimentRunner::ProbedResume probed =
-        runner.resume_training_probed_from_segment(ckpt, seg);
+        runner.resume_training_probed(ckpt, 0, seg);
     Json row = Json::object();
     row["final_accuracy"] = probed.result.final_accuracy;
     row["collapsed"] = probed.result.collapsed;

@@ -250,5 +250,13 @@ TEST(BenchOptions, MalformedNumericFlagExitsTwo) {
   EXPECT_EQ(run_bench("--seed="), 2);
 }
 
+TEST(BenchOptions, PrefixReuseTakesOnlyOnOrOff) {
+  // Anything but "off", "0" or "false" used to mean on, so a typo such as
+  // --prefix-reuse=of silently ran the prefixed path.
+  for (const char* v : {"of", "0", "false", "", "ON"}) {
+    EXPECT_EQ(run_bench(std::string("--prefix-reuse=") + v), 2) << v;
+  }
+}
+
 }  // namespace
 }  // namespace ckptfi::core
