@@ -1,18 +1,15 @@
-// Microbenchmarks of the compute kernels across the three backend tiers.
+// Microbenchmarks of the compute kernels.
 //
-// Every benchmark comes in a tier set pinning one backend via
-// set_kernel_backend (see docs/KERNELS.md): the reference direct-loop
-// kernels, the blocked/arena fast GEMM and im2col+GEMM convolution, and the
-// explicitly vectorized simd microkernels — all measured through the
-// dispatched entry points exactly as CKPTFI_KERNELS selects them. Shapes
-// cover the sizes the paper's models actually run — LeNet/AlexNet-scale
-// conv blocks and classifier GEMMs — plus tiny shapes, where the fast
-// dispatcher's flop threshold routes straight back to naive and that pair
-// should tie. A rectangular GEMM sweep (MLP / LeNet / ResNet-ish
-// conv-as-GEMM panels) times all three tiers on the shapes behind the
-// EXPERIMENTS.md simd-speedup table, and an fp16 phase times the
-// mixed-precision GEMM path (fp16 storage panels, fp32 accumulate) against
-// the fp64 tiers on the same shapes.
+// Every benchmark comes in a pair (see docs/KERNELS.md): the direct-loop
+// reference kernels the tests check the simd tier against
+// (tests/support/ops_naive.hpp, called directly), and the simd tier through
+// the dispatched entry points exactly as the library runs it. Shapes cover
+// the sizes the paper's models actually run — LeNet/AlexNet-scale conv
+// blocks and classifier GEMMs — plus tiny shapes. A rectangular GEMM sweep
+// (MLP / LeNet / ResNet-ish conv-as-GEMM panels) times both on the shapes
+// behind the EXPERIMENTS.md simd-speedup table, and an fp16 phase times the
+// mixed-precision GEMM path (fp16 storage panels, fp32 accumulate) on the
+// same shapes.
 //
 // Each benchmark also reports the kernel obs instrumentation it moved
 // (kernels.gemm_time / kernels.im2col_time histograms, arena gauges) from
@@ -32,6 +29,7 @@
 #include "nn/sequential.hpp"
 #include "obs/obs.hpp"
 #include "obs/probes.hpp"
+#include "support/ops_naive.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/workspace.hpp"
@@ -62,46 +60,46 @@ void probe_arena(benchmark::State& state, Fn&& fn) {
   obs::set_metrics_enabled(was_enabled);
 }
 
+/// Which side of a pair a benchmark times.
+enum class Tier { kNaive, kSimd };
+
+template <Tier T>
+void run_matmul(const Tensor& a, const Tensor& b, Tensor& c) {
+  if constexpr (T == Tier::kNaive) {
+    naive::matmul(a, b, c);
+  } else {
+    matmul(a, b, c);
+  }
+}
+
 // --------------------------------------------------------------------------
 // GEMM: C[m,n] = A[m,k] * B[k,n]. Arg is the square size; 8 covers the
-// under-threshold tiny case, 256 the classifier layers.
+// tiny case, 256 the classifier layers.
 
-template <KernelBackend Backend>
+template <Tier T>
 void gemm_bench(benchmark::State& state) {
-  set_kernel_backend(Backend);
   const auto s = static_cast<std::size_t>(state.range(0));
   Rng rng(1);
   const Tensor a = random_tensor({s, s}, rng);
   const Tensor b = random_tensor({s, s}, rng);
   Tensor c;
   for (auto _ : state) {
-    matmul(a, b, c);
+    run_matmul<T>(a, b, c);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * s * s * s));
-  if (Backend == KernelBackend::kFast)
-    probe_arena(state, [&] { matmul(a, b, c); });
 }
 
-void BM_GemmNaive(benchmark::State& state) {
-  gemm_bench<KernelBackend::kNaive>(state);
-}
+void BM_GemmNaive(benchmark::State& state) { gemm_bench<Tier::kNaive>(state); }
 BENCHMARK(BM_GemmNaive)->Arg(8)->Arg(64)->Arg(256);
 
-void BM_GemmFast(benchmark::State& state) {
-  gemm_bench<KernelBackend::kFast>(state);
-}
-BENCHMARK(BM_GemmFast)->Arg(8)->Arg(64)->Arg(256);
-
-void BM_GemmSimd(benchmark::State& state) {
-  gemm_bench<KernelBackend::kSimd>(state);
-}
+void BM_GemmSimd(benchmark::State& state) { gemm_bench<Tier::kSimd>(state); }
 BENCHMARK(BM_GemmSimd)->Arg(8)->Arg(64)->Arg(256);
 
 // --------------------------------------------------------------------------
 // Rectangular GEMM sweep over the shapes the repro's models actually hit,
-// one benchmark per tier per shape — the EXPERIMENTS.md simd-speedup table:
+// one benchmark per side per shape — the EXPERIMENTS.md simd-speedup table:
 //   Arg 0: mlp    — [16,256]x[256,256], a Dense layer at bench width
 //   Arg 1: lenet  — [16,400]x[400,120], LeNet's fc1 classifier GEMM
 //   Arg 2: resnet — [64,576]x[576,196], a 3x3x64 conv block as W x col
@@ -116,16 +114,15 @@ GemmShape gemm_shape(std::int64_t idx) {
   return shapes[idx];
 }
 
-template <KernelBackend Backend>
+template <Tier T>
 void gemm_sweep_bench(benchmark::State& state) {
-  set_kernel_backend(Backend);
   const GemmShape s = gemm_shape(state.range(0));
   Rng rng(7);
   const Tensor a = random_tensor({s.m, s.k}, rng);
   const Tensor b = random_tensor({s.k, s.n}, rng);
   Tensor c;
   for (auto _ : state) {
-    matmul(a, b, c);
+    run_matmul<T>(a, b, c);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -133,25 +130,19 @@ void gemm_sweep_bench(benchmark::State& state) {
 }
 
 void BM_GemmSweepNaive(benchmark::State& state) {
-  gemm_sweep_bench<KernelBackend::kNaive>(state);
+  gemm_sweep_bench<Tier::kNaive>(state);
 }
 BENCHMARK(BM_GemmSweepNaive)->Arg(0)->Arg(1)->Arg(2);
 
-void BM_GemmSweepFast(benchmark::State& state) {
-  gemm_sweep_bench<KernelBackend::kFast>(state);
-}
-BENCHMARK(BM_GemmSweepFast)->Arg(0)->Arg(1)->Arg(2);
-
 void BM_GemmSweepSimd(benchmark::State& state) {
-  gemm_sweep_bench<KernelBackend::kSimd>(state);
+  gemm_sweep_bench<Tier::kSimd>(state);
 }
 BENCHMARK(BM_GemmSweepSimd)->Arg(0)->Arg(1)->Arg(2);
 
 // The mixed-precision GEMM path on the same sweep shapes: fp16 storage
-// panels, fp32 FMA accumulate (MPGemmFI's shape), dispatched in front of
-// the default backend exactly as CKPTFI_GEMM_PRECISION=fp16 would.
+// panels, fp32 FMA accumulate (MPGemmFI's shape), dispatched exactly as
+// table7's fp16 compute mode runs it.
 void BM_GemmSweepFp16(benchmark::State& state) {
-  set_kernel_backend(KernelBackend::kSimd);
   set_gemm_precision(GemmPrecision::kFp16);
   const GemmShape s = gemm_shape(state.range(0));
   Rng rng(7);
@@ -170,7 +161,7 @@ BENCHMARK(BM_GemmSweepFp16)->Arg(0)->Arg(1)->Arg(2);
 
 // --------------------------------------------------------------------------
 // Convolution forward/backward at three scales:
-//   Arg 0: tiny   — 1x2x6x6,  co=2, below the fast flop threshold
+//   Arg 0: tiny   — 1x2x6x6,  co=2
 //   Arg 1: lenet  — 8x6x16x16, co=16 (the repro's LeNet block at width 6)
 //   Arg 2: alex   — 8x16x16x16, co=32 (AlexNet mid-block at bench width)
 
@@ -191,15 +182,18 @@ void conv_inputs(const ConvCase& c, Tensor& x, Tensor& w, Tensor& b) {
   b = random_tensor({c.co}, rng);
 }
 
-template <KernelBackend Backend>
+template <Tier T>
 void conv_forward_bench(benchmark::State& state) {
-  set_kernel_backend(Backend);
   const ConvCase c = conv_case(state.range(0));
   Tensor x, w, b, y;
   conv_inputs(c, x, w, b);
   const ConvSpec spec{3, 1, 1};
   for (auto _ : state) {
-    conv2d_forward(x, w, b, spec, y);
+    if constexpr (T == Tier::kNaive) {
+      naive::conv2d_forward(x, w, b, spec, y);
+    } else {
+      conv2d_forward(x, w, b, spec, y);
+    }
     benchmark::DoNotOptimize(y.data());
   }
   const std::size_t ho = spec.out_extent(c.hw);
@@ -209,28 +203,22 @@ void conv_forward_bench(benchmark::State& state) {
 }
 
 void BM_ConvForwardNaive(benchmark::State& state) {
-  conv_forward_bench<KernelBackend::kNaive>(state);
+  conv_forward_bench<Tier::kNaive>(state);
 }
 BENCHMARK(BM_ConvForwardNaive)->Arg(0)->Arg(1)->Arg(2);
 
-void BM_ConvForwardFast(benchmark::State& state) {
-  conv_forward_bench<KernelBackend::kFast>(state);
+void BM_ConvForwardSimd(benchmark::State& state) {
+  conv_forward_bench<Tier::kSimd>(state);
   const ConvCase c = conv_case(state.range(0));
   Tensor x, w, b, y;
   conv_inputs(c, x, w, b);
   probe_arena(state,
               [&] { conv2d_forward(x, w, b, ConvSpec{3, 1, 1}, y); });
 }
-BENCHMARK(BM_ConvForwardFast)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_ConvForwardSimd(benchmark::State& state) {
-  conv_forward_bench<KernelBackend::kSimd>(state);
-}
 BENCHMARK(BM_ConvForwardSimd)->Arg(0)->Arg(1)->Arg(2);
 
-template <KernelBackend Backend>
+template <Tier T>
 void conv_backward_bench(benchmark::State& state) {
-  set_kernel_backend(Backend);
   const ConvCase c = conv_case(state.range(0));
   Tensor x, w, b;
   conv_inputs(c, x, w, b);
@@ -240,7 +228,11 @@ void conv_backward_bench(benchmark::State& state) {
   const Tensor dy = random_tensor({c.n, c.co, ho, ho}, rng);
   Tensor dx(x.shape()), dw(w.shape()), db({c.co});
   for (auto _ : state) {
-    conv2d_backward(x, w, spec, dy, dx, dw, db);
+    if constexpr (T == Tier::kNaive) {
+      naive::conv2d_backward(x, w, spec, dy, dx, dw, db);
+    } else {
+      conv2d_backward(x, w, spec, dy, dx, dw, db);
+    }
     benchmark::DoNotOptimize(dx.data());
   }
   state.SetItemsProcessed(
@@ -249,17 +241,12 @@ void conv_backward_bench(benchmark::State& state) {
 }
 
 void BM_ConvBackwardNaive(benchmark::State& state) {
-  conv_backward_bench<KernelBackend::kNaive>(state);
+  conv_backward_bench<Tier::kNaive>(state);
 }
 BENCHMARK(BM_ConvBackwardNaive)->Arg(0)->Arg(1)->Arg(2);
 
-void BM_ConvBackwardFast(benchmark::State& state) {
-  conv_backward_bench<KernelBackend::kFast>(state);
-}
-BENCHMARK(BM_ConvBackwardFast)->Arg(0)->Arg(1)->Arg(2);
-
 void BM_ConvBackwardSimd(benchmark::State& state) {
-  conv_backward_bench<KernelBackend::kSimd>(state);
+  conv_backward_bench<Tier::kSimd>(state);
 }
 BENCHMARK(BM_ConvBackwardSimd)->Arg(0)->Arg(1)->Arg(2);
 
@@ -271,33 +258,18 @@ void BM_GemmAtNaive(benchmark::State& state) {
   const Tensor a = random_tensor({256, 128}, rng);
   const Tensor b = random_tensor({256, 64}, rng);
   Tensor c;
-  set_kernel_backend(KernelBackend::kNaive);
   for (auto _ : state) {
-    matmul_at(a, b, c);
+    naive::matmul_at(a, b, c);
     benchmark::DoNotOptimize(c.data());
   }
 }
 BENCHMARK(BM_GemmAtNaive);
-
-void BM_GemmAtFast(benchmark::State& state) {
-  Rng rng(4);
-  const Tensor a = random_tensor({256, 128}, rng);
-  const Tensor b = random_tensor({256, 64}, rng);
-  Tensor c;
-  set_kernel_backend(KernelBackend::kFast);
-  for (auto _ : state) {
-    matmul_at(a, b, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-}
-BENCHMARK(BM_GemmAtFast);
 
 void BM_GemmAtSimd(benchmark::State& state) {
   Rng rng(4);
   const Tensor a = random_tensor({256, 128}, rng);
   const Tensor b = random_tensor({256, 64}, rng);
   Tensor c;
-  set_kernel_backend(KernelBackend::kSimd);
   for (auto _ : state) {
     matmul_at(a, b, c);
     benchmark::DoNotOptimize(c.data());
@@ -310,33 +282,18 @@ void BM_GemmBtNaive(benchmark::State& state) {
   const Tensor a = random_tensor({128, 64}, rng);
   const Tensor b = random_tensor({256, 64}, rng);
   Tensor c;
-  set_kernel_backend(KernelBackend::kNaive);
   for (auto _ : state) {
-    matmul_bt(a, b, c);
+    naive::matmul_bt(a, b, c);
     benchmark::DoNotOptimize(c.data());
   }
 }
 BENCHMARK(BM_GemmBtNaive);
-
-void BM_GemmBtFast(benchmark::State& state) {
-  Rng rng(5);
-  const Tensor a = random_tensor({128, 64}, rng);
-  const Tensor b = random_tensor({256, 64}, rng);
-  Tensor c;
-  set_kernel_backend(KernelBackend::kFast);
-  for (auto _ : state) {
-    matmul_bt(a, b, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-}
-BENCHMARK(BM_GemmBtFast);
 
 void BM_GemmBtSimd(benchmark::State& state) {
   Rng rng(5);
   const Tensor a = random_tensor({128, 64}, rng);
   const Tensor b = random_tensor({256, 64}, rng);
   Tensor c;
-  set_kernel_backend(KernelBackend::kSimd);
   for (auto _ : state) {
     matmul_bt(a, b, c);
     benchmark::DoNotOptimize(c.data());
@@ -375,7 +332,6 @@ void BM_TrainStepProbesOff(benchmark::State& state) {
   build_probe_mlp(net, rng);
   const Tensor x = random_tensor({16, 256}, rng);
   const Tensor dy = random_tensor({16, 10}, rng);
-  set_kernel_backend(KernelBackend::kFast);
   for (auto _ : state) train_step(net, x, dy);
 }
 BENCHMARK(BM_TrainStepProbesOff);
@@ -386,7 +342,6 @@ void BM_TrainStepProbesOn(benchmark::State& state) {
   build_probe_mlp(net, rng);
   const Tensor x = random_tensor({16, 256}, rng);
   const Tensor dy = random_tensor({16, 10}, rng);
-  set_kernel_backend(KernelBackend::kFast);
   for (auto _ : state) {
     obs::Probes probes;
     probes.set_expected_steps(1);

@@ -19,9 +19,7 @@ int main(int argc, char** argv) {
   const BenchOptions opt = BenchOptions::parse(
       argc, argv, BenchOptions{},
       {{"compute-precision", &compute_precision}});
-  if (compute_precision == "fp16") {
-    set_gemm_precision(GemmPrecision::kFp16);
-  } else if (compute_precision != "fp64") {
+  if (compute_precision != "fp64" && compute_precision != "fp16") {
     std::fprintf(stderr,
                  "bench_table7: --compute-precision must be fp64 or fp16 "
                  "(got '%s')\n",
@@ -29,15 +27,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   // The compute precision rides in the campaign's mode slot: it is part of
-  // the fingerprint (fp64 and fp16 rows never cross-resume) and the kind
-  // applies it wherever the trials run, fleet workers included.
+  // the fingerprint (fp64 and fp16 rows never cross-resume) and the kind's
+  // prepare_cell applies it wherever the trials run, fleet workers included.
   const auto campaign =
-      bench::open_campaign(opt, "table7", gemm_precision_name());
+      bench::open_campaign(opt, "table7", compute_precision);
   if (campaign == nullptr) return 0;
-  bench::print_banner(
-      "Table VII: N-EV incidence at 16/32-bit precision (chainer, " +
-          std::string(gemm_precision_name()) + " compute)",
-      opt);
+  bench::print_banner("Table VII: N-EV incidence at 16/32-bit precision "
+                      "(chainer, " + compute_precision + " compute)",
+                      opt, compute_precision);
 
   core::TextTable table(
       {"precision", "model", "bit-flips", "trainings", "N-EV", "%"});

@@ -446,15 +446,19 @@ inline BenchOptions trained_defaults() {
 }
 
 /// The run-start obs event, stamped with the active kernel backend so a
-/// metrics/trace artifact records which compute path produced it. Benches
-/// that print their own banner (solver extension, micro harnesses) still
-/// call this — ckptfi-lint's obs-bench-conventions rule insists on it.
-inline void emit_run_start(const std::string& what, const BenchOptions& o) {
+/// metrics/trace artifact records which compute path produced it. A bench
+/// whose campaign applies its own GEMM precision once its cells run (table7)
+/// names it in `gemm_precision`. Benches that print their own banner (solver
+/// extension, micro harnesses) still call this — ckptfi-lint's
+/// obs-bench-conventions rule insists on it.
+inline void emit_run_start(const std::string& what, const BenchOptions& o,
+                           const std::string& gemm_precision =
+                               gemm_precision_name()) {
   Json f = Json::object();
   f["bench"] = what;
   f["kernels.backend"] = kernel_backend_name();
   f["kernels.simd_isa"] = simd_isa_name();
-  f["kernels.gemm_precision"] = gemm_precision_name();
+  f["kernels.gemm_precision"] = gemm_precision;
   f["jobs"] = o.jobs;
   f["seed"] = std::to_string(o.seed);
   obs::emit_event("run_start", std::move(f));
@@ -462,7 +466,9 @@ inline void emit_run_start(const std::string& what, const BenchOptions& o) {
 
 /// Header block naming the experiment and the scale it runs at; also stamps
 /// the run_start event.
-inline void print_banner(const std::string& what, const BenchOptions& o) {
+inline void print_banner(const std::string& what, const BenchOptions& o,
+                         const std::string& gemm_precision =
+                             gemm_precision_name()) {
   std::printf("=== %s ===\n", what.c_str());
   std::printf(
       "scale: %zu trainings/cell, %zu train images, width %zu, "
@@ -471,7 +477,7 @@ inline void print_banner(const std::string& what, const BenchOptions& o) {
       "(paper: 250 trainings, CIFAR-10 50k, full-width models, epoch 20)\n\n",
       o.trainings, o.train_images, o.width, o.restart_epoch, o.resume_epochs,
       o.jobs, o.prefix_reuse ? "on" : "off");
-  emit_run_start(what, o);
+  emit_run_start(what, o, gemm_precision);
 }
 
 }  // namespace ckptfi::bench

@@ -1,7 +1,9 @@
 #include "hdf5/npz.hpp"
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "util/common.hpp"
 #include "util/crc32.hpp"
@@ -135,23 +137,36 @@ Dataset npy_deserialize(const std::vector<std::uint8_t>& bytes) {
     throw FormatError("npy: bad shape");
   const auto close = shape_tail.find(')');
   if (close == std::string::npos) throw FormatError("npy: bad shape");
+  // Every digit run inside the parentheses is one dimension. The element
+  // count is checked against the payload bytes before anything is
+  // allocated, so a header cannot claim more than the input holds.
   std::vector<std::uint64_t> dims;
-  std::string num;
-  for (std::size_t i = 1; i <= close; ++i) {
-    const char c = shape_tail[i];
-    if (c >= '0' && c <= '9') {
-      num += c;
-    } else if (!num.empty()) {
-      dims.push_back(std::stoull(num));
-      num.clear();
+  std::uint64_t nelem = 1;
+  const char* p = shape_tail.data() + 1;
+  const char* const end = shape_tail.data() + close;
+  while (p < end) {
+    if (*p < '0' || *p > '9') {
+      ++p;
+      continue;
     }
+    std::uint64_t dim = 0;
+    const auto [next, ec] = std::from_chars(p, end, dim);
+    if (ec != std::errc()) throw FormatError("npy: shape dimension too large");
+    if (dim == 0) throw FormatError("npy: zero-sized dimension");
+    if (nelem > std::numeric_limits<std::uint64_t>::max() / dim)
+      throw FormatError("npy: shape element count overflows");
+    nelem *= dim;
+    dims.push_back(dim);
+    p = next;
   }
 
-  Dataset ds(dtype, dims.empty() ? std::vector<std::uint64_t>{} : dims);
   const std::size_t data_off = 10 + hlen;
-  if (bytes.size() - data_off != ds.raw().size())
+  const std::size_t payload = bytes.size() - data_off;
+  const std::size_t esize = dtype_size(dtype);
+  if (nelem > payload / esize || nelem * esize != payload)
     throw FormatError("npy: payload size mismatch");
-  std::memcpy(ds.raw().data(), bytes.data() + data_off, ds.raw().size());
+  Dataset ds(dtype, std::move(dims));
+  std::memcpy(ds.raw().data(), bytes.data() + data_off, payload);
   return ds;
 }
 

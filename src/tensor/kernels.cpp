@@ -11,7 +11,7 @@ namespace ckptfi {
 namespace {
 
 /// What the CPU can actually execute, independent of CKPTFI_SIMD. Used to
-/// validate set_simd_isa() requests.
+/// pick the default ISA and to validate set_simd_isa() requests.
 SimdIsa hardware_isa() {
 #if defined(__x86_64__) || defined(_M_X64)
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
@@ -24,81 +24,32 @@ SimdIsa hardware_isa() {
 #endif
 }
 
-bool simd_disabled_by_env() {
-  const char* env = std::getenv("CKPTFI_SIMD");
-  if (env == nullptr || *env == '\0') return false;
-  const std::string v(env);
-  if (v == "on" || v == "1" || v == "true") return false;
-  if (v == "off" || v == "0" || v == "false") return true;
-  throw InvalidArgument("CKPTFI_SIMD must be on|off (or 1|0, true|false), got \"" +
-                        v + "\"");
-}
-
 std::atomic<SimdIsa>& isa_slot() {
-  static std::atomic<SimdIsa> slot{simd_disabled_by_env() ? SimdIsa::kScalar
-                                                          : hardware_isa()};
+  // A throwing initializer leaves the static uninitialized, so a refused
+  // host refuses again at every later kernel call.
+  static std::atomic<SimdIsa> slot{
+      select_simd_isa(hardware_isa(), std::getenv("CKPTFI_SIMD"))};
   return slot;
 }
 
-KernelBackend backend_from_env() {
-  const char* env = std::getenv("CKPTFI_KERNELS");
-  if (env == nullptr || *env == '\0') {
-    // Default to the simd tier only when a vector ISA is live; on scalar-only
-    // hosts (or under CKPTFI_SIMD=off) fast remains the default — the scalar
-    // simd fallback is a correctness-parity path, not a perf tier.
-    return isa_slot().load(std::memory_order_relaxed) == SimdIsa::kScalar
-               ? KernelBackend::kFast
-               : KernelBackend::kSimd;
-  }
-  const std::string v(env);
-  if (v == "fast") return KernelBackend::kFast;
-  if (v == "naive") return KernelBackend::kNaive;
-  if (v == "simd") return KernelBackend::kSimd;
-  throw InvalidArgument(
-      "CKPTFI_KERNELS must be \"naive\", \"fast\" or \"simd\", got \"" + v +
-      "\"");
-}
-
-std::atomic<KernelBackend>& backend_slot() {
-  static std::atomic<KernelBackend> slot{backend_from_env()};
-  return slot;
-}
-
-GemmPrecision precision_from_env() {
-  const char* env = std::getenv("CKPTFI_GEMM_PRECISION");
-  if (env == nullptr || *env == '\0') return GemmPrecision::kFp64;
-  const std::string v(env);
-  if (v == "fp64") return GemmPrecision::kFp64;
-  if (v == "fp16") return GemmPrecision::kFp16;
-  throw InvalidArgument(
-      "CKPTFI_GEMM_PRECISION must be \"fp64\" or \"fp16\", got \"" + v + "\"");
-}
-
-std::atomic<GemmPrecision>& precision_slot() {
-  static std::atomic<GemmPrecision> slot{precision_from_env()};
-  return slot;
-}
+std::atomic<GemmPrecision> g_precision{GemmPrecision::kFp64};
 
 }  // namespace
 
-KernelBackend kernel_backend() {
-  return backend_slot().load(std::memory_order_relaxed);
-}
+const char* kernel_backend_name() { return "simd"; }
 
-void set_kernel_backend(KernelBackend backend) {
-  backend_slot().store(backend, std::memory_order_relaxed);
-}
-
-const char* kernel_backend_name() {
-  switch (kernel_backend()) {
-    case KernelBackend::kNaive:
-      return "naive";
-    case KernelBackend::kSimd:
-      return "simd";
-    case KernelBackend::kFast:
-      break;
-  }
-  return "fast";
+SimdIsa select_simd_isa(SimdIsa hardware, const char* simd_env) {
+  const std::string v = simd_env == nullptr ? "" : simd_env;
+  if (v == "off" || v == "0" || v == "false") return SimdIsa::kScalar;
+  if (!v.empty() && v != "on" && v != "1" && v != "true")
+    throw InvalidArgument(
+        "CKPTFI_SIMD must be on|off (or 1|0, true|false), got \"" + v + "\"");
+  if (hardware == SimdIsa::kScalar)
+    throw InvalidArgument(
+        "this CPU has neither AVX2+FMA nor NEON, which the kernels need; set "
+        "CKPTFI_SIMD=off to run their scalar lanes instead (bitwise-identical "
+        "results, 84-460x slower)");
+  return hardware;
 }
 
 SimdIsa simd_isa() { return isa_slot().load(std::memory_order_relaxed); }
@@ -123,11 +74,11 @@ const char* simd_isa_name() {
 }
 
 GemmPrecision gemm_precision() {
-  return precision_slot().load(std::memory_order_relaxed);
+  return g_precision.load(std::memory_order_relaxed);
 }
 
 void set_gemm_precision(GemmPrecision p) {
-  precision_slot().store(p, std::memory_order_relaxed);
+  g_precision.store(p, std::memory_order_relaxed);
 }
 
 const char* gemm_precision_name() {

@@ -1,68 +1,51 @@
-// Kernel backend selection: reference (naive), optimised (fast), and
-// vectorized (simd) compute.
+// Kernel configuration: the simd tier's instruction set and the GEMM compute
+// precision.
 //
-// The tensor layer ships three implementations of its hot kernels (GEMM and
-// 2-d convolution, see ops.hpp):
+// The tensor layer has one kernel tier, simd (ops_simd.cpp): explicitly
+// vectorized FMA microkernels (AVX2+FMA on x86-64, NEON on aarch64) behind
+// runtime CPU-feature dispatch, plus portable fixed-width scalar lanes that
+// compute the *identical* reduction order — scalar ≡ avx2 ≡ neon bitwise
+// (docs/KERNELS.md). Results are a pure function of the inputs and
+// CKPTFI_THREADS, never of scheduling or of which ISA ran them.
 //
-//   - `naive`  — the original direct-loop kernels, kept verbatim as the
-//     reference backend (ops_naive.cpp);
-//   - `fast`   — cache-blocked GEMM with panel packing and im2col/col2im
-//     convolution, parallelised over the global ThreadPool and backed by the
-//     per-thread Workspace arena (ops.cpp); bitwise-identical to naive on
-//     the GEMM family;
-//   - `simd`   — explicitly vectorized FMA microkernels (AVX2+FMA on x86-64,
-//     NEON on aarch64) behind runtime CPU-feature dispatch, with a portable
-//     fixed-width-lane scalar fallback that computes the *identical*
-//     reduction order (ops_simd.cpp). The lane-blocked order is its own
-//     documented deterministic contract — simd ≡ simd across ISAs bitwise,
-//     simd vs naive/fast to ulp-level tolerance (docs/KERNELS.md).
+// The ISA is chosen once per process by select_simd_isa(): the host's vector
+// ISA, or the scalar lanes under CKPTFI_SIMD=off. A host with no vector ISA
+// refuses at its first kernel call unless CKPTFI_SIMD=off opts into the
+// scalar lanes — same bytes, far slower (EXPERIMENTS.md).
 //
-// The backend is chosen once per process from the CKPTFI_KERNELS environment
-// variable ("naive", "fast" or "simd"; unset means simd when a vector ISA is
-// available, fast otherwise) and cached; tests and benches can override it at
-// runtime with set_kernel_backend(). CKPTFI_SIMD=off forces the simd tier
-// onto its scalar fallback (and the default backend down to fast). All
-// backends honour the same determinism contract — results are a pure
-// function of inputs and CKPTFI_THREADS, never of scheduling.
-//
-// Orthogonally, CKPTFI_GEMM_PRECISION selects the GEMM compute precision:
-// "fp64" (default) runs the selected backend in double, "fp16" routes the
-// GEMM family through the mixed-precision path (fp16 storage panels, fp32
-// accumulate — the MPGemmFI shape; ops_simd.cpp) regardless of backend.
+// GEMM compute precision is fp64 unless set_gemm_precision() selects the
+// fp16 mixed-precision path (fp16 storage panels, fp32 accumulate — the
+// MPGemmFI shape; ops_simd.cpp). Table VII's fp16 campaign mode is what
+// selects it, so the precision a campaign computes in is part of its
+// fingerprint.
 #pragma once
 
 namespace ckptfi {
 
-enum class KernelBackend {
-  kNaive,  ///< reference direct-loop kernels
-  kFast,   ///< blocked GEMM + im2col convolution
-  kSimd,   ///< vectorized lane-blocked microkernels (default where supported)
-};
-
-/// Active backend: cached CKPTFI_KERNELS on first call, or the last
-/// set_kernel_backend() override.
-KernelBackend kernel_backend();
-
-/// Override the backend for this process (tests/benches). Not thread-safe
-/// against concurrent kernel calls — flip it between runs, not during one.
-void set_kernel_backend(KernelBackend backend);
-
-/// "naive", "fast" or "simd" — stamped on run-start obs events and bench
+/// "simd", the one kernel tier — stamped on run-start obs events and bench
 /// banners.
 const char* kernel_backend_name();
 
 /// Instruction set the simd tier executes with. kScalar is the portable
-/// fallback — same lane structure, same reduction order, bitwise-identical
+/// path — same lane structure, same reduction order, bitwise-identical
 /// results to the vector paths.
 enum class SimdIsa {
-  kScalar,  ///< portable fixed-lane fallback (std::fma)
+  kScalar,  ///< portable fixed-lane path (std::fma)
   kAvx2,    ///< x86-64 AVX2 + FMA3
   kNeon,    ///< aarch64 Advanced SIMD
 };
 
-/// Active ISA for the simd tier: detected from the CPU on first call
-/// (CKPTFI_SIMD=off|0|false forces kScalar), or the last set_simd_isa()
-/// override.
+/// The ISA the simd tier runs with on a CPU offering `hardware`, given the
+/// CKPTFI_SIMD value `simd_env` (nullptr or "" when unset): off|0|false
+/// selects kScalar; unset or on|1|true selects `hardware`. Throws
+/// InvalidArgument on any other value, and when `hardware` is kScalar
+/// without the explicit CKPTFI_SIMD=off opt-in. Pure, so tests can drive
+/// every host.
+SimdIsa select_simd_isa(SimdIsa hardware, const char* simd_env);
+
+/// Active ISA: select_simd_isa(host CPU, CKPTFI_SIMD) on first call — the
+/// first kernel call, so a refused host fails there — or the last
+/// set_simd_isa() override.
 SimdIsa simd_isa();
 
 /// Override the ISA (tests pin kScalar to check scalar ≡ vector bitwise).
@@ -81,11 +64,11 @@ enum class GemmPrecision {
   kFp16,  ///< fp16 storage panels, fp32 accumulate (MPGemmFI shape)
 };
 
-/// Active GEMM precision: cached CKPTFI_GEMM_PRECISION ("fp64"/"fp16", unset
-/// means fp64) on first call, or the last set_gemm_precision() override.
+/// Active GEMM precision: kFp64 until set_gemm_precision() says otherwise.
 GemmPrecision gemm_precision();
 
-/// Override the GEMM precision for this process (tests/benches).
+/// Set the GEMM precision for this process (campaign kinds, tests, benches).
+/// Not thread-safe against concurrent kernel calls — flip it between runs.
 void set_gemm_precision(GemmPrecision p);
 
 /// "fp64" or "fp16" — stamped on run-start obs events.

@@ -5,24 +5,19 @@
 // CKPTFI_THREADS are bit-identical (the paper's methodology requires this to
 // compare corrupted vs clean runs).
 //
-// The GEMM family and the conv2d kernels each exist three times — a
-// reference direct-loop implementation (namespace naive, ops_naive.cpp), a
-// blocked / im2col implementation (namespace fast, ops.cpp), and a
-// vectorized lane-blocked implementation (namespace simd, ops_simd.cpp) with
-// runtime ISA dispatch. The unqualified entry points below dispatch on
-// kernel_backend() and gemm_precision() (see kernels.hpp); all namespaces
-// are public so the equivalence tests and bench_micro_kernels can pin one
-// side explicitly. Equivalence contract (docs/KERNELS.md):
+// The GEMM family and the conv2d kernels have one implementation, the
+// vectorized lane-blocked simd tier (namespace simd, ops_simd.cpp) with
+// runtime ISA dispatch. The unqualified GEMM entry points below route to the
+// fp16 mixed-precision path when gemm_precision() selects it (see
+// kernels.hpp) and to simd otherwise; conv2d always runs simd. Both
+// namespaces are public so tests and bench_micro_kernels can pin one side
+// explicitly. Contract (docs/KERNELS.md):
 //
-//   matmul / matmul_at / matmul_bt   fast ≡ naive bitwise (same per-element
-//                                    summation order and zero-skip)
-//   conv2d_forward / conv2d_backward fast ≡ naive to ≤1e-12 relative
-//                                    tolerance (im2col regroups the sums)
-//   simd (all kernels)               scalar fallback ≡ vector ISAs bitwise
+//   simd (all kernels)               scalar lanes ≡ vector ISAs bitwise
 //                                    (identical lane-blocked FMA order);
-//                                    simd vs naive/fast to ulp-level
-//                                    relative tolerance (FMA fuses the
-//                                    multiply-add rounding)
+//                                    ulp-level relative tolerance against
+//                                    the direct-loop reference kernels the
+//                                    tests keep (tests/support/ops_naive.hpp)
 //   fp16 (GEMM family)               mixed precision: operands quantized to
 //                                    binary16 (≡ quantize_value(v,16)),
 //                                    accumulated in fp32 lanes; scalar ≡
@@ -63,33 +58,8 @@ void conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
 void conv2d_backward(const Tensor& x, const Tensor& w, const ConvSpec& spec,
                      const Tensor& dy, Tensor& dx, Tensor& dw, Tensor& db);
 
-/// Reference backend: the original direct-loop kernels, kept verbatim.
-namespace naive {
-void matmul(const Tensor& a, const Tensor& b, Tensor& c,
-            bool accumulate = false);
-void matmul_at(const Tensor& a, const Tensor& b, Tensor& c);
-void matmul_bt(const Tensor& a, const Tensor& b, Tensor& c);
-void conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                    const ConvSpec& spec, Tensor& y);
-void conv2d_backward(const Tensor& x, const Tensor& w, const ConvSpec& spec,
-                     const Tensor& dy, Tensor& dx, Tensor& dw, Tensor& db);
-}  // namespace naive
-
-/// Optimised backend: k-blocked GEMM with arena-packed panels, pool
-/// parallelism over row/image chunks, im2col/col2im convolution.
-namespace fast {
-void matmul(const Tensor& a, const Tensor& b, Tensor& c,
-            bool accumulate = false);
-void matmul_at(const Tensor& a, const Tensor& b, Tensor& c);
-void matmul_bt(const Tensor& a, const Tensor& b, Tensor& c);
-void conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                    const ConvSpec& spec, Tensor& y);
-void conv2d_backward(const Tensor& x, const Tensor& w, const ConvSpec& spec,
-                     const Tensor& dy, Tensor& dx, Tensor& dw, Tensor& db);
-}  // namespace fast
-
-/// Vectorized backend: lane-blocked FMA microkernels (AVX2+FMA / NEON /
-/// portable scalar fallback, runtime-dispatched on simd_isa()). The
+/// The kernel tier: lane-blocked FMA microkernels (AVX2+FMA / NEON /
+/// portable scalar lanes, runtime-dispatched on simd_isa()). The
 /// fixed-width lane reduction order is the tier's own deterministic
 /// contract; conv rides im2col plus the same GEMM microkernels.
 namespace simd {
@@ -106,7 +76,7 @@ void conv2d_backward(const Tensor& x, const Tensor& w, const ConvSpec& spec,
 /// Mixed-precision GEMM family (MPGemmFI's shape): operands are quantized to
 /// IEEE binary16 storage panels (bitwise ≡ quantize_value(v, 16)) and
 /// accumulated in fp32 with the same 8-lane structure as the simd tier.
-/// Dispatched in front of every backend when gemm_precision() == kFp16.
+/// Dispatched instead of simd when gemm_precision() == kFp16.
 namespace fp16 {
 void matmul(const Tensor& a, const Tensor& b, Tensor& c,
             bool accumulate = false);

@@ -1,9 +1,9 @@
-// Internals shared by the naive, fast and simd kernel translation units.
+// Internals shared by the kernel translation units (ops.cpp, ops_simd.cpp)
+// and the reference kernels the tests check them against (tests/support).
 #pragma once
 
 #include <chrono>
 #include <cstddef>
-#include <functional>
 
 #include "obs/registry.hpp"
 #include "tensor/ops.hpp"
@@ -34,44 +34,6 @@ inline ConvDims conv_dims(const Tensor& x, const Tensor& w,
   d.wo = spec.out_extent(d.w);
   return d;
 }
-
-/// k-dimension block: one B panel (kKc rows of B) stays cache-hot while the
-/// whole row chunk sweeps over it. Blocks are visited in ascending order, so
-/// per-element summation order is unchanged by the blocking.
-inline constexpr std::size_t kKc = 256;
-
-/// Below this many flops a kernel runs single-threaded: fork/join overhead
-/// would dominate. A pure function of the operand shapes, so the
-/// serial/parallel decision never depends on runtime state.
-inline constexpr std::size_t kPoolMinFlops = std::size_t{1} << 18;
-
-/// Below this many flops the dispatcher routes to the naive kernels even
-/// under CKPTFI_KERNELS=fast — at trivial sizes the arena/packing setup is
-/// pure overhead. Also a pure function of shape (determinism).
-inline constexpr std::size_t kFastMinFlops = std::size_t{1} << 12;
-
-/// Run fn over [0, n): pool fan-out for heavy shapes, inline otherwise.
-void run_chunks(std::size_t n, bool parallel,
-                const std::function<void(std::size_t, std::size_t)>& fn);
-
-inline std::size_t gemm_flops(std::size_t m, std::size_t k, std::size_t n) {
-  return 2 * m * k * n;
-}
-
-inline std::size_t conv_flops(const ConvDims& d) {
-  return 2 * d.n * d.co * d.ho * d.wo * d.ci * d.kh * d.kw;
-}
-
-/// x image [ci,h,w] -> col [K = ci*kh*kw, P = ho*wo], row r = (ic,ky,kx) in
-/// ascending order (matching the naive accumulation order), padding as
-/// explicit zeros.
-void im2col(const double* xi, const ConvDims& d, const ConvSpec& spec,
-            double* col);
-
-/// Scatter-accumulate col [K,P] back into one pre-zeroed dx image, visiting
-/// rows in the same ascending (ic,ky,kx) order im2col wrote them.
-void col2im(const double* col, const ConvDims& d, const ConvSpec& spec,
-            double* dxi);
 
 /// Observes `name` (seconds) on destruction; a single relaxed load and no
 /// clock read when metrics are disabled.

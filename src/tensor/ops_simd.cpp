@@ -1,6 +1,6 @@
-// The simd backend: explicitly vectorized lane-blocked FMA microkernels with
+// The kernel tier: explicitly vectorized lane-blocked FMA microkernels with
 // runtime ISA dispatch (AVX2+FMA on x86-64, NEON on aarch64, portable scalar
-// fallback everywhere), plus the fp16 mixed-precision GEMM path.
+// lanes everywhere), plus the fp16 mixed-precision GEMM path.
 //
 // Deterministic contract (docs/KERNELS.md). Every kernel is built from two
 // accumulation shapes, and the scalar fallback replays them term-for-term
@@ -11,8 +11,8 @@
 //   — vectorized across output columns, which shares the broadcast operand
 //   but leaves every element's chain untouched. FMA rounds once per term
 //   (IEEE correctly-rounded), identically on every ISA. The broadcast
-//   operand keeps naive's exact-zero skip, so 0·Inf terms stay masked the
-//   way the reference backends mask them.
+//   operand keeps the reference loops' exact-zero skip, so 0·Inf terms stay
+//   masked the way they mask them.
 //
 //   dot shape (matmul_bt, conv dw/db): 8 logical lanes regardless of ISA or
 //   dtype — lane l accumulates the terms with index ≡ l (mod 8) in ascending
@@ -27,14 +27,15 @@
 // same lane-structured kernels with fp32 FMA, and widens the accumulators to
 // double on writeback — MPGemmFI's mixed-precision GEMM shape.
 //
-// Parallelism mirrors the fast backend: chunking over output rows / images
-// is a pure function of shape and worker count, conv dw/db go through
-// per-image partials reduced in ascending image order, and all scratch lives
-// in the Workspace arena (fp32/u16 panels via the typed views).
+// Parallelism: chunking over output rows / images is a pure function of
+// shape and worker count, conv dw/db go through per-image partials reduced
+// in ascending image order, and all scratch lives in the Workspace arena
+// (fp32/u16 panels via the typed views).
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
@@ -42,6 +43,7 @@
 #include "tensor/workspace.hpp"
 #include "util/common.hpp"
 #include "util/float16.hpp"
+#include "util/threadpool.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define CKPTFI_SIMD_X86 1
@@ -55,14 +57,101 @@ namespace ckptfi {
 
 namespace {
 
-using detail::col2im;
-using detail::conv_flops;
-using detail::gemm_flops;
-using detail::im2col;
-using detail::kKc;
-using detail::kPoolMinFlops;
-using detail::run_chunks;
+using detail::ConvDims;
 using detail::ScopedHistTimer;
+
+/// k-dimension block: one B panel (kKc rows of B) stays cache-hot while the
+/// whole row chunk sweeps over it. Blocks are visited in ascending order, so
+/// per-element summation order is unchanged by the blocking.
+constexpr std::size_t kKc = 256;
+
+/// Below this many flops a kernel runs single-threaded: fork/join overhead
+/// would dominate. A pure function of the operand shapes, so the
+/// serial/parallel decision never depends on runtime state.
+constexpr std::size_t kPoolMinFlops = std::size_t{1} << 18;
+
+std::size_t gemm_flops(std::size_t m, std::size_t k, std::size_t n) {
+  return 2 * m * k * n;
+}
+
+std::size_t conv_flops(const ConvDims& d) {
+  return 2 * d.n * d.co * d.ho * d.wo * d.ci * d.kh * d.kw;
+}
+
+/// Run fn over [0, n): pool fan-out for heavy shapes, inline otherwise.
+void run_chunks(std::size_t n, bool parallel,
+                const std::function<void(std::size_t, std::size_t)>& fn) {
+  if (parallel) {
+    ThreadPool::global().parallel_for(n, fn);
+  } else {
+    fn(0, n);
+  }
+}
+
+/// x image [ci,h,w] -> col [K = ci*kh*kw, P = ho*wo], row r = (ic,ky,kx) in
+/// ascending order (the reference kernels' accumulation order), padding as
+/// explicit zeros.
+void im2col(const double* xi, const ConvDims& d, const ConvSpec& spec,
+            double* col) {
+  double* out = col;
+  for (std::size_t ic = 0; ic < d.ci; ++ic) {
+    const double* xmap = xi + ic * d.h * d.w;
+    for (std::size_t ky = 0; ky < d.kh; ++ky) {
+      for (std::size_t kx = 0; kx < d.kw; ++kx) {
+        for (std::size_t oy = 0; oy < d.ho; ++oy) {
+          const std::ptrdiff_t iy =
+              static_cast<std::ptrdiff_t>(oy * spec.stride + ky) -
+              static_cast<std::ptrdiff_t>(spec.pad);
+          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(d.h)) {
+            for (std::size_t ox = 0; ox < d.wo; ++ox) *out++ = 0.0;
+            continue;
+          }
+          const double* xrow = xmap + static_cast<std::size_t>(iy) * d.w;
+          for (std::size_t ox = 0; ox < d.wo; ++ox) {
+            const std::ptrdiff_t ix =
+                static_cast<std::ptrdiff_t>(ox * spec.stride + kx) -
+                static_cast<std::ptrdiff_t>(spec.pad);
+            *out++ = (ix < 0 || ix >= static_cast<std::ptrdiff_t>(d.w))
+                         ? 0.0
+                         : xrow[static_cast<std::size_t>(ix)];
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Scatter-accumulate col [K,P] back into one pre-zeroed dx image, visiting
+/// rows in the same ascending (ic,ky,kx) order im2col wrote them.
+void col2im(const double* col, const ConvDims& d, const ConvSpec& spec,
+            double* dxi) {
+  const double* in = col;
+  for (std::size_t ic = 0; ic < d.ci; ++ic) {
+    double* dxmap = dxi + ic * d.h * d.w;
+    for (std::size_t ky = 0; ky < d.kh; ++ky) {
+      for (std::size_t kx = 0; kx < d.kw; ++kx) {
+        for (std::size_t oy = 0; oy < d.ho; ++oy) {
+          const std::ptrdiff_t iy =
+              static_cast<std::ptrdiff_t>(oy * spec.stride + ky) -
+              static_cast<std::ptrdiff_t>(spec.pad);
+          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(d.h)) {
+            in += d.wo;
+            continue;
+          }
+          double* dxrow = dxmap + static_cast<std::size_t>(iy) * d.w;
+          for (std::size_t ox = 0; ox < d.wo; ++ox) {
+            const std::ptrdiff_t ix =
+                static_cast<std::ptrdiff_t>(ox * spec.stride + kx) -
+                static_cast<std::ptrdiff_t>(spec.pad);
+            const double v = *in++;
+            if (ix >= 0 && ix < static_cast<std::ptrdiff_t>(d.w))
+              dxrow[static_cast<std::size_t>(ix)] += v;
+          }
+        }
+      }
+    }
+  }
+}
 
 /// Logical accumulator lanes per dot product — the documented reduction
 /// width, independent of ISA and dtype.
@@ -838,10 +927,10 @@ void conv2d_backward(const Tensor& x, const Tensor& w, const ConvSpec& spec,
   const GemmAtRowsFn at = pick_gemm_at_rows();
   const RowSumsFn sums = pick_row_sums();
 
-  // Per-image dw/db partials reduced in ascending image order afterwards —
-  // the same --jobs N ≡ --jobs 1 mechanism as the fast backend. Partials
-  // live in the calling thread's arena; workers use their own arenas for
-  // im2col/dcol scratch only.
+  // Per-image dw/db partials reduced in ascending image order afterwards, so
+  // the result does not depend on how images were chunked (--jobs N ≡
+  // --jobs 1). Partials live in the calling thread's arena; workers use
+  // their own arenas for im2col/dcol scratch only.
   const std::size_t part_stride = d.co * K + d.co;
   Workspace& cws = Workspace::tls();
   Workspace::Scope cscope(cws);

@@ -1,7 +1,7 @@
 // Per-thread bump-allocator arena for kernel scratch memory.
 //
-// The fast kernels (see kernels.hpp) need transient buffers on every call:
-// im2col/col2im matrices, packed GEMM panels, per-image gradient partials.
+// The kernels (see ops.hpp) need transient buffers on every call:
+// im2col/col2im matrices, fp16/fp32 GEMM panels, per-image gradient partials.
 // Allocating those from the heap per batch is exactly the allocation spike
 // behind the trainer.batch_time p99-vs-p50 spread, so they come from a
 // thread-local arena instead:

@@ -1,8 +1,11 @@
 #include "hdf5/npz.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "util/common.hpp"
 
@@ -19,6 +22,43 @@ File sample() {
   f.create_dataset("meta/iters", DType::I64, {1}).set_int(0, 777);
   f.create_dataset("meta/half", DType::F16, {4}).write_doubles({1, 2, 3, 4});
   return f;
+}
+
+/// A v1.0 NPY file holding `header` verbatim and no payload.
+std::vector<std::uint8_t> npy_with_header(const std::string& header) {
+  const std::string file = std::string("\x93NUMPY\x01\x00", 8) +
+                           static_cast<char>(header.size() & 0xff) +
+                           static_cast<char>(header.size() >> 8) + header;
+  return std::vector<std::uint8_t>(file.begin(), file.end());
+}
+
+/// Runs `fn` with the address space capped 512 MiB above what the process
+/// maps now, so an allocation the input cannot justify throws bad_alloc
+/// instead of quietly succeeding. ASan reserves terabytes of shadow memory
+/// up front, so its builds run uncapped.
+template <typename Fn>
+void with_address_space_cap(Fn&& fn) {
+#if defined(__SANITIZE_ADDRESS__)
+  fn();
+#else
+  std::size_t pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  rlimit old{};
+  ASSERT_EQ(getrlimit(RLIMIT_AS, &old), 0);
+  rlimit capped = old;
+  capped.rlim_cur = pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE)) +
+                    (std::size_t{512} << 20);
+  if (old.rlim_cur != RLIM_INFINITY && old.rlim_cur < capped.rlim_cur)
+    capped.rlim_cur = old.rlim_cur;
+  ASSERT_EQ(setrlimit(RLIMIT_AS, &capped), 0);
+  try {
+    fn();
+  } catch (...) {
+    setrlimit(RLIMIT_AS, &old);
+    throw;
+  }
+  setrlimit(RLIMIT_AS, &old);
+#endif
 }
 
 TEST(Npy, SingleArrayRoundTrip) {
@@ -67,6 +107,18 @@ TEST(Npy, RejectsBadInput) {
   auto truncated = npy_serialize(Dataset(DType::F32, {2}));
   truncated.pop_back();
   EXPECT_THROW(npy_deserialize(truncated), FormatError);
+  // Shapes no payload can back: 2^62 f8 elements wrap the byte count to 0,
+  // a 21-digit dim does not fit 64 bits, and 2^27 elements (1 GiB) must be
+  // refused before the dataset is allocated.
+  for (const std::string shape :
+       {"(4611686018427387904,)", "(123456789012345678901,)", "(134217728,)"}) {
+    const std::vector<std::uint8_t> header_only = npy_with_header(
+        "{'descr': '<f8', 'fortran_order': False, 'shape': " + shape + ", }");
+    EXPECT_THROW(
+        with_address_space_cap([&] { npy_deserialize(header_only); }),
+        FormatError)
+        << shape;
+  }
 }
 
 TEST(Npz, RoundTripPreservesDatasets) {

@@ -1,16 +1,14 @@
-// Pipeline-level contract of the kernel backends (docs/KERNELS.md):
+// Pipeline-level contract of the simd kernel tier (docs/KERNELS.md):
 //
-//   - training under the fast and simd backends is deterministic: two
-//     runners with identical seeds produce bitwise-identical checkpoint
-//     bytes — and for simd, the vector ISA and the portable scalar fallback
-//     produce bitwise-identical *trained checkpoints*, not just kernel
-//     outputs;
-//   - the paper-table pipeline classifies trials identically under naive,
-//     fast and simd kernels — and under the fp16 mixed-precision compute
-//     path — the same corruptions collapse (N-EV) or survive, so every
-//     table in the evaluation is backend- and precision-invariant;
+//   - training is deterministic: two runners with identical seeds produce
+//     bitwise-identical checkpoint bytes — and the vector ISA and the
+//     portable scalar lanes produce bitwise-identical *trained checkpoints*,
+//     not just kernel outputs;
+//   - the paper-table pipeline classifies trials identically under fp64 and
+//     the fp16 mixed-precision compute path: the same corruptions collapse
+//     (N-EV) or survive;
 //   - a mini injection campaign produces identical per-trial results under
-//     --jobs 8 and --jobs 1 on every tier.
+//     --jobs 8 and --jobs 1.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,17 +37,6 @@ ExperimentConfig tiny_config() {
   return cfg;
 }
 
-class BackendGuard {
- public:
-  explicit BackendGuard(KernelBackend b) : prev_(kernel_backend()) {
-    set_kernel_backend(b);
-  }
-  ~BackendGuard() { set_kernel_backend(prev_); }
-
- private:
-  KernelBackend prev_;
-};
-
 class IsaGuard {
  public:
   explicit IsaGuard(SimdIsa isa) : prev_(simd_isa()) { set_simd_isa(isa); }
@@ -70,21 +57,11 @@ class PrecisionGuard {
   GemmPrecision prev_;
 };
 
-// Two independent runners, same seed, same backend: the trained checkpoint
-// bytes must be identical down to the last bit. This is the property the
-// paper's methodology rests on (clean vs corrupted runs are comparable),
-// and the property CKPTFI_THREADS-fixed parallel kernels must preserve.
-TEST(KernelBackendPipeline, FastCheckpointBitwiseDeterministic) {
-  BackendGuard guard(KernelBackend::kFast);
-  ExperimentRunner first(tiny_config());
-  ExperimentRunner second(tiny_config());
-  const std::vector<std::uint8_t> a = first.restart_checkpoint().serialize();
-  const std::vector<std::uint8_t> b = second.restart_checkpoint().serialize();
-  EXPECT_EQ(a, b);
-}
-
-TEST(KernelBackendPipeline, SimdCheckpointBitwiseDeterministic) {
-  BackendGuard guard(KernelBackend::kSimd);
+// Two independent runners, same seed: the trained checkpoint bytes must be
+// identical down to the last bit. This is the property the paper's
+// methodology rests on (clean vs corrupted runs are comparable), and the
+// property CKPTFI_THREADS-fixed parallel kernels must preserve.
+TEST(KernelPipeline, SimdCheckpointBitwiseDeterministic) {
   ExperimentRunner first(tiny_config());
   ExperimentRunner second(tiny_config());
   const std::vector<std::uint8_t> a = first.restart_checkpoint().serialize();
@@ -94,10 +71,9 @@ TEST(KernelBackendPipeline, SimdCheckpointBitwiseDeterministic) {
 
 // The simd tier's cross-ISA contract at pipeline scale: a full training run
 // on the vector ISA and one on the portable scalar fallback must produce
-// the *same checkpoint bytes*. (On hosts with no vector ISA both runs take
-// the scalar path and the test still pins run-to-run determinism.)
-TEST(KernelBackendPipeline, SimdScalarFallbackTrainsBitwiseIdentically) {
-  BackendGuard guard(KernelBackend::kSimd);
+// the *same checkpoint bytes*. (Under CKPTFI_SIMD=off both runs take the
+// scalar path and the test still pins run-to-run determinism.)
+TEST(KernelPipeline, SimdScalarFallbackTrainsBitwiseIdentically) {
   std::vector<std::uint8_t> vec_bytes, scalar_bytes;
   {
     ExperimentRunner runner(tiny_config());
@@ -113,22 +89,18 @@ TEST(KernelBackendPipeline, SimdScalarFallbackTrainsBitwiseIdentically) {
 
 struct Outcome {
   bool baseline_collapsed = false;
-  double baseline_accuracy = 0.0;
   std::vector<bool> collapsed;
 };
 
-// The same injection campaign, replayed under a backend (and optionally the
-// fp16 compute path): collapse (N-EV) is driven by corrupted values orders
-// of magnitude outside any backend's ulp-level drift.
-Outcome run_campaign(KernelBackend backend, GemmPrecision precision) {
-  BackendGuard guard(backend);
+// The same injection campaign, replayed at a GEMM precision: collapse (N-EV)
+// is driven by corrupted values orders of magnitude outside fp16 rounding.
+Outcome run_campaign(GemmPrecision precision) {
   PrecisionGuard pguard(precision);
   ExperimentRunner runner(tiny_config());
   Outcome out;
   const nn::TrainResult clean =
       runner.resume_training(runner.restart_checkpoint(), 1);
   out.baseline_collapsed = clean.collapsed;
-  out.baseline_accuracy = clean.final_accuracy;
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     // Exponent-MSB flips: reliably collapsing, as in Fig. 2.
     mh5::File ckpt = runner.restart_checkpoint();
@@ -151,76 +123,51 @@ Outcome run_campaign(KernelBackend backend, GemmPrecision precision) {
   return out;
 }
 
-TEST(KernelBackendPipeline, AllThreeTiersAgreeOnTrialClassification) {
-  const Outcome naive =
-      run_campaign(KernelBackend::kNaive, GemmPrecision::kFp64);
-  const Outcome fast = run_campaign(KernelBackend::kFast, GemmPrecision::kFp64);
-  const Outcome simd = run_campaign(KernelBackend::kSimd, GemmPrecision::kFp64);
-  EXPECT_FALSE(naive.baseline_collapsed);
-  EXPECT_EQ(naive.baseline_collapsed, fast.baseline_collapsed);
-  EXPECT_EQ(naive.baseline_collapsed, simd.baseline_collapsed);
-  // Checkpoints differ only at ulp level between backends, so the discrete
-  // top-1 accuracy on the shared test set should rarely move; allow one
-  // borderline image to flip.
-  EXPECT_NEAR(naive.baseline_accuracy, fast.baseline_accuracy,
-              1.0 / 32 + 1e-12);
-  EXPECT_NEAR(naive.baseline_accuracy, simd.baseline_accuracy,
-              1.0 / 32 + 1e-12);
-  EXPECT_EQ(naive.collapsed, fast.collapsed);
-  EXPECT_EQ(naive.collapsed, simd.collapsed);
-}
-
 // Table VII's axis, computed for real: under fp16 mixed-precision GEMM the
 // corrupted values flow through genuine binary16 representations, yet the
 // N-EV classification must match the fp64 campaign — quantization noise is
 // still orders of magnitude below a flipped exponent MSB, and mantissa
 // flips stay benign.
-TEST(KernelBackendPipeline, Fp16ComputeAgreesOnTrialClassification) {
-  const Outcome fp64 = run_campaign(kernel_backend(), GemmPrecision::kFp64);
-  const Outcome fp16 = run_campaign(kernel_backend(), GemmPrecision::kFp16);
+TEST(KernelPipeline, Fp16ComputeAgreesOnTrialClassification) {
+  const Outcome fp64 = run_campaign(GemmPrecision::kFp64);
+  const Outcome fp16 = run_campaign(GemmPrecision::kFp16);
   EXPECT_FALSE(fp16.baseline_collapsed);
   EXPECT_EQ(fp64.collapsed, fp16.collapsed);
 }
 
-// --jobs 8 ≡ --jobs 1 on every tier: a mini campaign fanned out over a
-// ThreadPool must reproduce the serial per-trial results exactly (collapse
-// flags and bitwise-equal final accuracies).
-TEST(KernelBackendPipeline, JobsInvarianceHoldsOnEveryTier) {
-  for (const KernelBackend backend :
-       {KernelBackend::kNaive, KernelBackend::kFast, KernelBackend::kSimd}) {
-    BackendGuard guard(backend);
-    ExperimentRunner runner(tiny_config());
-    constexpr std::size_t kTrials = 4;
-    auto campaign = [&](std::size_t jobs, ThreadPool* pool) {
-      std::vector<double> accuracy(kTrials);
-      std::vector<bool> collapsed(kTrials);
-      TrialScheduler::Config sc;
-      sc.jobs = jobs;
-      sc.campaign_seed = 77;
-      sc.pool = pool;
-      TrialScheduler(sc).run(kTrials, [&](const TrialContext& trial) {
-        mh5::File ckpt = runner.restart_checkpoint();
-        CorrupterConfig cc;
-        cc.injection_attempts = 200;
-        cc.corruption_mode = CorruptionMode::BitRange;
-        cc.first_bit = 0;
-        cc.last_bit = 61;
-        cc.seed = trial.seed;
-        Corrupter(cc).corrupt(ckpt);
-        const nn::TrainResult r = runner.resume_training(ckpt, 1);
-        accuracy[trial.index] = r.final_accuracy;
-        collapsed[trial.index] = r.collapsed;
-      });
-      return std::make_pair(accuracy, collapsed);
-    };
-    const auto serial = campaign(1, nullptr);
-    ThreadPool pool(8);
-    const auto fanned = campaign(8, &pool);
-    EXPECT_EQ(serial.first, fanned.first)
-        << "backend=" << kernel_backend_name();
-    EXPECT_EQ(serial.second, fanned.second)
-        << "backend=" << kernel_backend_name();
-  }
+// --jobs 8 ≡ --jobs 1: a mini campaign fanned out over a ThreadPool must
+// reproduce the serial per-trial results exactly (collapse flags and
+// bitwise-equal final accuracies).
+TEST(KernelPipeline, JobsInvarianceHolds) {
+  ExperimentRunner runner(tiny_config());
+  constexpr std::size_t kTrials = 4;
+  auto campaign = [&](std::size_t jobs, ThreadPool* pool) {
+    std::vector<double> accuracy(kTrials);
+    std::vector<bool> collapsed(kTrials);
+    TrialScheduler::Config sc;
+    sc.jobs = jobs;
+    sc.campaign_seed = 77;
+    sc.pool = pool;
+    TrialScheduler(sc).run(kTrials, [&](const TrialContext& trial) {
+      mh5::File ckpt = runner.restart_checkpoint();
+      CorrupterConfig cc;
+      cc.injection_attempts = 200;
+      cc.corruption_mode = CorruptionMode::BitRange;
+      cc.first_bit = 0;
+      cc.last_bit = 61;
+      cc.seed = trial.seed;
+      Corrupter(cc).corrupt(ckpt);
+      const nn::TrainResult r = runner.resume_training(ckpt, 1);
+      accuracy[trial.index] = r.final_accuracy;
+      collapsed[trial.index] = r.collapsed;
+    });
+    return std::make_pair(accuracy, collapsed);
+  };
+  const auto serial = campaign(1, nullptr);
+  ThreadPool pool(8);
+  const auto fanned = campaign(8, &pool);
+  EXPECT_EQ(serial.first, fanned.first);
+  EXPECT_EQ(serial.second, fanned.second);
 }
 
 }  // namespace

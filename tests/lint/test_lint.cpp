@@ -196,6 +196,22 @@ TEST(LintScopes, DumpListsEveryTableAndMatchesDocs) {
     EXPECT_NE(doc.find(entry), std::string::npos)
         << "scope entry not documented in docs/LINT.md: " << entry;
   }
+
+  // ...and every file the doc lists as a kernel hot path is in the table,
+  // so a file dropped from the table cannot linger in the doc.
+  const auto para = doc.find("**Kernel hot paths**");
+  ASSERT_NE(para, std::string::npos);
+  const std::string hot = doc.substr(para, doc.find("\n\n", para) - para);
+  for (auto open = hot.find('`'); open != std::string::npos;) {
+    const auto close = hot.find('`', open + 1);
+    ASSERT_NE(close, std::string::npos);
+    const std::string path = hot.substr(open + 1, close - open - 1);
+    if (path.rfind("src/", 0) == 0) {
+      EXPECT_TRUE(is_kernel_hot_path(path))
+          << "docs/LINT.md lists a kernel hot path the table lacks: " << path;
+    }
+    open = hot.find('`', close + 1);
+  }
 }
 
 TEST(LintScopes, PredicatesReadTheTables) {
@@ -206,7 +222,7 @@ TEST(LintScopes, PredicatesReadTheTables) {
   EXPECT_FALSE(is_kernel_hot_path("src/tensor/tensor.cpp"));
   EXPECT_TRUE(is_entropy_barrier("ckptfi::obs::emit_event"));
   EXPECT_TRUE(is_heap_barrier("ckptfi::Workspace::tls"));
-  EXPECT_FALSE(is_heap_barrier("ckptfi::naive::matmul"));
+  EXPECT_FALSE(is_heap_barrier("ckptfi::simd::matmul"));
 }
 
 TEST(LintCache, WarmRunReplaysAndTouchedFileReindexes) {

@@ -1,15 +1,14 @@
-// Equivalence and determinism contract for the fast and simd kernel
-// backends (docs/KERNELS.md):
+// Equivalence and determinism contract for the simd kernel tier
+// (docs/KERNELS.md):
 //
-//   - matmul / matmul_at / matmul_bt: fast is BITWISE identical to naive
-//     (same per-element summation order and zero-skip), at every shape —
-//     including the ones large enough to take the blocked/parallel path;
-//   - conv2d forward/backward: fast (im2col+GEMM) matches naive to <= 1e-12
-//     relative tolerance (the sums are regrouped, so only ulp-level drift);
-//   - simd: the portable scalar fallback is BITWISE identical to the vector
+//   - ISA selection: a host without a vector ISA refuses unless
+//     CKPTFI_SIMD=off opts into the scalar lanes;
+//   - the unqualified GEMM entry points run simd at fp64 and the fp16 path
+//     when gemm_precision() selects it; conv2d runs simd at either precision;
+//   - simd: the portable scalar lanes are BITWISE identical to the vector
 //     ISA (the lane-blocked FMA order *is* the tier's contract), and simd
-//     matches naive to <= 1e-12 relative (FMA fuses the multiply-add
-//     rounding);
+//     matches the direct-loop reference kernels (support/ops_naive.hpp) to
+//     <= 1e-12 relative (FMA fuses the multiply-add rounding);
 //   - fp16: the mixed-precision GEMM path quantizes operands exactly like
 //     quantize_value(v, 16) and accumulates in fp32 with the documented
 //     8-lane order; scalar ≡ vector bitwise here too;
@@ -23,11 +22,14 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "support/ops_naive.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/quantize.hpp"
 #include "tensor/workspace.hpp"
+#include "util/common.hpp"
 #include "util/rng.hpp"
 
 namespace ckptfi {
@@ -59,18 +61,6 @@ void expect_rel_close(const Tensor& a, const Tensor& b, double tol = 1e-12) {
   }
 }
 
-/// Pins the backend for a test body and restores the previous one after.
-class BackendGuard {
- public:
-  explicit BackendGuard(KernelBackend b) : prev_(kernel_backend()) {
-    set_kernel_backend(b);
-  }
-  ~BackendGuard() { set_kernel_backend(prev_); }
-
- private:
-  KernelBackend prev_;
-};
-
 /// Pins the simd tier's ISA (kScalar is always available) and restores.
 class IsaGuard {
  public:
@@ -94,44 +84,48 @@ class PrecisionGuard {
 };
 
 // ---------------------------------------------------------------------------
-// Backend selection.
+// ISA selection: a pure function of (hardware ISA, CKPTFI_SIMD).
 
-TEST(KernelBackend, SetAndName) {
-  BackendGuard guard(KernelBackend::kNaive);
-  EXPECT_EQ(kernel_backend(), KernelBackend::kNaive);
-  EXPECT_STREQ(kernel_backend_name(), "naive");
-  set_kernel_backend(KernelBackend::kFast);
-  EXPECT_EQ(kernel_backend(), KernelBackend::kFast);
-  EXPECT_STREQ(kernel_backend_name(), "fast");
-}
-
-TEST(KernelBackend, DispatcherRoutesByBackend) {
-  Rng rng(11);
-  const Tensor a = random_tensor({40, 50}, rng);
-  const Tensor b = random_tensor({50, 30}, rng);
-  Tensor expect;
-  naive::matmul(a, b, expect);
-  for (const KernelBackend backend :
-       {KernelBackend::kNaive, KernelBackend::kFast}) {
-    BackendGuard guard(backend);
-    Tensor c;
-    matmul(a, b, c);
-    expect_bitwise(c, expect);  // naive and fast agree bitwise on GEMM
-  }
-  // The simd tier has its own (FMA, lane-blocked) summation order: the
-  // dispatcher must reproduce simd::matmul exactly, and the result must sit
-  // within ulp-level drift of the reference backends.
-  {
-    BackendGuard guard(KernelBackend::kSimd);
-    Tensor expect_simd, c;
-    simd::matmul(a, b, expect_simd);
-    matmul(a, b, c);
-    expect_bitwise(c, expect_simd);
-    expect_rel_close(c, expect);
+TEST(SimdIsaSelection, NoVectorIsaWithoutOptInRefuses) {
+  for (const char* env :
+       {static_cast<const char*>(nullptr), "", "on", "1", "true"}) {
+    try {
+      select_simd_isa(SimdIsa::kScalar, env);
+      ADD_FAILURE() << "no refusal for CKPTFI_SIMD=" << (env ? env : "(unset)");
+    } catch (const InvalidArgument& e) {
+      // The refusal names the explicit opt-in.
+      EXPECT_NE(std::string(e.what()).find("CKPTFI_SIMD=off"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
-TEST(KernelBackend, SimdIsaNameAndScalarOverride) {
+TEST(SimdIsaSelection, OffSelectsScalarLanesOnEveryHost) {
+  for (const char* env : {"off", "0", "false"}) {
+    EXPECT_EQ(select_simd_isa(SimdIsa::kScalar, env), SimdIsa::kScalar);
+    EXPECT_EQ(select_simd_isa(SimdIsa::kAvx2, env), SimdIsa::kScalar);
+    EXPECT_EQ(select_simd_isa(SimdIsa::kNeon, env), SimdIsa::kScalar);
+  }
+}
+
+TEST(SimdIsaSelection, VectorHostRunsItsIsaByDefault) {
+  for (const char* env :
+       {static_cast<const char*>(nullptr), "", "on", "1", "true"}) {
+    EXPECT_EQ(select_simd_isa(SimdIsa::kAvx2, env), SimdIsa::kAvx2);
+    EXPECT_EQ(select_simd_isa(SimdIsa::kNeon, env), SimdIsa::kNeon);
+  }
+}
+
+TEST(SimdIsaSelection, BadValueRefuses) {
+  for (const SimdIsa hw : {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kNeon}) {
+    EXPECT_THROW(select_simd_isa(hw, "fast"), InvalidArgument);
+    EXPECT_THROW(select_simd_isa(hw, "OFF"), InvalidArgument);
+  }
+}
+
+TEST(SimdIsaSelection, NameAndScalarOverride) {
+  EXPECT_STREQ(kernel_backend_name(), "simd");
   const SimdIsa detected = simd_isa();
   {
     IsaGuard guard(SimdIsa::kScalar);
@@ -141,147 +135,38 @@ TEST(KernelBackend, SimdIsaNameAndScalarOverride) {
   EXPECT_EQ(simd_isa(), detected);  // guard restored the detected ISA
 }
 
-TEST(KernelBackend, GemmPrecisionRoutesInFrontOfEveryBackend) {
+TEST(KernelDispatch, GemmFollowsPrecision) {
   Rng rng(12);
   const Tensor a = random_tensor({24, 40}, rng);
   const Tensor b = random_tensor({40, 16}, rng);
-  Tensor expect16;
+  Tensor expect64, expect16, c;
+  simd::matmul(a, b, expect64);
   fp16::matmul(a, b, expect16);
+  EXPECT_STREQ(gemm_precision_name(), "fp64");
+  matmul(a, b, c);
+  expect_bitwise(c, expect64);
   PrecisionGuard precision(GemmPrecision::kFp16);
   EXPECT_STREQ(gemm_precision_name(), "fp16");
-  for (const KernelBackend backend :
-       {KernelBackend::kNaive, KernelBackend::kFast, KernelBackend::kSimd}) {
-    BackendGuard guard(backend);
-    Tensor c;
-    matmul(a, b, c);
-    expect_bitwise(c, expect16);  // precision knob trumps the backend
-  }
+  matmul(a, b, c);
+  expect_bitwise(c, expect16);
 }
-
-// ---------------------------------------------------------------------------
-// GEMM family: fast is bitwise identical to naive.
-
-struct GemmShape {
-  std::size_t m, k, n;
-};
-
-class GemmEquivalence : public ::testing::TestWithParam<GemmShape> {};
-
-TEST_P(GemmEquivalence, MatmulBitwise) {
-  const auto [m, k, n] = GetParam();
-  Rng rng(101 + m + k + n);
-  Tensor a = random_tensor({m, k}, rng);
-  const Tensor b = random_tensor({k, n}, rng);
-  sprinkle_zeros(a, rng);  // zero-skip is on the A operand
-  Tensor cn, cf;
-  naive::matmul(a, b, cn);
-  fast::matmul(a, b, cf);
-  expect_bitwise(cf, cn);
-  // accumulate=true on top of an existing C.
-  Tensor base = random_tensor({m, n}, rng);
-  Tensor an = base, af = base;
-  naive::matmul(a, b, an, /*accumulate=*/true);
-  fast::matmul(a, b, af, /*accumulate=*/true);
-  expect_bitwise(af, an);
-}
-
-TEST_P(GemmEquivalence, MatmulAtBitwise) {
-  const auto [m, k, n] = GetParam();
-  Rng rng(202 + m + k + n);
-  Tensor a = random_tensor({k, m}, rng);  // A is [k, m], used transposed
-  const Tensor b = random_tensor({k, n}, rng);
-  sprinkle_zeros(a, rng);
-  Tensor cn, cf;
-  naive::matmul_at(a, b, cn);
-  fast::matmul_at(a, b, cf);
-  expect_bitwise(cf, cn);
-}
-
-TEST_P(GemmEquivalence, MatmulBtBitwise) {
-  const auto [m, k, n] = GetParam();
-  Rng rng(303 + m + k + n);
-  Tensor a = random_tensor({m, n}, rng);  // C[m,k] = A[m,n] * B[k,n]^T
-  const Tensor b = random_tensor({k, n}, rng);
-  Tensor cn, cf;
-  naive::matmul_bt(a, b, cn);
-  fast::matmul_bt(a, b, cf);
-  expect_bitwise(cf, cn);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, GemmEquivalence,
-    ::testing::Values(GemmShape{1, 1, 1},      // single element
-                      GemmShape{7, 5, 9},      // small odd
-                      GemmShape{13, 17, 3},    // below fast threshold
-                      GemmShape{33, 70, 41},   // odd, above fast threshold
-                      GemmShape{64, 64, 64},   // pool path
-                      GemmShape{8, 301, 5},    // k > one block, odd n
-                      GemmShape{128, 300, 65},  // k-blocked + pool path
-                      GemmShape{0, 5, 4},      // empty m
-                      GemmShape{5, 0, 4},      // empty k: all-zero result
-                      GemmShape{5, 4, 0}));    // empty n
-
-// ---------------------------------------------------------------------------
-// Convolution: fast (im2col+GEMM) matches naive to <= 1e-12 relative.
-
-struct ConvShape {
-  std::size_t n, ci, h, w, co;
-  std::size_t kernel, stride, pad;
-};
-
-class ConvEquivalence : public ::testing::TestWithParam<ConvShape> {};
-
-TEST_P(ConvEquivalence, ForwardRelTol) {
-  const ConvShape s = GetParam();
-  Rng rng(404 + s.h * 7 + s.kernel);
-  const Tensor x = random_tensor({s.n, s.ci, s.h, s.w}, rng);
-  const Tensor w = random_tensor({s.co, s.ci, s.kernel, s.kernel}, rng);
-  const Tensor b = random_tensor({s.co}, rng);
-  const ConvSpec spec{s.kernel, s.stride, s.pad};
-  Tensor yn, yf;
-  naive::conv2d_forward(x, w, b, spec, yn);
-  fast::conv2d_forward(x, w, b, spec, yf);
-  expect_rel_close(yf, yn);
-}
-
-TEST_P(ConvEquivalence, BackwardRelTol) {
-  const ConvShape s = GetParam();
-  Rng rng(505 + s.h * 7 + s.kernel);
-  const Tensor x = random_tensor({s.n, s.ci, s.h, s.w}, rng);
-  const Tensor w = random_tensor({s.co, s.ci, s.kernel, s.kernel}, rng);
-  const ConvSpec spec{s.kernel, s.stride, s.pad};
-  const std::size_t ho = spec.out_extent(s.h), wo = spec.out_extent(s.w);
-  Tensor dy = random_tensor({s.n, s.co, ho, wo}, rng);
-  sprinkle_zeros(dy, rng);  // naive skips zero gradients; fast must agree
-  Tensor dxn(x.shape()), dwn(w.shape()), dbn({s.co});
-  Tensor dxf(x.shape()), dwf(w.shape()), dbf({s.co});
-  naive::conv2d_backward(x, w, spec, dy, dxn, dwn, dbn);
-  fast::conv2d_backward(x, w, spec, dy, dxf, dwf, dbf);
-  expect_rel_close(dxf, dxn);
-  expect_rel_close(dwf, dwn);
-  expect_rel_close(dbf, dbn);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, ConvEquivalence,
-    ::testing::Values(
-        ConvShape{1, 1, 1, 1, 1, 1, 1, 0},    // single pixel, 1x1 kernel
-        ConvShape{2, 3, 8, 8, 4, 3, 1, 1},    // typical LeNet-ish block
-        ConvShape{1, 2, 7, 9, 3, 3, 2, 1},    // odd non-square, stride 2
-        ConvShape{2, 2, 5, 5, 3, 5, 1, 2},    // 5x5 kernel, same-pad
-        ConvShape{1, 3, 6, 6, 2, 3, 3, 0},    // stride 3, no padding
-        ConvShape{1, 1, 4, 4, 1, 3, 1, 0},    // valid conv, shrinks
-        ConvShape{1, 2, 7, 7, 2, 3, 2, 0},    // stride 2, no padding, odd
-        ConvShape{2, 4, 16, 16, 8, 3, 1, 1}));  // big enough for pool path
 
 // ---------------------------------------------------------------------------
 // simd tier: the scalar fallback IS the contract — the vector ISA must
 // reproduce it bitwise at every shape (lane tails, odd K/M/N, empty and
 // one-element operands included), and the tier must sit within ulp-level
-// drift of naive. On hosts without a vector ISA both paths are the same
-// function, so the bitwise half is trivially (and still meaningfully,
+// drift of the reference kernels. Under CKPTFI_SIMD=off both paths are the
+// same function, so the bitwise half is trivially (and still meaningfully,
 // cross-ISA via CI) true.
 
+struct GemmShape {
+  std::size_t m, k, n;
+};
+
+struct ConvShape {
+  std::size_t n, ci, h, w, co;
+  std::size_t kernel, stride, pad;
+};
 class SimdGemmEquivalence : public ::testing::TestWithParam<GemmShape> {};
 
 TEST_P(SimdGemmEquivalence, MatmulScalarVectorBitwiseNaiveClose) {
@@ -351,9 +236,11 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{3, 9, 17},      // tails on every axis
                       GemmShape{7, 5, 9},       // small odd
                       GemmShape{5, 15, 6},      // dot tail of 7 (max tail)
-                      GemmShape{33, 70, 41},    // above the old fast floor
+                      GemmShape{13, 17, 3},     // small, odd n
+                      GemmShape{33, 70, 41},    // odd, mid-size
                       GemmShape{64, 64, 64},    // pool path
                       GemmShape{2, 257, 8},     // k crosses a kKc block +1
+                      GemmShape{8, 301, 5},     // k > one block, odd n
                       GemmShape{128, 300, 65},  // k-blocked + pool path
                       GemmShape{0, 5, 4},       // empty m
                       GemmShape{5, 0, 4},       // empty k: all-zero result
@@ -412,7 +299,148 @@ INSTANTIATE_TEST_SUITE_P(
         ConvShape{2, 3, 8, 8, 4, 3, 1, 1},      // typical LeNet-ish block
         ConvShape{1, 2, 7, 9, 3, 3, 2, 1},      // odd non-square, stride 2
         ConvShape{2, 2, 5, 5, 3, 5, 1, 2},      // 5x5 kernel, same-pad
+        ConvShape{1, 3, 6, 6, 2, 3, 3, 0},      // stride 3, no padding
         ConvShape{1, 1, 4, 4, 1, 3, 1, 0},      // valid conv, shrinks
+        ConvShape{1, 2, 7, 7, 2, 3, 2, 0},      // stride 2, no padding, odd
+        ConvShape{2, 4, 16, 16, 8, 3, 1, 1}));  // big enough for pool path
+
+// ---------------------------------------------------------------------------
+// Public entry points (what the layers call): at every shape and at both
+// compute precisions, the GEMM family is bitwise the implementation
+// gemm_precision() selects — simd at fp64, fp16 under fp16 compute — and
+// conv2d is bitwise simd (the precision reaches the GEMM family only) and
+// within ulp-level drift of the reference kernels.
+
+/// Runs `check` once per GEMM compute precision, with that precision pinned.
+template <typename Check>
+void for_each_precision(const Check& check) {
+  for (const GemmPrecision p : {GemmPrecision::kFp64, GemmPrecision::kFp16}) {
+    PrecisionGuard guard(p);
+    SCOPED_TRACE(gemm_precision_name());
+    check(p);
+  }
+}
+
+class GemmEquivalence : public ::testing::TestWithParam<GemmShape> {};
+
+TEST_P(GemmEquivalence, MatmulBitwise) {
+  const auto [m, k, n] = GetParam();
+  Rng rng(101 + m + k + n);
+  Tensor a = random_tensor({m, k}, rng);
+  const Tensor b = random_tensor({k, n}, rng);
+  sprinkle_zeros(a, rng);  // zero-skip is on the A operand
+  const Tensor base = random_tensor({m, n}, rng);
+  for_each_precision([&](GemmPrecision p) {
+    const auto kernel = p == GemmPrecision::kFp16 ? fp16::matmul : simd::matmul;
+    Tensor expect, c;
+    kernel(a, b, expect, false);
+    matmul(a, b, c);
+    expect_bitwise(c, expect);
+    // accumulate=true on top of an existing C.
+    Tensor expect_acc = base, acc = base;
+    kernel(a, b, expect_acc, true);
+    matmul(a, b, acc, /*accumulate=*/true);
+    expect_bitwise(acc, expect_acc);
+  });
+}
+
+TEST_P(GemmEquivalence, MatmulAtBitwise) {
+  const auto [m, k, n] = GetParam();
+  Rng rng(202 + m + k + n);
+  Tensor a = random_tensor({k, m}, rng);  // A is [k, m], used transposed
+  const Tensor b = random_tensor({k, n}, rng);
+  sprinkle_zeros(a, rng);
+  for_each_precision([&](GemmPrecision p) {
+    Tensor expect, c;
+    (p == GemmPrecision::kFp16 ? fp16::matmul_at : simd::matmul_at)(a, b,
+                                                                  expect);
+    matmul_at(a, b, c);
+    expect_bitwise(c, expect);
+  });
+}
+
+TEST_P(GemmEquivalence, MatmulBtBitwise) {
+  const auto [m, k, n] = GetParam();
+  Rng rng(303 + m + k + n);
+  const Tensor a = random_tensor({m, n}, rng);  // C[m,k] = A[m,n] * B[k,n]^T
+  const Tensor b = random_tensor({k, n}, rng);
+  for_each_precision([&](GemmPrecision p) {
+    Tensor expect, c;
+    (p == GemmPrecision::kFp16 ? fp16::matmul_bt : simd::matmul_bt)(a, b,
+                                                                  expect);
+    matmul_bt(a, b, c);
+    expect_bitwise(c, expect);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmEquivalence,
+    ::testing::Values(GemmShape{1, 1, 1},       // single element
+                      GemmShape{7, 5, 9},       // small odd
+                      GemmShape{13, 17, 3},     // small, odd n
+                      GemmShape{33, 70, 41},    // odd, mid-size
+                      GemmShape{64, 64, 64},    // pool path
+                      GemmShape{8, 301, 5},     // k > one block, odd n
+                      GemmShape{128, 300, 65},  // k-blocked + pool path
+                      GemmShape{0, 5, 4},       // empty m
+                      GemmShape{5, 0, 4},       // empty k: all-zero result
+                      GemmShape{5, 4, 0}));     // empty n
+
+class ConvEquivalence : public ::testing::TestWithParam<ConvShape> {};
+
+TEST_P(ConvEquivalence, ForwardRelTol) {
+  const ConvShape s = GetParam();
+  Rng rng(404 + s.h * 7 + s.kernel);
+  const Tensor x = random_tensor({s.n, s.ci, s.h, s.w}, rng);
+  const Tensor w = random_tensor({s.co, s.ci, s.kernel, s.kernel}, rng);
+  const Tensor b = random_tensor({s.co}, rng);
+  const ConvSpec spec{s.kernel, s.stride, s.pad};
+  Tensor expect, ref;
+  simd::conv2d_forward(x, w, b, spec, expect);
+  naive::conv2d_forward(x, w, b, spec, ref);
+  for_each_precision([&](GemmPrecision) {
+    Tensor y;
+    conv2d_forward(x, w, b, spec, y);
+    expect_bitwise(y, expect);
+    expect_rel_close(y, ref);
+  });
+}
+
+TEST_P(ConvEquivalence, BackwardRelTol) {
+  const ConvShape s = GetParam();
+  Rng rng(505 + s.h * 7 + s.kernel);
+  const Tensor x = random_tensor({s.n, s.ci, s.h, s.w}, rng);
+  const Tensor w = random_tensor({s.co, s.ci, s.kernel, s.kernel}, rng);
+  const ConvSpec spec{s.kernel, s.stride, s.pad};
+  const std::size_t ho = spec.out_extent(s.h), wo = spec.out_extent(s.w);
+  Tensor dy = random_tensor({s.n, s.co, ho, wo}, rng);
+  sprinkle_zeros(dy, rng);  // the reference skips zero gradients
+  Tensor dxe(x.shape()), dwe(w.shape()), dbe({s.co});
+  Tensor dxn(x.shape()), dwn(w.shape()), dbn({s.co});
+  simd::conv2d_backward(x, w, spec, dy, dxe, dwe, dbe);
+  naive::conv2d_backward(x, w, spec, dy, dxn, dwn, dbn);
+  for_each_precision([&](GemmPrecision) {
+    Tensor dx(x.shape()), dw(w.shape()), db({s.co});
+    conv2d_backward(x, w, spec, dy, dx, dw, db);
+    expect_bitwise(dx, dxe);
+    expect_bitwise(dw, dwe);
+    expect_bitwise(db, dbe);
+    expect_rel_close(dx, dxn);
+    expect_rel_close(dw, dwn);
+    expect_rel_close(db, dbn);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ConvEquivalence,
+    ::testing::Values(
+        ConvShape{1, 1, 1, 1, 1, 1, 1, 0},      // single pixel, 1x1 kernel
+        ConvShape{2, 3, 8, 8, 4, 3, 1, 1},      // typical LeNet-ish block
+        ConvShape{1, 2, 7, 9, 3, 3, 2, 1},      // odd non-square, stride 2
+        ConvShape{2, 2, 5, 5, 3, 5, 1, 2},      // 5x5 kernel, same-pad
+        ConvShape{1, 3, 6, 6, 2, 3, 3, 0},      // stride 3, no padding
+        ConvShape{1, 1, 4, 4, 1, 3, 1, 0},      // valid conv, shrinks
+        ConvShape{1, 2, 7, 7, 2, 3, 2, 0},      // stride 2, no padding, odd
         ConvShape{2, 4, 16, 16, 8, 3, 1, 1}));  // big enough for pool path
 
 // ---------------------------------------------------------------------------
@@ -537,42 +565,8 @@ TEST(Fp16Gemm, ExactlyRepresentableValuesRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: repeated fast calls are bitwise identical at a fixed thread
-// count (the pool is created once per process from CKPTFI_THREADS).
-
-TEST(KernelDeterminism, FastGemmRepeatsBitwise) {
-  Rng rng(606);
-  const Tensor a = random_tensor({96, 300}, rng);
-  const Tensor b = random_tensor({300, 64}, rng);
-  Tensor first, again;
-  fast::matmul(a, b, first);
-  for (int i = 0; i < 3; ++i) {
-    fast::matmul(a, b, again);
-    expect_bitwise(again, first);
-  }
-}
-
-TEST(KernelDeterminism, FastConvRepeatsBitwise) {
-  Rng rng(707);
-  const Tensor x = random_tensor({2, 4, 16, 16}, rng);
-  const Tensor w = random_tensor({8, 4, 3, 3}, rng);
-  const Tensor b = random_tensor({8}, rng);
-  const ConvSpec spec{3, 1, 1};
-  Tensor y0, y;
-  fast::conv2d_forward(x, w, b, spec, y0);
-  Tensor dy = random_tensor(y0.shape(), rng);
-  Tensor dx0(x.shape()), dw0(w.shape()), db0({8});
-  fast::conv2d_backward(x, w, spec, dy, dx0, dw0, db0);
-  for (int i = 0; i < 3; ++i) {
-    fast::conv2d_forward(x, w, b, spec, y);
-    expect_bitwise(y, y0);
-    Tensor dx(x.shape()), dw(w.shape()), db({8});
-    fast::conv2d_backward(x, w, spec, dy, dx, dw, db);
-    expect_bitwise(dx, dx0);
-    expect_bitwise(dw, dw0);
-    expect_bitwise(db, db0);
-  }
-}
+// Determinism: repeated calls are bitwise identical at a fixed thread count
+// (the pool is created once per process from CKPTFI_THREADS).
 
 TEST(KernelDeterminism, SimdGemmAndConvRepeatBitwise) {
   Rng rng(717);
@@ -586,11 +580,19 @@ TEST(KernelDeterminism, SimdGemmAndConvRepeatBitwise) {
   const ConvSpec spec{3, 1, 1};
   Tensor y0, y;
   simd::conv2d_forward(x, w, bias, spec, y0);
+  const Tensor dy = random_tensor(y0.shape(), rng);
+  Tensor dx0(x.shape()), dw0(w.shape()), db0({8});
+  simd::conv2d_backward(x, w, spec, dy, dx0, dw0, db0);
   for (int i = 0; i < 3; ++i) {
     simd::matmul(a, b, again);
     expect_bitwise(again, first);
     simd::conv2d_forward(x, w, bias, spec, y);
     expect_bitwise(y, y0);
+    Tensor dx(x.shape()), dw(w.shape()), db({8});
+    simd::conv2d_backward(x, w, spec, dy, dx, dw, db);
+    expect_bitwise(dx, dx0);
+    expect_bitwise(dw, dw0);
+    expect_bitwise(db, db0);
   }
 }
 
@@ -647,11 +649,11 @@ TEST(Workspace, ConvSteadyStateAllocFree) {
   const ConvSpec spec{3, 1, 1};
   Workspace& ws = Workspace::tls();
   Tensor y;
-  fast::conv2d_forward(x, w, b, spec, y);  // warm-up: arena learns the size
+  simd::conv2d_forward(x, w, b, spec, y);  // warm-up: arena learns the size
   ws.reset();                              // batch boundary: coalesce
   const std::size_t warm = ws.allocations();
   for (int i = 0; i < 10; ++i) {
-    fast::conv2d_forward(x, w, b, spec, y);
+    simd::conv2d_forward(x, w, b, spec, y);
     ws.reset();
   }
   EXPECT_EQ(ws.allocations(), warm);  // zero heap traffic at steady state

@@ -1,10 +1,13 @@
 // End-to-end acceptance for prefix reuse and campaign resume: the four
 // scheduler-ported campaign benches must emit byte-identical --trials-out
-// JSONL with --prefix-reuse=on --jobs=8 and --prefix-reuse=off --jobs=1,
-// under both kernel backends — one diff covers the prefix-on ≡ prefix-off
-// and --jobs 8 ≡ --jobs 1 contracts at once. On top, --resume-from must
-// reproduce a prior artifact byte-for-byte, both when every row is resumed
-// and when half the rows are recomputed from their splitmix64 seeds.
+// JSONL with --prefix-reuse=on --jobs=8 on the default ISA and with
+// --prefix-reuse=off --jobs=1 on the scalar lanes (CKPTFI_SIMD=off), with
+// CKPTFI_KERNELS / CKPTFI_GEMM_PRECISION set to values that once selected
+// other numerics. One diff covers prefix-on ≡ prefix-off, --jobs 8 ≡
+// --jobs 1, scalar ≡ vector, and that those variables no longer move a
+// byte. On top, --resume-from must reproduce a prior artifact
+// byte-for-byte, both when every row is resumed and when half the rows are
+// recomputed from their splitmix64 seeds.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -30,36 +33,38 @@ std::string slurp(const fs::path& p) {
   return buf.str();
 }
 
-/// Run one bench under `backend`, writing --trials-out to `out`. The bench
-/// runs inside the temp dir so nothing it writes lands in the build tree.
-void run_bench(const std::string& binary, const std::string& backend,
+/// The environment of the reference side of each pair: the scalar lanes,
+/// plus the variables that used to pick the fast tier and fp16 GEMM.
+const char* const kScalarEnv =
+    "CKPTFI_SIMD=off CKPTFI_KERNELS=fast CKPTFI_GEMM_PRECISION=fp16";
+
+/// Run one bench with `env` prepended, writing --trials-out to `out`. The
+/// bench runs inside the temp dir so nothing it writes lands in the build
+/// tree.
+void run_bench(const std::string& binary, const std::string& env,
                const std::string& flags, const fs::path& out) {
   const std::string cmd = "cd " + fs::temp_directory_path().string() +
-                          " && CKPTFI_KERNELS=" + backend + " \"" + binary +
-                          "\"" + kTinyScale + " " + flags +
-                          " --trials-out=" + out.string() + " > /dev/null";
+                          " && " + env + " \"" + binary + "\"" + kTinyScale +
+                          " " + flags + " --trials-out=" + out.string() +
+                          " > /dev/null";
   ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
 }
 
 void expect_parity(const std::string& name, const std::string& binary,
                    const std::string& extra_flags) {
-  for (const std::string backend : {"naive", "fast"}) {
-    const fs::path on = fs::temp_directory_path() /
-                        (name + "_" + backend + "_prefix_on.jsonl");
-    const fs::path off = fs::temp_directory_path() /
-                         (name + "_" + backend + "_prefix_off.jsonl");
-    run_bench(binary, backend, extra_flags + " --prefix-reuse=on --jobs=8",
-              on);
-    run_bench(binary, backend, extra_flags + " --prefix-reuse=off --jobs=1",
-              off);
-    const std::string a = slurp(on);
-    EXPECT_FALSE(a.empty()) << name << "/" << backend;
-    EXPECT_EQ(a, slurp(off))
-        << name << "/" << backend
-        << ": prefix-on/jobs=8 differs from prefix-off/jobs=1";
-    fs::remove(on);
-    fs::remove(off);
-  }
+  const fs::path on = fs::temp_directory_path() / (name + "_prefix_on.jsonl");
+  const fs::path off =
+      fs::temp_directory_path() / (name + "_prefix_off.jsonl");
+  run_bench(binary, "", extra_flags + " --prefix-reuse=on --jobs=8", on);
+  run_bench(binary, kScalarEnv, extra_flags + " --prefix-reuse=off --jobs=1",
+            off);
+  const std::string a = slurp(on);
+  EXPECT_FALSE(a.empty()) << name;
+  EXPECT_EQ(a, slurp(off)) << name
+                           << ": prefix-on/jobs=8 differs from "
+                              "prefix-off/jobs=1 on the scalar lanes";
+  fs::remove(on);
+  fs::remove(off);
 }
 
 TEST(PrefixBenchParity, Fig4Train) {
@@ -92,11 +97,11 @@ TEST(ResumeFrom, ReproducesArtifactByteForByte) {
   const fs::path partial = fs::temp_directory_path() / "resume_partial.jsonl";
   const fs::path healed = fs::temp_directory_path() / "resume_healed.jsonl";
 
-  run_bench(CKPTFI_BENCH_FIG4, "naive", "--mode=predict --jobs=2", base);
+  run_bench(CKPTFI_BENCH_FIG4, "", "--mode=predict --jobs=2", base);
   const std::string baseline = slurp(base);
   ASSERT_FALSE(baseline.empty());
 
-  run_bench(CKPTFI_BENCH_FIG4, "naive",
+  run_bench(CKPTFI_BENCH_FIG4, "",
             "--mode=predict --jobs=2 --resume-from=" + base.string(), full);
   EXPECT_EQ(slurp(full), baseline) << "full resume must re-emit every row";
 
@@ -108,7 +113,7 @@ TEST(ResumeFrom, ReproducesArtifactByteForByte) {
     for (std::size_t i = 0; std::getline(in, line); ++i)
       if (i % 2 == 0) out << line << "\n";
   }
-  run_bench(CKPTFI_BENCH_FIG4, "naive",
+  run_bench(CKPTFI_BENCH_FIG4, "",
             "--mode=predict --jobs=2 --resume-from=" + partial.string(),
             healed);
   EXPECT_EQ(slurp(healed), baseline)

@@ -14,7 +14,7 @@
 //     exempt (diagnostics may read wall clocks).
 //   - concurrency rules: everywhere.
 //   - arena + simd lane-order rules: the kernel hot-path files
-//     src/tensor/{ops,ops_naive,ops_simd,kernels}.cpp, whose scratch must
+//     src/tensor/{ops,ops_simd,kernels}.cpp, whose scratch must
 //     come from the Workspace arena and whose reductions must use the
 //     documented fixed lane fold (never horizontal-add intrinsics).
 //   - obs conventions: bench/bench_*.cpp harnesses.

@@ -36,7 +36,6 @@ inline constexpr std::string_view kDeterministicExempt[] = {
 /// arena-* and det-simd-lane-order rules apply here.
 inline constexpr std::string_view kKernelHotPaths[] = {
     "src/tensor/ops.cpp",
-    "src/tensor/ops_naive.cpp",
     "src/tensor/ops_simd.cpp",
     "src/tensor/kernels.cpp",
 };
