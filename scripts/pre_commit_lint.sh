@@ -6,10 +6,7 @@
 #
 # The whole tree is still indexed (so interprocedural chains through
 # unchanged files stay visible) but only findings in changed files are
-# reported, and the shared on-disk index cache means the index step replays
-# from disk — a warm run is a few milliseconds. The cache lives in the
-# gitignored .ckptfi-lint-cache/ at the repo root and is safe to share with
-# ctest's lint_repo_clean (entries are written via temp-file + rename).
+# reported. A full-repo pass takes about a tenth of a second.
 #
 # See docs/LINT.md for the rules and the `ckptfi-lint: allow(<rule>) reason`
 # suppression syntax.
@@ -29,5 +26,4 @@ if [ -z "$lint" ]; then
   exit 0
 fi
 
-exec "$lint" --root="$root" --changed-only --index-cache \
-  src bench examples tests tools
+exec "$lint" --root="$root" --changed-only src bench examples tests tools

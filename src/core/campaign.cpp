@@ -155,14 +155,13 @@ struct CellSpec {
 };
 
 class GridCampaign : public Campaign {
- public:
-  void prepare_cell(const std::string& cell) override {
-    runner_for(spec(cell)).restart_checkpoint();
-  }
-
  protected:
   explicit GridCampaign(CampaignOptions opts)
       : Campaign(std::move(opts)), fp_hex_(opts_.fingerprint_hex()) {}
+
+  void build_cell(const std::string& cell) override {
+    runner_for(spec(cell)).restart_checkpoint();
+  }
 
   void add_cell(const std::string& name, std::size_t trials, CellSpec s) {
     cells_.push_back({name, trials});
@@ -178,7 +177,7 @@ class GridCampaign : public Campaign {
   }
 
   /// The spec's runner, built on first use. Building mutates the pool, so
-  /// only prepare_cell/clean_summary (single-threaded) call this; run_trial
+  /// only build_cell/clean_summary (single-threaded) call this; run_trial
   /// uses runner().
   ExperimentRunner& runner_for(const CellSpec& s) {
     std::unique_ptr<ExperimentRunner>& r = runners_[runner_key(s)];
@@ -203,7 +202,7 @@ class GridCampaign : public Campaign {
 
   /// Builds, once, the canonical-coordinate context that fig4/6/7 corrupt
   /// through, from `r`'s model (each of those kinds runs one panel). Like
-  /// runner_for, only prepare_cell calls this; run_trial reads context().
+  /// runner_for, only build_cell calls this; run_trial reads context().
   void build_context(ExperimentRunner& r) {
     if (ctx_) return;
     const std::unique_ptr<nn::Model> model = r.make_model();
@@ -293,7 +292,7 @@ class Table4Campaign final : public GridCampaign {
     }
   }
 
-  void prepare_cell(const std::string& cell) override {
+  void build_cell(const std::string& cell) override {
     // Train the baseline and snapshot the restart checkpoint before the
     // fan-out, so trials start from a warm immutable cache; the clean probed
     // run is likewise memoized up front so trials only read it.
@@ -338,7 +337,7 @@ class Table5Campaign final : public GridCampaign {
     }
   }
 
-  void prepare_cell(const std::string& cell) override {
+  void build_cell(const std::string& cell) override {
     runner_for(spec(cell)).clean_probed_run(opts_.resume_epochs);
   }
 
@@ -417,8 +416,8 @@ class Table6Campaign final : public GridCampaign {
 
 // Table VII: full-range flips into 16/32-bit Chainer checkpoints. The mode
 // slot carries the GEMM compute precision the resumed trainings run under;
-// prepare_cell applies it process-wide, so a fleet worker computes the same
-// fp16 rows the bench does.
+// Campaign::prepare_cell applies it process-wide, so a fleet worker computes
+// the same fp16 rows the bench does.
 class Table7Campaign final : public GridCampaign {
  public:
   explicit Table7Campaign(CampaignOptions opts)
@@ -433,12 +432,6 @@ class Table7Campaign final : public GridCampaign {
         }
       }
     }
-  }
-
-  void prepare_cell(const std::string& cell) override {
-    set_gemm_precision(opts_.mode == "fp16" ? GemmPrecision::kFp16
-                                            : GemmPrecision::kFp64);
-    GridCampaign::prepare_cell(cell);
   }
 
   Json run_trial(const std::string& cell, const TrialContext& trial) override {
@@ -478,7 +471,7 @@ class Table8Campaign final : public GridCampaign {
     }
   }
 
-  void prepare_cell(const std::string& cell) override {
+  void build_cell(const std::string& cell) override {
     runner_for(spec(cell)).checkpoint_at(opts_.total_epochs);
   }
 
@@ -556,7 +549,7 @@ class Fig3Campaign final : public GridCampaign {
     }
   }
 
-  void prepare_cell(const std::string& cell) override {
+  void build_cell(const std::string& cell) override {
     runner_for(spec(cell)).clean_resume();
   }
 
@@ -597,7 +590,7 @@ class Fig4Campaign final : public GridCampaign {
     }
   }
 
-  void prepare_cell(const std::string& cell) override {
+  void build_cell(const std::string& cell) override {
     ExperimentRunner& runner = runner_for(spec(cell));
     runner.restart_checkpoint();
     if (!predict()) runner.clean_probed_run();
@@ -670,7 +663,7 @@ class Fig5Campaign final : public GridCampaign {
     }
   }
 
-  void prepare_cell(const std::string& cell) override {
+  void build_cell(const std::string& cell) override {
     runner_for(spec(cell)).clean_resume();
     if (!logs_.empty()) return;
     ExperimentRunner& source = runner_for({});  // chainer/alexnet
@@ -727,7 +720,7 @@ class Fig6Campaign final : public GridCampaign {
              {.framework = "tensorflow"});
   }
 
-  void prepare_cell(const std::string& cell) override {
+  void build_cell(const std::string& cell) override {
     ExperimentRunner& runner = runner_for(spec(cell));
     // The clean probed resume is both the weight-diff twin (same restart =>
     // same zeroed optimizer velocity, so every nonzero diff is
@@ -791,7 +784,7 @@ class Fig7Campaign final : public GridCampaign {
     }
   }
 
-  void prepare_cell(const std::string& cell) override {
+  void build_cell(const std::string& cell) override {
     ExperimentRunner& runner = runner_for(spec(cell));
     runner.checkpoint_at(opts_.total_epochs);
     build_context(runner);
@@ -911,6 +904,13 @@ std::vector<std::string> campaign_kinds() {
   std::vector<std::string> names;
   for (const KindEntry& k : kKinds) names.emplace_back(k.name);
   return names;
+}
+
+void Campaign::prepare_cell(const std::string& cell) {
+  set_gemm_precision(opts_.bench == "table7" && opts_.mode == "fp16"
+                         ? GemmPrecision::kFp16
+                         : GemmPrecision::kFp64);
+  build_cell(cell);
 }
 
 std::unique_ptr<Campaign> Campaign::make(const CampaignOptions& opts) {

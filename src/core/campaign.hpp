@@ -101,11 +101,14 @@ class Campaign {
     return campaign_cell_seed(opts_.seed, cell);
   }
 
-  /// Build the cell's shared state (baseline training, memoized clean probed
-  /// run) before trials fan out. Idempotent; NOT thread-safe — call it from
+  /// Apply the campaign's GEMM compute precision (fp16 for table7's fp16
+  /// mode, fp64 for everything else), then build the cell's shared state
+  /// (baseline training, memoized clean probed run) before trials fan out.
+  /// The precision is process-wide, so trials compute at the precision of
+  /// the campaign prepared last. Idempotent; NOT thread-safe — call it from
   /// one thread, then run trials from any number of them. Throws Error on an
   /// unknown cell name.
-  virtual void prepare_cell(const std::string& cell) = 0;
+  void prepare_cell(const std::string& cell);
 
   /// One trial's JSONL row — a pure function of (options, cell, index).
   /// Thread-safe after prepare_cell(cell); trial.seed must equal
@@ -123,6 +126,9 @@ class Campaign {
 
  protected:
   explicit Campaign(CampaignOptions opts) : opts_(std::move(opts)) {}
+
+  /// The kind's part of prepare_cell, run at the campaign's precision.
+  virtual void build_cell(const std::string& cell) = 0;
 
   CampaignOptions opts_;
   std::vector<CampaignCell> cells_;  ///< filled by the concrete constructor

@@ -237,6 +237,31 @@ void expect_refused(const Json& j, const std::string& key) {
   }
 }
 
+// The GEMM compute precision is process state. A table7 fp16 prepare must
+// not leak into a campaign prepared after it in the same process: each
+// prepare_cell applies its own campaign's precision, so the later table4
+// rows match the ones computed before the fp16 campaign existed.
+TEST(CampaignPrecision, LaterCampaignDoesNotInheritFp16) {
+  CampaignOptions table4 = tiny_options("table4");
+  table4.trainings = 1;
+  table4.test_images = 16;
+  const std::string cell = "chainer/alexnet/10";
+  const auto row = [&] {
+    const std::unique_ptr<Campaign> c = Campaign::make(table4);
+    c->prepare_cell(cell);
+    return c->run_trial(cell, {0, trial_seed(c->cell_seed(cell), 0)}).dump();
+  };
+  const std::string before = row();
+
+  CampaignOptions table7 = table4;
+  table7.bench = "table7";
+  table7.mode = "fp16";
+  const std::unique_ptr<Campaign> fp16 = Campaign::make(table7);
+  fp16->prepare_cell(fp16->cells().front().name);
+
+  EXPECT_EQ(row(), before);
+}
+
 TEST(CampaignOptionsFromJson, RefusesNegativeSizes) {
   for (const char* key : {"trainings", "train_images", "test_images", "width",
                           "total_epochs", "restart_epoch", "resume_epochs"}) {

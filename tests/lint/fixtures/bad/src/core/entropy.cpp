@@ -9,4 +9,11 @@ unsigned careless_seed() {
   return rd() ^ static_cast<unsigned>(std::rand());
 }
 
+// Outside every function body: a class member and a declaration parameter.
+struct Jitter {
+  std::random_device source;
+};
+
+unsigned stamp(std::chrono::system_clock::time_point at);
+
 }  // namespace fixture

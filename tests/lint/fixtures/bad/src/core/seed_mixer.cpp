@@ -1,5 +1,5 @@
 // Deterministic-module caller reaching entropy only through the util
-// helper: clean for every tier A rule, dirty for det-transitive-entropy.
+// helper: no banned token of its own, a transitive det-rng-entropy finding.
 #include <cstdint>
 
 #include "util/mix_helper.hpp"

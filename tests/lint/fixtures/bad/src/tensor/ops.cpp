@@ -10,4 +10,7 @@ void convolve(const float* src, float* dst, int n) {
   delete[] extra;
 }
 
+// Outside every function body, and still heap storage in a hot-path file.
+std::vector<float> g_scratch;
+
 }  // namespace fixture

@@ -1,5 +1,5 @@
-// Allocating helper outside the kernel hot-path file list: tier A's
-// arena-kernel-heap never sees this, arena-transitive-heap follows the call.
+// Allocating helper outside the kernel hot-path file list: no finding here,
+// but arena-kernel-heap follows the call from the hot-path kernel.
 #pragma once
 
 namespace ckptfi {

@@ -1,5 +1,5 @@
-// Helper in the tier-A-exempt util module: the entropy draw is invisible to
-// the per-file rules, so only det-transitive-entropy catches callers.
+// Helper in the exempt util module: the entropy draw is no finding here, but
+// det-rng-entropy follows the call from a deterministic-module caller.
 #pragma once
 #include <cstdint>
 #include <random>

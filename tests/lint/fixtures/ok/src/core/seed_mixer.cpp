@@ -1,5 +1,5 @@
 // Deterministic-module caller whose helper chain is entropy-free: the same
-// call shape as the bad tree, quiet under det-transitive-entropy.
+// call shape as the bad tree, quiet under det-rng-entropy.
 #include <cstdint>
 
 #include "util/mix_helper.hpp"

@@ -1,5 +1,5 @@
 // Kernel hot-path file whose helper chain stays on caller-provided storage:
-// same call shape as the bad tree, quiet under arena-transitive-heap.
+// same call shape as the bad tree, quiet under arena-kernel-heap.
 #include "tensor/scratch_helper.hpp"
 
 namespace ckptfi {

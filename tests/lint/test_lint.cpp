@@ -10,8 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -39,12 +37,15 @@ TEST(LintRules, RegistryHasUniqueIdsAndHints) {
     EXPECT_FALSE(r.summary.empty()) << r.id;
     EXPECT_FALSE(r.hint.empty()) << r.id;
   }
-  EXPECT_EQ(ids.size(), 13u);
-  // The interprocedural tier is present in the registry (so --list-rules and
-  // the SARIF driver describe it).
-  EXPECT_TRUE(ids.count("det-transitive-entropy"));
-  EXPECT_TRUE(ids.count("arena-transitive-heap"));
+  EXPECT_EQ(ids.size(), 11u);
+  // The index rules are registered too (so --list-rules and the SARIF
+  // rule list describe them); each property has exactly one id.
+  EXPECT_TRUE(ids.count("det-rng-entropy"));
+  EXPECT_TRUE(ids.count("arena-kernel-heap"));
+  EXPECT_TRUE(ids.count("conc-notify-under-lock"));
   EXPECT_TRUE(ids.count("conc-lock-order"));
+  EXPECT_FALSE(ids.count("det-transitive-entropy"));
+  EXPECT_FALSE(ids.count("arena-transitive-heap"));
 }
 
 TEST(LintFixtures, EveryRuleFiresOnTheBadTree) {
@@ -83,10 +84,9 @@ TEST(LintFixtures, ReasonedSuppressionNeutralisesAndUnusedIsNoted) {
   EXPECT_TRUE(suppressed_rules.count("det-rng-unseeded-mt19937"));
   EXPECT_TRUE(suppressed_rules.count("det-prefix-cache-mutation"));
   EXPECT_TRUE(suppressed_rules.count("det-simd-lane-order"));
-  // Interprocedural findings honour the same allow() mechanics at their
+  // Transitive findings honour the same allow() mechanics at their
   // boundary call site.
-  EXPECT_TRUE(suppressed_rules.count("det-transitive-entropy"));
-  EXPECT_TRUE(suppressed_rules.count("arena-transitive-heap"));
+  EXPECT_TRUE(suppressed_rules.count("arena-kernel-heap"));
   EXPECT_TRUE(suppressed_rules.count("conc-lock-order"));
   EXPECT_EQ(report.unsuppressed(), 0u);
 
@@ -96,9 +96,11 @@ TEST(LintFixtures, ReasonedSuppressionNeutralisesAndUnusedIsNoted) {
   EXPECT_EQ(used, 7u);  // one directive stays unused, reported as a note
 }
 
-const Finding* find_rule(const Report& report, const std::string& rule) {
+/// The first `rule` finding with (`chained`) or without an evidence chain.
+const Finding* find_rule(const Report& report, const std::string& rule,
+                         bool chained = true) {
   for (const Finding& f : report.findings) {
-    if (f.rule == rule) return &f;
+    if (f.rule == rule && f.chain.empty() != chained) return &f;
   }
   return nullptr;
 }
@@ -106,7 +108,12 @@ const Finding* find_rule(const Report& report, const std::string& rule) {
 TEST(LintTierB, FindingsCarryCrossFileChains) {
   const Report report = run_tree("bad");
 
-  const Finding* entropy = find_rule(report, "det-transitive-entropy");
+  // A banned token in a policed file is a direct hit: a chain of length 0.
+  const Finding* direct = find_rule(report, "det-rng-entropy", false);
+  ASSERT_NE(direct, nullptr);
+  EXPECT_EQ(direct->file, "src/core/entropy.cpp");
+
+  const Finding* entropy = find_rule(report, "det-rng-entropy");
   ASSERT_NE(entropy, nullptr);
   EXPECT_EQ(entropy->file, "src/core/seed_mixer.cpp");
   ASSERT_GE(entropy->chain.size(), 3u);  // call → helper call → banned token
@@ -115,7 +122,7 @@ TEST(LintTierB, FindingsCarryCrossFileChains) {
   EXPECT_NE(entropy->chain.back().note.find("random_device"),
             std::string::npos);
 
-  const Finding* heap = find_rule(report, "arena-transitive-heap");
+  const Finding* heap = find_rule(report, "arena-kernel-heap");
   ASSERT_NE(heap, nullptr);
   EXPECT_EQ(heap->file, "src/tensor/kernels.cpp");
   ASSERT_GE(heap->chain.size(), 2u);
@@ -134,19 +141,23 @@ TEST(LintTierB, SarifEncodesCodeFlowsAndRelatedLocations) {
   const Report report = run_tree("bad");
   const Json sarif = report.sarif();
   const Json& results = sarif.at("runs").at(0).at("results");
+  ASSERT_EQ(results.size(), report.findings.size());
 
   bool saw_entropy = false;
   bool saw_lock = false;
-  for (const Json& res : results.items()) {
+  for (std::size_t r = 0; r < results.size(); ++r) {
+    const Json& res = results.at(r);
+    const Finding* f = &report.findings[r];
     const std::string rule = res.at("ruleId").as_string();
-    if (rule == "det-transitive-entropy") {
+    ASSERT_EQ(rule, f->rule);
+    // Direct hits carry no chain, so no code flow either.
+    EXPECT_EQ(res.contains("codeFlows"), !f->chain.empty()) << rule;
+    if (rule == "det-rng-entropy" && !f->chain.empty()) {
       saw_entropy = true;
       const Json& flows =
           res.at("codeFlows").at(0).at("threadFlows");
       ASSERT_EQ(flows.size(), 1u);
       const Json& locs = flows.at(0).at("locations");
-      const Finding* f = find_rule(report, rule);
-      ASSERT_NE(f, nullptr);
       ASSERT_EQ(locs.size(), f->chain.size());
       // Every step resolves to a physical location matching the chain.
       for (std::size_t i = 0; i < locs.size(); ++i) {
@@ -225,61 +236,6 @@ TEST(LintScopes, PredicatesReadTheTables) {
   EXPECT_FALSE(is_heap_barrier("ckptfi::simd::matmul"));
 }
 
-TEST(LintCache, WarmRunReplaysAndTouchedFileReindexes) {
-  namespace fs = std::filesystem;
-  const fs::path scratch = fs::path("lint_cache_scratch");
-  fs::remove_all(scratch);
-  fs::create_directories(scratch / "tree" / "src" / "core");
-  const fs::path cache = scratch / "cache";
-  const fs::path file_a = scratch / "tree" / "src" / "core" / "a.cpp";
-  const fs::path file_b = scratch / "tree" / "src" / "core" / "b.cpp";
-  {
-    std::ofstream(file_a) << "int seed_a() { return rand(); }\n";
-    std::ofstream(file_b) << "int value_b() { return 7; }\n";
-  }
-
-  Options opt;
-  opt.root = (scratch / "tree").string();
-  opt.default_excludes = false;
-  opt.index_cache = cache.string();
-
-  const Report cold = run(opt);
-  EXPECT_EQ(cold.files_scanned, 2u);
-  EXPECT_EQ(cold.files_indexed, 2u);
-  EXPECT_EQ(cold.index_cache_hits, 0u);
-  EXPECT_EQ(cold.unsuppressed(), 1u);  // the rand() in a.cpp
-
-  const Report warm = run(opt);
-  EXPECT_EQ(warm.files_indexed, 0u);
-  EXPECT_EQ(warm.index_cache_hits, 2u);
-  // Replayed artifacts reproduce the cold report exactly.
-  EXPECT_EQ(warm.sarif().dump(2), cold.sarif().dump(2));
-
-  // Touch one file: only it re-indexes; the finding it carried is gone.
-  std::ofstream(file_a) << "int seed_a() { return 7; }\n";
-  const Report touched = run(opt);
-  EXPECT_EQ(touched.files_indexed, 1u);
-  EXPECT_EQ(touched.index_cache_hits, 1u);
-  EXPECT_EQ(touched.unsuppressed(), 0u);
-
-  fs::remove_all(scratch);
-}
-
-TEST(LintCache, FingerprintIsStableAcrossRuns) {
-  // The warm path depends on the fingerprint being a pure function of the
-  // registry and scope tables; two calls must agree.
-  Options opt;
-  opt.root = fixture_root("ok");
-  opt.default_excludes = false;
-  opt.index_cache = "lint_cache_fp";
-  std::filesystem::remove_all(opt.index_cache);
-  const Report first = run(opt);
-  const Report second = run(opt);
-  EXPECT_EQ(first.files_indexed, second.index_cache_hits);
-  EXPECT_EQ(second.files_indexed, 0u);
-  std::filesystem::remove_all(opt.index_cache);
-}
-
 TEST(LintChangedOnly, ReportsOnlyListedFilesButKeepsWholeTreeIndex) {
   Options opt;
   opt.root = fixture_root("bad");
@@ -290,10 +246,11 @@ TEST(LintChangedOnly, ReportsOnlyListedFilesButKeepsWholeTreeIndex) {
 
   // The whole tree was still scanned (interprocedural chains need it)...
   EXPECT_EQ(report.files_scanned, 18u);
-  // ...but findings are reported only for the listed file — and the tier B
-  // finding survives even though its evidence lives in an unlisted helper.
+  // ...but findings are reported only for the listed file — and the
+  // transitive finding survives even though its evidence lives in an
+  // unlisted helper.
   ASSERT_EQ(report.findings.size(), 1u);
-  EXPECT_EQ(report.findings[0].rule, "det-transitive-entropy");
+  EXPECT_EQ(report.findings[0].rule, "det-rng-entropy");
   EXPECT_EQ(report.findings[0].file, "src/core/seed_mixer.cpp");
   EXPECT_EQ(report.findings[0].chain.back().file, "src/util/mix_helper.hpp");
 }
@@ -322,15 +279,49 @@ TEST(LintCheckFile, SuppressionCoversOwnLineAndLineBelow) {
 }
 
 TEST(LintCheckFile, ProseMentionOfTheToolIsNotADirective) {
-  // Doc comments reference the tool by name; a marker only becomes a
-  // directive when an allow-list directly follows it.
+  // Doc comments reference the tool by name, and quote the syntax; a
+  // comment is a directive only when it opens with the marker + allow(.
   const std::string prose =
       "// Self-tests for ckptfi-lint: every rule must fire.\n"
+      "// Suppress with `// ckptfi-lint: allow(<rule>) <reason>` above it.\n"
+      "/* see ckptfi-lint: allow(det-rng-entropy) in docs/LINT.md */\n"
       "int x = 0;\n";
   Report report;
   check_file("src/core/prose.cpp", prose, report);
   EXPECT_TRUE(report.findings.empty());
   EXPECT_TRUE(report.suppressions.empty());
+}
+
+TEST(LintCheckFile, UnregisteredRuleIdIsAFinding) {
+  // A directive naming a retired or misspelled id would otherwise stop
+  // suppressing without a word; it is a finding, and suppresses nothing.
+  const std::string retired =
+      "int seed() {\n"
+      "  // ckptfi-lint: allow(det-transitive-entropy) retired id\n"
+      "  return rand();\n"
+      "}\n";
+  Report report;
+  check_file("src/core/retired.cpp", retired, report);
+  ASSERT_EQ(report.findings.size(), 2u);
+  EXPECT_EQ(report.findings[0].rule, "lint-allow-needs-reason");
+  EXPECT_EQ(report.findings[0].line, 2);
+  EXPECT_EQ(report.findings[1].rule, "det-rng-entropy");
+  EXPECT_EQ(report.unsuppressed(), 2u);
+
+  // One unknown id among registered ones is still a finding; the
+  // registered id keeps suppressing.
+  const std::string mixed =
+      "int seed() {\n"
+      "  // ckptfi-lint: allow(det-rng-entropy, det-rng-entrop) typo\n"
+      "  return rand();\n"
+      "}\n";
+  Report typo;
+  check_file("src/core/typo.cpp", mixed, typo);
+  ASSERT_EQ(typo.findings.size(), 2u);
+  EXPECT_EQ(typo.unsuppressed(), 1u);
+  EXPECT_EQ(typo.findings[0].rule, "lint-allow-needs-reason");
+  EXPECT_NE(typo.findings[0].message.find("det-rng-entrop'"),
+            std::string::npos);
 }
 
 TEST(LintCheckFile, RulesAreScopedByPath) {

@@ -1,8 +1,6 @@
-// Internal seam between the engine, the tier A token rules, the tier B
-// interprocedural rules, and the index cache. Everything here is a pure
-// function of file contents, which is what the content-hash cache relies on:
-// a FileArtifact can be replayed from disk instead of recomputed, and the
-// report that results is byte-identical.
+// Internal seam between the engine, the token rules (rules.cpp) and the index
+// rules (sema/index_rules.cpp). A FileArtifact is a pure function of one
+// file's path and contents; the index rules then read every artifact at once.
 #pragma once
 
 #include <string>
@@ -15,39 +13,30 @@
 
 namespace ckptfi::lint {
 
-/// A tier A finding before suppression matching.
+/// A token-rule finding before suppression matching.
 struct RawFinding {
   std::string rule;
   int line = 1;
   std::string message;
 };
 
-/// Everything the engine needs from one file: tier A findings, the
-/// suppression directives, and the tier B declaration index. Cacheable.
+/// Everything the engine needs from one file: token-rule findings, the
+/// suppression directives, and the sema index.
 struct FileArtifact {
   std::vector<RawFinding> findings;
   std::vector<Suppression> suppressions;
   sema::FileIndex index;
 };
 
-/// Lex + tier A rules + declaration index, in one pass over the content.
+/// The registered rule with this id, or nullptr.
+const RuleInfo* rule_info(const std::string& id);
+
+/// Lex + token rules + sema index, in one pass over the content.
 FileArtifact analyze_file(const std::string& rel_path,
                           std::string_view content);
 
-/// Tier A only (rules.cpp): path-scoped token-stream rules.
-void tier_a_rules(const std::string& rel_path, const LexedFile& lexed,
-                  std::vector<RawFinding>& out);
-
-/// Tier B (sema/rules_b.cpp): interprocedural rules over every file's index.
-/// Returned findings carry evidencing chains; suppression is not yet applied.
-std::vector<Finding> interprocedural_rules(
-    const std::vector<FileArtifact>& artifacts);
-
-/// Turn an artifact's raw findings into report findings (matching allow()
-/// directives, recording every directive as a SuppressionRecord) and bump
-/// files_scanned. The engine calls this per file after cache replay;
-/// check_file() is analyze_file + this.
-void apply_artifact(const std::string& rel_path, const FileArtifact& art,
-                    Report& report);
+/// The index rules over every artifact's index. Returned findings carry
+/// evidence chains (empty for direct hits); suppression is not yet applied.
+std::vector<Finding> index_rules(const std::vector<FileArtifact>& artifacts);
 
 }  // namespace ckptfi::lint

@@ -1,26 +1,22 @@
-// File discovery, the two-tier analysis drive, report assembly, and the two
-// output encoders (human text and SARIF 2.1.0). The scan itself is
-// deterministic: files are visited in sorted root-relative order and the
-// cache replays byte-identical artifacts, so two runs over the same tree
-// produce byte-identical reports — the same property the linter exists to
-// protect.
+// File discovery, report assembly, and the two output encoders (human text
+// and SARIF 2.1.0). The scan is deterministic: files are visited in sorted
+// root-relative order and findings sorted by location, rule and message, so
+// two runs over the same tree produce byte-identical reports — the same
+// property the linter exists to protect.
 //
-// Per-file work (lex + tier A + declaration index) flows through the
-// content-hash cache in sema/cache.{hpp,cpp}; tier B (sema/rules_b.cpp) then
-// runs over every file's index, cached or fresh. That split is why
-// `--changed-only` is sound: unchanged files replay from disk, so the whole
-// tree's call graph is still present for interprocedural chains even when
-// only one file is re-analyzed.
+// run() and check_file() share one path from per-file artifacts (lex + token
+// rules + sema index, rules.cpp) to a report: the index rules
+// (sema/index_rules.cpp) read every artifact's index, and every finding is
+// matched against the allow() directives of the file it lands in.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
 #include "analysis.hpp"
 #include "lint.hpp"
-#include "sema/cache.hpp"
-#include "util/crc32.hpp"
 
 namespace ckptfi::lint {
 
@@ -32,13 +28,6 @@ bool lintable_extension(const fs::path& p) {
   const std::string ext = p.extension().string();
   return ext == ".cpp" || ext == ".cc" || ext == ".cxx" || ext == ".hpp" ||
          ext == ".hh" || ext == ".h" || ext == ".inl";
-}
-
-const RuleInfo* rule_info(const std::string& id) {
-  for (const RuleInfo& r : rules()) {
-    if (r.id == id) return &r;
-  }
-  return nullptr;
 }
 
 /// Match a finding at `line` against a file's directives: a directive covers
@@ -55,16 +44,6 @@ std::size_t match_suppression(const std::vector<Suppression>& sups,
     if (covers && names_rule && !s.reason.empty()) return i;
   }
   return static_cast<std::size_t>(-1);
-}
-
-/// Find the SuppressionRecord in `report` that mirrors directive index `di`
-/// of `rel_path` (records are appended in directive order per file).
-SuppressionRecord* record_for(Report& report, const std::string& rel_path,
-                              int line) {
-  for (SuppressionRecord& rec : report.suppressions) {
-    if (rec.file == rel_path && rec.line == line) return &rec;
-  }
-  return nullptr;
 }
 
 Json location_json(const std::string& file, int line) {
@@ -96,6 +75,64 @@ Json thread_flow_json(const std::vector<ChainStep>& chain) {
   return tf;
 }
 
+/// The one path from per-file artifacts to report entries: token-rule and
+/// index-rule findings alike are matched against the allow() directives of
+/// the file they land in, and every directive becomes a SuppressionRecord.
+void add_artifacts(const std::vector<FileArtifact>& arts, Report& report) {
+  std::vector<Finding> found = index_rules(arts);
+  // file -> (its artifact, index of its first record in report.suppressions)
+  std::map<std::string, std::pair<const FileArtifact*, std::size_t>> by_file;
+  for (const FileArtifact& art : arts) {
+    const std::string& file = art.index.file;
+    by_file[file] = {&art, report.suppressions.size()};
+    for (const Suppression& s : art.suppressions) {
+      SuppressionRecord rec;
+      rec.file = file;
+      rec.line = s.line;
+      for (std::size_t i = 0; i < s.rules.size(); ++i) {
+        if (i) rec.rules += ",";
+        rec.rules += s.rules[i];
+      }
+      rec.reason = s.reason;
+      report.suppressions.push_back(std::move(rec));
+    }
+    for (const RawFinding& f : art.findings) {
+      Finding fd;
+      fd.rule = f.rule;
+      fd.file = file;
+      fd.line = f.line;
+      fd.message = f.message;
+      found.push_back(std::move(fd));
+    }
+  }
+  for (Finding& fd : found) {
+    // lint-allow-needs-reason is deliberately unsuppressable: a directive
+    // cannot vouch for itself.
+    const auto& [art, first_record] = by_file.at(fd.file);
+    const std::size_t di =
+        fd.rule == "lint-allow-needs-reason"
+            ? static_cast<std::size_t>(-1)
+            : match_suppression(art->suppressions, fd.rule, fd.line);
+    if (di != static_cast<std::size_t>(-1)) {
+      fd.suppressed = true;
+      fd.suppress_reason = art->suppressions[di].reason;
+      report.suppressions[first_record + di].used = true;
+    }
+    report.findings.push_back(std::move(fd));
+  }
+  report.files_scanned += arts.size();
+
+  std::sort(report.findings.begin(), report.findings.end(),
+            [](const Finding& a, const Finding& b) {
+              return std::tie(a.file, a.line, a.rule, a.message) <
+                     std::tie(b.file, b.line, b.rule, b.message);
+            });
+  std::sort(report.suppressions.begin(), report.suppressions.end(),
+            [](const SuppressionRecord& a, const SuppressionRecord& b) {
+              return std::tie(a.file, a.line) < std::tie(b.file, b.line);
+            });
+}
+
 }  // namespace
 
 std::size_t Report::unsuppressed() const {
@@ -108,44 +145,9 @@ std::size_t Report::suppressed() const {
   return findings.size() - unsuppressed();
 }
 
-void apply_artifact(const std::string& rel_path, const FileArtifact& art,
-                    Report& report) {
-  std::vector<SuppressionRecord> records;
-  records.reserve(art.suppressions.size());
-  for (const Suppression& s : art.suppressions) {
-    SuppressionRecord rec;
-    rec.file = rel_path;
-    rec.line = s.line;
-    for (std::size_t i = 0; i < s.rules.size(); ++i) {
-      if (i) rec.rules += ",";
-      rec.rules += s.rules[i];
-    }
-    rec.reason = s.reason;
-    records.push_back(std::move(rec));
-  }
-
-  for (const RawFinding& f : art.findings) {
-    Finding fd;
-    fd.rule = f.rule;
-    fd.file = rel_path;
-    fd.line = f.line;
-    fd.message = f.message;
-    // lint-allow-needs-reason is deliberately unsuppressable: a directive
-    // cannot vouch for itself.
-    if (fd.rule != "lint-allow-needs-reason") {
-      const std::size_t di = match_suppression(art.suppressions, fd.rule,
-                                               fd.line);
-      if (di != static_cast<std::size_t>(-1)) {
-        fd.suppressed = true;
-        fd.suppress_reason = art.suppressions[di].reason;
-        records[di].used = true;
-      }
-    }
-    report.findings.push_back(std::move(fd));
-  }
-  for (SuppressionRecord& rec : records)
-    report.suppressions.push_back(std::move(rec));
-  ++report.files_scanned;
+void check_file(const std::string& rel_path, std::string_view content,
+                Report& report) {
+  add_artifacts({analyze_file(rel_path, content)}, report);
 }
 
 Report run(const Options& opt) {
@@ -178,58 +180,17 @@ Report run(const Options& opt) {
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  // Per-file pass: replay from the cache or analyze fresh. Every file's
-  // artifact is kept — tier B needs the whole tree's indexes.
+  // Every file's artifact is kept: the index rules read the whole tree.
   std::vector<FileArtifact> artifacts;
-  std::vector<std::string> rels;
   artifacts.reserve(files.size());
   for (const auto& [rel, abs] : files) {
     std::ifstream in(abs, std::ios::binary);
     if (!in) continue;
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string content = buf.str();
-    const std::uint32_t crc = crc32(content.data(), content.size());
-    FileArtifact art;
-    bool cached = false;
-    if (!opt.index_cache.empty()) {
-      if (auto hit = sema::cache_load(opt.index_cache, rel, crc)) {
-        art = std::move(*hit);
-        cached = true;
-        ++report.index_cache_hits;
-      }
-    }
-    if (!cached) {
-      art = analyze_file(rel, content);
-      ++report.files_indexed;
-      if (!opt.index_cache.empty())
-        sema::cache_store(opt.index_cache, rel, crc, art);
-    }
-    apply_artifact(rel, art, report);
-    rels.push_back(rel);
-    artifacts.push_back(std::move(art));
+    artifacts.push_back(analyze_file(rel, buf.str()));
   }
-
-  // Tier B: interprocedural rules over every file's index. Their findings
-  // land at a call site in a policed file, so the directive that suppresses
-  // one lives in that file like any tier A finding.
-  std::vector<Finding> tier_b = interprocedural_rules(artifacts);
-  for (Finding& fd : tier_b) {
-    const auto at = std::find(rels.begin(), rels.end(), fd.file);
-    if (at != rels.end()) {
-      const FileArtifact& art = artifacts[at - rels.begin()];
-      const std::size_t di = match_suppression(art.suppressions, fd.rule,
-                                               fd.line);
-      if (di != static_cast<std::size_t>(-1)) {
-        fd.suppressed = true;
-        fd.suppress_reason = art.suppressions[di].reason;
-        if (SuppressionRecord* rec =
-                record_for(report, fd.file, art.suppressions[di].line))
-          rec->used = true;
-      }
-    }
-    report.findings.push_back(std::move(fd));
-  }
+  add_artifacts(artifacts, report);
 
   // --since/--changed-only: the whole tree was indexed (chains may pass
   // through unchanged files) but only the listed files are *reported*.
@@ -248,16 +209,6 @@ Report run(const Options& opt) {
                        }),
         report.suppressions.end());
   }
-
-  std::sort(report.findings.begin(), report.findings.end(),
-            [](const Finding& a, const Finding& b) {
-              return std::tie(a.file, a.line, a.rule) <
-                     std::tie(b.file, b.line, b.rule);
-            });
-  std::sort(report.suppressions.begin(), report.suppressions.end(),
-            [](const SuppressionRecord& a, const SuppressionRecord& b) {
-              return std::tie(a.file, a.line) < std::tie(b.file, b.line);
-            });
   return report;
 }
 
@@ -294,10 +245,6 @@ std::string Report::text() const {
       << findings.size() << " finding(s), " << unsuppressed()
       << " unsuppressed, " << suppressed() << " suppressed ("
       << suppressions.size() << " allow directive(s))\n";
-  if (files_indexed || index_cache_hits) {
-    out << "ckptfi-lint: index: " << files_indexed << " analyzed, "
-        << index_cache_hits << " from cache\n";
-  }
   return out.str();
 }
 
@@ -331,9 +278,9 @@ Json Report::sarif() const {
     locs.push_back(location_json(f.file, f.line));
     res["locations"] = std::move(locs);
     if (!f.chain.empty()) {
-      // Tier B evidence: the chain (and, for lock-order inversions, the
-      // inverse chain as a second thread flow — the two threads that
-      // deadlock against each other).
+      // Chain evidence (and, for lock-order inversions, the inverse chain
+      // as a second thread flow — the two threads that deadlock against
+      // each other).
       Json flows = Json::array();
       flows.push_back(thread_flow_json(f.chain));
       if (!f.counter_chain.empty())

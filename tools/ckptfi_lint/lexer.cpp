@@ -21,25 +21,22 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-/// Parse `ckptfi-lint: allow(rule-a, rule-b) reason text` out of a comment
-/// body. Comments without the marker are ignored, as is prose that merely
-/// mentions the tool name ("ckptfi-lint: every rule ..."): a directive is
-/// only recognised when `allow(` directly follows the marker. An allow with
-/// an empty rule list or no reason yields a directive the engine reports as
-/// malformed.
+/// Parse a directive out of a comment body. A comment is a directive only
+/// when it opens with the marker `ckptfi-lint:` followed by `allow(`; prose
+/// that mentions or quotes the syntax anywhere else is ignored. An allow
+/// with an empty rule list or no reason yields a directive the engine
+/// reports as malformed.
 void parse_directive(std::string_view comment, int line,
                      std::vector<Suppression>& out) {
-  const auto marker = comment.find("ckptfi-lint:");
-  if (marker == std::string_view::npos) return;
-  std::string_view rest = comment.substr(marker + 12);
-  while (!rest.empty() && (rest.front() == ' ' || rest.front() == '\t'))
-    rest.remove_prefix(1);
+  constexpr std::string_view kMarker = "ckptfi-lint:";
+  std::string_view rest = trim(comment);
+  if (rest.substr(0, kMarker.size()) != kMarker) return;
+  rest = trim(rest.substr(kMarker.size()));
   if (rest.rfind("allow(", 0) != 0) return;
   Suppression sup;
   sup.line = line;
-  const auto allow = rest.find("allow(");
   {
-    std::string_view inside = rest.substr(allow + 6);
+    std::string_view inside = rest.substr(6);
     const auto close = inside.find(')');
     if (close != std::string_view::npos) {
       std::string_view list = inside.substr(0, close);

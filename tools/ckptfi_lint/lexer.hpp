@@ -1,16 +1,18 @@
 // Lightweight C++ tokenizer for ckptfi-lint.
 //
-// The rule engine (rules.cpp) works on token streams, not ASTs: every
-// invariant it enforces is visible at token level (banned identifiers,
-// declaration shapes, scope nesting), which keeps the tool free of a
-// libclang dependency and fast enough to gate every CI run. The lexer
-// understands just enough C++ to never misread program text: line and block
-// comments, string/char literals (including raw strings and digit
-// separators), and multi-char operators the rules care about (`::`, `->`).
+// The token rules (rules.cpp) and the sema index (sema/index.cpp) work on
+// token streams, not ASTs: every invariant the tool enforces is visible at
+// token level (banned identifiers, declaration shapes, scope nesting), which
+// keeps it free of a libclang dependency and fast enough to gate every CI
+// run. The lexer understands just enough C++ to never misread program text:
+// line and block comments, string/char literals (including raw strings and
+// digit separators), and multi-char operators the rules care about (`::`,
+// `->`).
 //
 // Comments are not emitted as tokens; the only thing the engine wants from
-// them is suppression directives (`// ckptfi-lint: allow(<rule>) <reason>`),
-// which the lexer parses into LexedFile::suppressions as it goes.
+// them is suppression directives — comments that open with
+// `ckptfi-lint: allow(<rule>) <reason>` — which the lexer parses into
+// LexedFile::suppressions as it goes.
 #pragma once
 
 #include <string>
@@ -33,7 +35,7 @@ struct Token {
   int line = 1;
 };
 
-/// One `ckptfi-lint: allow(...)` directive found in a comment. A directive
+/// One allow(...) directive: a comment opening with the marker. A directive
 /// suppresses matching findings on its own line and on the line directly
 /// below it (so it can ride at end-of-line or on the line above).
 struct Suppression {

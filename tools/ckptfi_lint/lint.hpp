@@ -8,9 +8,10 @@
 // rule's motivating incident.
 //
 // Findings carry a rule id, file:line and a fix hint; output is human text
-// plus SARIF 2.1.0 JSON. `// ckptfi-lint: allow(<rule>) <reason>`
-// suppressions are honored (and counted); a suppression without a written
-// reason is itself a finding. Non-zero process exit on any unsuppressed
+// plus SARIF 2.1.0 JSON. Comments that open with
+// `ckptfi-lint: allow(<rule>) <reason>` suppress findings and are counted; a
+// suppression without a written reason, or naming an unregistered rule, is
+// itself a finding. Non-zero process exit on any unsuppressed
 // finding makes the tool a CI gate.
 #pragma once
 
@@ -33,7 +34,7 @@ struct RuleInfo {
 const std::vector<RuleInfo>& rules();
 
 /// One hop of an interprocedural evidence chain: the call site, callee
-/// definition, or banned token that carries a tier B finding.
+/// definition, or banned token that carries a transitive finding.
 struct ChainStep {
   std::string file;  ///< scan-root-relative
   int line = 1;
@@ -47,9 +48,10 @@ struct Finding {
   std::string message;
   bool suppressed = false;
   std::string suppress_reason;
-  /// Tier B evidence: the call chain from the flagged function to the
-  /// banned sink, emitted as SARIF codeFlows/relatedLocations. Empty for
-  /// per-file tier A findings.
+  /// The call chain from the flagged function to the banned sink, emitted
+  /// as SARIF codeFlows/relatedLocations. Empty for a direct hit (a chain of
+  /// length zero: the finding is the banned token itself) and for findings
+  /// that need no chain.
   std::vector<ChainStep> chain;
   /// Second thread flow for conc-lock-order: the inverse-order chain the
   /// primary chain deadlocks against.
@@ -74,24 +76,18 @@ struct Options {
   /// self-tests). The fixture tests disable this and point root at the
   /// fixture trees instead.
   bool default_excludes = true;
-  /// Per-file index cache directory (empty = disabled). Entries are keyed
-  /// by content crc32 plus a fingerprint of the rule registry and scope
-  /// tables, so editing a rule invalidates every entry automatically.
-  std::string index_cache;
   /// When set, findings/suppressions are only *reported* for these
   /// root-relative files (`--since`/`--changed-only`). The whole tree is
   /// still indexed — interprocedural chains may pass through unchanged
-  /// files — but the warm cache makes that cheap.
+  /// files.
   bool only_report_listed = false;
   std::vector<std::string> only_report;
 };
 
 struct Report {
-  std::vector<Finding> findings;              ///< sorted by (file,line,rule)
+  std::vector<Finding> findings;  ///< sorted by (file,line,rule,message)
   std::vector<SuppressionRecord> suppressions;  ///< sorted by (file,line)
   std::size_t files_scanned = 0;
-  std::size_t files_indexed = 0;     ///< analyzed fresh this run
-  std::size_t index_cache_hits = 0;  ///< replayed from the on-disk cache
 
   std::size_t unsuppressed() const;
   std::size_t suppressed() const;
@@ -102,8 +98,10 @@ struct Report {
 /// Lint every C++ file under opt.paths (resolved against opt.root).
 Report run(const Options& opt);
 
-/// Lint a single file's contents. `rel_path` decides which rules apply
-/// (deterministic module, kernel hot path, bench harness — see rules.cpp).
+/// Lint a single file's contents through the same path as run(), index
+/// rules included (their call graph is then this one file). `rel_path`
+/// decides which rules apply (deterministic module, kernel hot path, bench
+/// harness — see scopes.hpp). Findings and directives are appended.
 void check_file(const std::string& rel_path, std::string_view content,
                 Report& report);
 

@@ -1,20 +1,17 @@
 // ckptfi_lint CLI — the CI gate.
 //
 //   ckptfi_lint [--root=DIR] [--json=PATH] [--no-default-excludes]
-//               [--index-cache[=DIR]] [--since=REV] [--changed-only]
-//               [--list-rules] [--list-scopes] [paths...]
+//               [--since=REV] [--changed-only] [--list-rules]
+//               [--list-scopes] [paths...]
 //
 // Paths default to `src bench examples tests tools`, resolved against
 // --root (default: the current directory). Exit status: 0 when every finding
 // is suppressed with a written reason, 1 when unsuppressed findings remain,
 // 2 on usage errors.
 //
-// `--index-cache` enables the on-disk per-file artifact cache (bare form
-// defaults to <root>/.ckptfi-lint-cache); unchanged files replay instead of
-// re-analyzing. `--since=REV` reports findings only for files `git diff
-// --name-only REV` lists — the whole tree is still indexed so that
-// interprocedural chains through unchanged files stay visible, which the
-// cache makes cheap. `--changed-only` is `--since=HEAD`.
+// `--since=REV` reports findings only for files `git diff --name-only REV`
+// lists — the whole tree is still indexed so that interprocedural chains
+// through unchanged files stay visible. `--changed-only` is `--since=HEAD`.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -49,7 +46,6 @@ int main(int argc, char** argv) {
   ckptfi::lint::Options opt;
   std::string json_out;
   std::string since;
-  bool want_cache = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--list-rules") {
@@ -64,15 +60,6 @@ int main(int argc, char** argv) {
     }
     if (arg == "--no-default-excludes") {
       opt.default_excludes = false;
-      continue;
-    }
-    if (arg == "--index-cache") {
-      want_cache = true;
-      continue;
-    }
-    if (arg.rfind("--index-cache=", 0) == 0) {
-      want_cache = true;
-      opt.index_cache = arg.substr(14);
       continue;
     }
     if (arg.rfind("--since=", 0) == 0) {
@@ -94,16 +81,13 @@ int main(int argc, char** argv) {
     if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr,
                    "usage: ckptfi_lint [--root=DIR] [--json=PATH] "
-                   "[--no-default-excludes] [--index-cache[=DIR]] "
-                   "[--since=REV] [--changed-only] [--list-rules] "
-                   "[--list-scopes] [paths...]\n");
+                   "[--no-default-excludes] [--since=REV] "
+                   "[--changed-only] [--list-rules] [--list-scopes] "
+                   "[paths...]\n");
       return 2;
     }
     opt.paths.push_back(arg);
   }
-  if (want_cache && opt.index_cache.empty())
-    opt.index_cache = opt.root + "/.ckptfi-lint-cache";
-
   if (!since.empty()) {
     opt.only_report_listed = true;
     if (!git_changed_files(opt.root, since, opt.only_report)) {

@@ -1,22 +1,20 @@
-// Rule implementations. Every rule is a token-stream pattern tied to a
-// project invariant; docs/LINT.md records the motivating incident for each.
+// The token rules: path-scoped patterns over one file's token stream, each
+// tied to a project invariant (docs/LINT.md records the motivating incident
+// for each). The rules that need scopes, held locks or the call graph —
+// det-rng-entropy, arena-kernel-heap, conc-notify-under-lock and
+// conc-lock-order — live in sema/index_rules.cpp; all of them are registered
+// here so --list-rules and the SARIF rule list describe the full set.
 //
-// Which rules apply to a file depends on where it lives:
-//   - determinism rules: the deterministic modules
-//     src/{tensor,nn,core,hdf5,solver,data,models} — the code whose outputs
-//     EXPERIMENTS.md numbers are built from — plus the fleet's transport and
-//     processes (src/net, tools/ckptfi_fleetd, tools/ckptfi_worker): the
-//     fleet's whole value is that sharded rows are byte-identical to a
-//     single-process run, so entropy there is as load-bearing as in a
-//     kernel. (steady_clock is fine — lease deadlines are wall-clock-free
-//     reporting, not row content; system_clock and friends are not.)
-//     src/util is exempt (it hosts the seeded RNG itself) and src/obs is
-//     exempt (diagnostics may read wall clocks).
+// Which rules apply to a file depends on where it lives (scopes.hpp):
+//   - determinism rules: the deterministic modules — the code whose outputs
+//     EXPERIMENTS.md numbers are built from, plus the fleet's transport and
+//     processes, whose sharded rows must be byte-identical to a
+//     single-process run. src/util (hosts the seeded RNG itself) and src/obs
+//     (diagnostics may read wall clocks) are exempt.
 //   - concurrency rules: everywhere.
-//   - arena + simd lane-order rules: the kernel hot-path files
-//     src/tensor/{ops,ops_simd,kernels}.cpp, whose scratch must
-//     come from the Workspace arena and whose reductions must use the
-//     documented fixed lane fold (never horizontal-add intrinsics).
+//   - arena + simd lane-order rules: the kernel hot-path files, whose
+//     scratch must come from the Workspace arena and whose reductions must
+//     use the documented fixed lane fold (never horizontal-add intrinsics).
 //   - obs conventions: bench/bench_*.cpp harnesses.
 #include <algorithm>
 #include <string>
@@ -64,34 +62,6 @@ bool is_punct(const Token& t, std::string_view text) {
   return t.kind == TokKind::Punct && t.text == text;
 }
 
-/// Index just past the matching '>' of a template argument list whose '<'
-/// sits at `open`. Returns `open` unchanged if no balanced close is found
-/// within a sane distance (then it was a comparison, not a template).
-std::size_t skip_template_args(const std::vector<Token>& toks,
-                               std::size_t open) {
-  int depth = 0;
-  const std::size_t limit = std::min(toks.size(), open + 64);
-  for (std::size_t i = open; i < limit; ++i) {
-    if (is_punct(toks[i], "<")) ++depth;
-    else if (is_punct(toks[i], ">")) {
-      if (--depth == 0) return i + 1;
-    } else if (is_punct(toks[i], ";") || is_punct(toks[i], "{") ||
-               is_punct(toks[i], "}")) {
-      break;
-    }
-  }
-  return open;
-}
-
-std::size_t skip_parens(const std::vector<Token>& toks, std::size_t open) {
-  int depth = 0;
-  for (std::size_t i = open; i < toks.size(); ++i) {
-    if (is_punct(toks[i], "(")) ++depth;
-    else if (is_punct(toks[i], ")") && --depth == 0) return i + 1;
-  }
-  return toks.size();
-}
-
 // ---------------------------------------------------------------- rules --
 
 constexpr char kDetRng[] = "det-rng-entropy";
@@ -104,42 +74,7 @@ constexpr char kBenchObs[] = "obs-bench-conventions";
 constexpr char kPrefixMutation[] = "det-prefix-cache-mutation";
 constexpr char kSimdLaneOrder[] = "det-simd-lane-order";
 constexpr char kAllowReason[] = "lint-allow-needs-reason";
-// Tier B (interprocedural, sema/rules_b.cpp) — registered here so
-// --list-rules and the SARIF driver describe the full rule set.
-constexpr char kTransEntropy[] = "det-transitive-entropy";
-constexpr char kTransHeap[] = "arena-transitive-heap";
 constexpr char kLockOrder[] = "conc-lock-order";
-
-/// det-rng-entropy: process-state entropy sources in deterministic modules.
-void check_rng_entropy(const std::vector<Token>& toks,
-                       std::vector<RawFinding>& out) {
-  // Flagged on any mention: these names have no deterministic use.
-  static const std::vector<std::string_view> kAlways = {
-      "random_device", "system_clock", "gettimeofday", "drand48",
-      "lrand48",       "rand_r",       "srand",        "srand48"};
-  // Flagged only as calls: the bare words are common identifiers.
-  static const std::vector<std::string_view> kCalls = {"rand", "time",
-                                                       "clock"};
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::Identifier) continue;
-    const std::string& t = toks[i].text;
-    const bool always =
-        std::find(kAlways.begin(), kAlways.end(), t) != kAlways.end();
-    const bool call =
-        !always &&
-        std::find(kCalls.begin(), kCalls.end(), t) != kCalls.end() &&
-        i + 1 < toks.size() && is_punct(toks[i + 1], "(") &&
-        // a member call like foo.time(...) is not the libc function
-        (i == 0 || (!is_punct(toks[i - 1], ".") && !is_punct(toks[i - 1], "->")));
-    if (always || call) {
-      out.push_back({kDetRng, toks[i].line,
-                     "'" + t +
-                         "' draws entropy/time from process state; trial "
-                         "results would stop being a pure function of "
-                         "(--seed, trial index)"});
-    }
-  }
-}
 
 /// det-rng-unseeded-mt19937: a default-constructed std::mt19937 in a
 /// deterministic module. The default stream is identical for every trial —
@@ -203,167 +138,6 @@ void check_atomic_float(const std::vector<Token>& toks,
                                                               : a.text) +
                          ">: cross-thread FP accumulation is "
                          "scheduling-order dependent"});
-    }
-  }
-}
-
-/// conc-notify-under-lock: condition_variable::notify_* while a
-/// lock_guard/unique_lock declared in an enclosing scope is still live. The
-/// woken thread immediately blocks on the still-held mutex — and if the
-/// notifier's lock protects state the waiter re-checks, the exact PR 3
-/// parallel_for shape, the handshake can outlive the caller's stack.
-/// Lambda bodies reset the live-lock set: their body runs later, not under
-/// the locks that happen to be live at the capture site.
-void check_notify_under_lock(const std::vector<Token>& toks,
-                             std::vector<RawFinding>& out) {
-  const std::size_t n = toks.size();
-
-  // Pass 1: mark '{' tokens that open a lambda body: "]" [params] [specs] "{".
-  std::vector<char> lambda_brace(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!is_punct(toks[i], "]")) continue;
-    std::size_t j = i + 1;
-    if (j < n && is_punct(toks[j], "(")) j = skip_parens(toks, j);
-    // Walk over trailing-return/specifier tokens; bail on anything that
-    // cannot appear between a lambda's parameter list and its body.
-    std::size_t guard = 0;
-    while (j < n && guard++ < 24) {
-      const Token& t = toks[j];
-      if (is_punct(t, "{")) {
-        lambda_brace[j] = 1;
-        break;
-      }
-      const bool benign =
-          t.kind == TokKind::Identifier || is_punct(t, "->") ||
-          is_punct(t, "::") || is_punct(t, "<") || is_punct(t, ">") ||
-          is_punct(t, ",") || is_punct(t, "&") || is_punct(t, "*");
-      if (!benign) break;
-      ++j;
-    }
-  }
-
-  struct ActiveLock {
-    int depth;
-    int line;
-    std::string var;
-  };
-  struct LambdaFrame {
-    int entry_depth;
-    std::vector<ActiveLock> saved;
-  };
-  std::vector<ActiveLock> locks;
-  std::vector<LambdaFrame> frames;
-  int depth = 0;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const Token& t = toks[i];
-    if (is_punct(t, "{")) {
-      if (lambda_brace[i]) {
-        frames.push_back({depth, std::move(locks)});
-        locks.clear();
-      }
-      ++depth;
-      continue;
-    }
-    if (is_punct(t, "}")) {
-      --depth;
-      while (!locks.empty() && locks.back().depth > depth) locks.pop_back();
-      if (!frames.empty() && frames.back().entry_depth == depth) {
-        locks = std::move(frames.back().saved);
-        frames.pop_back();
-      }
-      continue;
-    }
-    if (t.kind != TokKind::Identifier) continue;
-
-    if (t.text == "lock_guard" || t.text == "unique_lock" ||
-        t.text == "scoped_lock") {
-      std::size_t j = i + 1;
-      if (j < n && is_punct(toks[j], "<")) j = skip_template_args(toks, j);
-      if (j < n && toks[j].kind == TokKind::Identifier && j + 1 < n &&
-          (is_punct(toks[j + 1], "(") || is_punct(toks[j + 1], "{"))) {
-        locks.push_back({depth, toks[j].line, toks[j].text});
-      }
-      continue;
-    }
-    if (t.text == "unlock" && i >= 1 &&
-        (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->"))) {
-      // lk.unlock() releases; drop the lock matching the receiver name, or
-      // the innermost one when the receiver is not a plain identifier.
-      std::string var =
-          i >= 2 && toks[i - 2].kind == TokKind::Identifier ? toks[i - 2].text
-                                                            : "";
-      auto it = std::find_if(locks.rbegin(), locks.rend(),
-                             [&](const ActiveLock& l) { return l.var == var; });
-      if (it != locks.rend()) {
-        locks.erase(std::next(it).base());
-      } else if (!locks.empty()) {
-        locks.pop_back();
-      }
-      continue;
-    }
-    if ((t.text == "notify_one" || t.text == "notify_all") && i + 1 < n &&
-        is_punct(toks[i + 1], "(") && !locks.empty()) {
-      out.push_back(
-          {kNotifyUnderLock, t.line,
-           t.text + "() while '" + locks.back().var + "' (line " +
-               std::to_string(locks.back().line) +
-               ") still holds its mutex; the waiter wakes just to block"});
-    }
-  }
-}
-
-/// arena-kernel-heap: heap traffic in the kernel hot-path files. Scratch
-/// must come from Workspace::tls() (per-thread bump arena, zero steady-state
-/// allocations); Tensor::resize on *outputs* is the documented contract and
-/// is not flagged.
-void check_kernel_heap(const std::vector<Token>& toks,
-                       std::vector<RawFinding>& out) {
-  static const std::vector<std::string_view> kAllocCalls = {
-      "malloc", "calloc",      "realloc",    "free",
-      "aligned_alloc", "make_unique", "make_shared"};
-  static const std::vector<std::string_view> kGrowthCalls = {
-      "push_back", "emplace_back", "reserve", "assign", "insert", "emplace"};
-  const std::size_t n = toks.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Token& t = toks[i];
-    if (t.kind != TokKind::Identifier) continue;
-    if (t.text == "new") {
-      out.push_back({kArenaHeap, t.line,
-                     "operator new in a kernel hot path allocates per call"});
-      continue;
-    }
-    const bool member_call = i >= 1 && (is_punct(toks[i - 1], ".") ||
-                                        is_punct(toks[i - 1], "->"));
-    if (std::find(kAllocCalls.begin(), kAllocCalls.end(), t.text) !=
-            kAllocCalls.end() &&
-        i + 1 < n &&
-        (is_punct(toks[i + 1], "(") || is_punct(toks[i + 1], "<")) &&
-        !member_call) {
-      out.push_back({kArenaHeap, t.line,
-                     "'" + t.text + "' heap call in a kernel hot path"});
-      continue;
-    }
-    if (member_call && i + 1 < n && is_punct(toks[i + 1], "(") &&
-        std::find(kGrowthCalls.begin(), kGrowthCalls.end(), t.text) !=
-            kGrowthCalls.end()) {
-      out.push_back({kArenaHeap, t.line,
-                     "container '" + t.text +
-                         "' may reallocate inside a kernel hot path"});
-      continue;
-    }
-    if (t.text == "vector" && i + 1 < n && is_punct(toks[i + 1], "<")) {
-      const std::size_t after = skip_template_args(toks, i + 1);
-      if (after != i + 1 && after < n &&
-          toks[after].kind == TokKind::Identifier && after + 1 < n &&
-          (is_punct(toks[after + 1], ";") || is_punct(toks[after + 1], "=") ||
-           is_punct(toks[after + 1], "(") ||
-           is_punct(toks[after + 1], "{"))) {
-        out.push_back({kArenaHeap, t.line,
-                       "std::vector value '" + toks[after].text +
-                           "' owns heap storage in a kernel hot path"});
-      }
-      continue;
     }
   }
 }
@@ -490,9 +264,10 @@ const std::vector<RuleInfo>& rules() {
   static const std::vector<RuleInfo> kRules = {
       {kDetRng,
        "No process-state entropy (rand, std::random_device, time(), wall "
-       "clock) in deterministic modules",
+       "clock) in deterministic modules, directly or through helpers",
        "draw from util/rng.hpp (splitmix64/xoshiro) seeded via "
-       "core::trial_seed(campaign, index)"},
+       "core::trial_seed(campaign, index); a helper that never feeds row "
+       "bytes belongs behind the obs:: observation-only boundary"},
       {kDetUnseededMt,
        "No default-constructed std::mt19937/mt19937_64 in deterministic "
        "modules",
@@ -510,9 +285,10 @@ const std::vector<RuleInfo>& rules() {
        "accumulate per-thread partials and reduce in a fixed (ascending) "
        "order, or use an integer atomic"},
       {kArenaHeap,
-       "No heap allocation in kernel hot paths outside the Workspace arena",
-       "take scratch from Workspace::tls() under a Workspace::Scope "
-       "(docs/KERNELS.md)"},
+       "No heap allocation in kernel hot paths outside the Workspace arena, "
+       "directly or through helpers",
+       "take scratch from Workspace::tls() under a Workspace::Scope, in "
+       "helpers too, or pass the caller's arena span down (docs/KERNELS.md)"},
       {kBenchObs,
        "Bench harnesses stamp run_start and support --json-out",
        "route options through bench::BenchOptions::parse and call "
@@ -528,19 +304,10 @@ const std::vector<RuleInfo>& rules() {
        "store the lane accumulators and fold them with the documented "
        "fixed tree: ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)) (docs/KERNELS.md)"},
       {kAllowReason,
-       "Every ckptfi-lint suppression names a rule and carries a reason",
-       "write '// ckptfi-lint: allow(<rule>) <why this is safe here>'"},
-      {kTransEntropy,
-       "No deterministic-module function transitively reaches an "
-       "entropy/time source through helpers (interprocedural)",
-       "route the value through the seeded trial stream, or move the helper "
-       "behind the obs:: observation-only boundary if it never feeds row "
-       "bytes"},
-      {kTransHeap,
-       "No kernel hot-path function transitively reaches heap allocation "
-       "through helpers (interprocedural)",
-       "take scratch from Workspace::tls() in the helper too, or pass the "
-       "caller's arena span down (docs/KERNELS.md)"},
+       "Every ckptfi-lint suppression names registered rules and carries a "
+       "reason",
+       "write '// ckptfi-lint: allow(<rule>) <why this is safe here>' as the "
+       "comment's opening text"},
       {kLockOrder,
        "No two call chains acquire the same pair of mutexes in opposite "
        "orders (interprocedural ABBA deadlock)",
@@ -550,49 +317,53 @@ const std::vector<RuleInfo>& rules() {
   return kRules;
 }
 
-void tier_a_rules(const std::string& rel_path, const LexedFile& lexed,
-                  std::vector<RawFinding>& out) {
-  if (in_deterministic_module(rel_path)) {
-    check_rng_entropy(lexed.tokens, out);
-    check_unseeded_mt19937(lexed.tokens, out);
-    check_unordered(lexed.tokens, out);
-    // The cache implementation builds entries in place before publishing
-    // them; everywhere else the entries are read-only.
-    if (rel_path != "src/core/prefix_cache.cpp")
-      check_prefix_cache_mutation(lexed.tokens, out);
+const RuleInfo* rule_info(const std::string& id) {
+  for (const RuleInfo& r : rules()) {
+    if (r.id == id) return &r;
   }
-  check_notify_under_lock(lexed.tokens, out);
-  check_atomic_float(lexed.tokens, out);
-  if (is_kernel_hot_path(rel_path)) {
-    check_kernel_heap(lexed.tokens, out);
-    check_simd_lane_order(lexed.tokens, out);
-  }
-  if (is_bench_harness(rel_path)) check_bench_conventions(lexed.tokens, out);
-
-  // A malformed allow() is itself a finding — deliberately unsuppressable
-  // (the engine never matches kAllowReason against directives).
-  for (const Suppression& s : lexed.suppressions) {
-    if (s.rules.empty() || s.reason.empty()) {
-      out.push_back({kAllowReason, s.line,
-                     "suppression must name a rule and carry a written "
-                     "reason"});
-    }
-  }
+  return nullptr;
 }
 
 FileArtifact analyze_file(const std::string& rel_path,
                           std::string_view content) {
   const LexedFile lexed = lex(content);
   FileArtifact art;
-  tier_a_rules(rel_path, lexed, art.findings);
+  std::vector<RawFinding>& out = art.findings;
+  const std::vector<Token>& toks = lexed.tokens;
+  if (in_deterministic_module(rel_path)) {
+    check_unseeded_mt19937(toks, out);
+    check_unordered(toks, out);
+    // The cache implementation builds entries in place before publishing
+    // them; everywhere else the entries are read-only.
+    if (rel_path != "src/core/prefix_cache.cpp")
+      check_prefix_cache_mutation(toks, out);
+  }
+  check_atomic_float(toks, out);
+  if (is_kernel_hot_path(rel_path)) check_simd_lane_order(toks, out);
+  if (is_bench_harness(rel_path)) check_bench_conventions(toks, out);
+
+  // A malformed allow() is itself a finding — deliberately unsuppressable
+  // (the engine never matches kAllowReason against directives). So is one
+  // naming an unregistered id: a retired or misspelled rule would otherwise
+  // stop suppressing without a word.
+  for (const Suppression& s : lexed.suppressions) {
+    if (s.rules.empty() || s.reason.empty()) {
+      out.push_back({kAllowReason, s.line,
+                     "suppression must name a rule and carry a written "
+                     "reason"});
+    }
+    for (const std::string& id : s.rules) {
+      if (rule_info(id) == nullptr) {
+        out.push_back({kAllowReason, s.line,
+                       "allow() names '" + id +
+                           "', which is not a registered rule (see "
+                           "--list-rules)"});
+      }
+    }
+  }
   art.suppressions = lexed.suppressions;
   art.index = sema::build_index(rel_path, lexed);
   return art;
-}
-
-void check_file(const std::string& rel_path, std::string_view content,
-                Report& report) {
-  apply_artifact(rel_path, analyze_file(rel_path, content), report);
 }
 
 }  // namespace ckptfi::lint

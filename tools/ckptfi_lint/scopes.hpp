@@ -1,8 +1,8 @@
 // The one rule-scope table. Which rules police which paths used to live in
 // three prose locations (rules.cpp predicates, docs/LINT.md, main.cpp's
 // header comment) and drifted apart was only a module-addition away. Now the
-// path lists are data in this header, the tier A/B predicates in rules.cpp
-// and sema/rules_b.cpp read them, `ckptfi_lint --list-scopes` dumps them,
+// path lists are data in this header, the predicates in rules.cpp and
+// sema/index_rules.cpp read them, `ckptfi_lint --list-scopes` dumps them,
 // and tests/lint/test_lint.cpp asserts every entry is documented verbatim in
 // docs/LINT.md — so adding a module without extending lint coverage (or the
 // docs) fails a test instead of silently shrinking the gate.
@@ -40,16 +40,16 @@ inline constexpr std::string_view kKernelHotPaths[] = {
     "src/tensor/kernels.cpp",
 };
 
-/// Qualified-name prefixes the det-transitive-entropy walk does not step
-/// into: ckptfi::obs is observation-only by contract (its wall-clock reads
-/// are diagnostics; nothing it computes feeds row bytes, the same reason
-/// src/obs is tier-A exempt).
+/// Qualified-name prefixes the det-rng-entropy walk does not step into:
+/// ckptfi::obs is observation-only by contract (its wall-clock reads are
+/// diagnostics; nothing it computes feeds row bytes, the same reason src/obs
+/// is exempt).
 inline constexpr std::string_view kEntropyBarriers[] = {
     "ckptfi::obs::",
     "obs::",
 };
 
-/// Qualified-name prefixes the arena-transitive-heap walk does not step
+/// Qualified-name prefixes the arena-kernel-heap walk does not step
 /// into: Workspace IS the sanctioned allocator (high-water regrow is its
 /// documented job), Tensor::resize on caller-owned outputs is the documented
 /// kernel contract (docs/KERNELS.md), obs record paths carry their own

@@ -1,7 +1,7 @@
-// The whole-program view tier B reasons over: every FileIndex flattened into
-// a function table, a name-resolution index, and the include closure that
-// scopes unqualified-call resolution to declarations a file can actually
-// see. Resolution is deliberately conservative:
+// The whole-program view the index rules reason over: every FileIndex
+// flattened into a function table, a name-resolution index, and the include
+// closure that scopes unqualified-call resolution to declarations a file can
+// actually see. Resolution is deliberately conservative:
 //
 //   1. a call qualified as written ("util::helper") matches definitions
 //      whose qualified name ends with those components;

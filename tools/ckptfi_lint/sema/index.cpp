@@ -1,14 +1,17 @@
 // The declaration indexer. One forward pass over the token stream with a
 // scope stack: namespace/class scopes contribute to qualified names,
-// function bodies collect call sites / lock events / banned-token hits.
-// Heuristics err toward over-collection — a call name that resolves to
-// nothing creates no graph edge, so junk here is harmless, while a missed
-// call is a hole in the transitive rules.
+// function bodies collect call sites and lock events. A second pass matches
+// the banned entropy/heap token shapes over the whole stream and attributes
+// each hit to the body that contains it, or to file scope. Heuristics err
+// toward over-collection — a call name that resolves to nothing creates no
+// graph edge, so junk here is harmless, while a missed call is a hole in the
+// taint walks.
 #include "sema/index.hpp"
 
 #include <algorithm>
 #include <array>
 #include <string_view>
+#include <utility>
 
 namespace ckptfi::lint::sema {
 
@@ -119,7 +122,7 @@ std::size_t skip_braces(const std::vector<Token>& toks, std::size_t open) {
 
 /// Mark '{' tokens that open lambda bodies: "]" [(params)] [specs] "{".
 /// Lock context resets inside them — a lambda body runs later, not under the
-/// locks live at its capture site (same semantics as tier A's notify rule).
+/// locks live at its capture site.
 std::vector<char> mark_lambda_braces(const std::vector<Token>& toks) {
   const std::size_t n = toks.size();
   std::vector<char> lambda(n, 0);
@@ -168,6 +171,38 @@ std::string joined_name(const std::vector<Token>& toks, std::size_t start,
   return name;
 }
 
+/// Record the det-rng-entropy or arena-kernel-heap shape at toks[i], if any,
+/// attributed to function `owner` (-1: file scope).
+void match_banned(const std::vector<Token>& toks, std::size_t i, int owner,
+                  FileIndex& out) {
+  const Token& t = toks[i];
+  if (t.kind != TokKind::Identifier) return;
+  const std::size_t n = toks.size();
+  // Member calls are not the libc functions (foo.time(...),
+  // pool.free(...)); the container growth calls are member calls.
+  const bool member = i >= 1 && (is_punct(toks[i - 1], ".") ||
+                                 is_punct(toks[i - 1], "->"));
+  const bool call = i + 1 < n && is_punct(toks[i + 1], "(");
+  const bool tmpl = i + 1 < n && is_punct(toks[i + 1], "<");
+  if (in_list(t.text, entropy_always()) ||
+      (call && !member && in_list(t.text, entropy_calls()))) {
+    out.entropy_hits.push_back({t.text, t.line, owner});
+  } else if (t.text == "new" ||
+             (!member && (call || tmpl) && in_list(t.text, alloc_calls())) ||
+             (member && call && in_list(t.text, growth_calls()))) {
+    out.heap_hits.push_back({t.text, t.line, owner});
+  } else if (t.text == "vector" && tmpl) {
+    // A by-value std::vector declarator: "vector<...> name" then ; = ( {.
+    const std::size_t after = skip_template_args(toks, i + 1);
+    if (after != i + 1 && after + 1 < n &&
+        toks[after].kind == TokKind::Identifier &&
+        (is_punct(toks[after + 1], ";") || is_punct(toks[after + 1], "=") ||
+         is_punct(toks[after + 1], "(") || is_punct(toks[after + 1], "{"))) {
+      out.heap_hits.push_back({"std::vector", t.line, owner});
+    }
+  }
+}
+
 struct ScopeFrame {
   enum Kind { kNamespace, kClass, kBlock } kind = kBlock;
   std::string name;  ///< namespace/class component ("" for anonymous/blocks)
@@ -201,6 +236,9 @@ FileIndex build_index(const std::string& rel_path, const LexedFile& lexed) {
   FunctionDef* fn = nullptr;       ///< non-null while inside a function body
   std::size_t fn_scope_depth = 0;  ///< scopes.size() at the body '{'
   std::string fn_class;            ///< enclosing class component, for lock ids
+  /// Token range ['{', '}'] of each function body, parallel to
+  /// out.functions; bodies never nest, so the ranges are disjoint and sorted.
+  std::vector<std::pair<std::size_t, std::size_t>> bodies;
 
   std::vector<ActiveLock> locks;
   struct LambdaFrame {
@@ -267,6 +305,7 @@ FileIndex build_index(const std::string& rel_path, const LexedFile& lexed) {
           lambda_frames.pop_back();
         }
         if (scopes.size() < fn_scope_depth) {
+          bodies.back().second = i;
           fn = nullptr;
           locks.clear();
           lambda_frames.clear();
@@ -397,6 +436,7 @@ FileIndex build_index(const std::string& rel_path, const LexedFile& lexed) {
           def.line = t.line;
           out.functions.push_back(std::move(def));
           fn = &out.functions.back();
+          bodies.emplace_back(body, n);
           // enclosing class component: explicit qualifier on the written
           // name wins, else the innermost class scope.
           fn_class.clear();
@@ -500,37 +540,6 @@ FileIndex build_index(const std::string& rel_path, const LexedFile& lexed) {
       continue;
     }
 
-    // Banned-token hits (taint sources for the transitive rules).
-    if (in_list(t.text, entropy_always())) {
-      fn->entropy_hits.push_back({t.text, t.line});
-    } else if (in_list(t.text, entropy_calls()) && i + 1 < n &&
-               is_punct(toks[i + 1], "(") && !member_recv) {
-      fn->entropy_hits.push_back({t.text, t.line});
-    }
-    if (t.text == "new") {
-      fn->heap_hits.push_back({"new", t.line});
-      ++i;
-      continue;
-    }
-    if (in_list(t.text, alloc_calls()) && i + 1 < n &&
-        (is_punct(toks[i + 1], "(") || is_punct(toks[i + 1], "<")) &&
-        !member_recv) {
-      fn->heap_hits.push_back({t.text, t.line});
-    }
-    if (member_recv && i + 1 < n && is_punct(toks[i + 1], "(") &&
-        in_list(t.text, growth_calls())) {
-      fn->heap_hits.push_back({t.text, t.line});
-    }
-    if (t.text == "vector" && i + 1 < n && is_punct(toks[i + 1], "<")) {
-      const std::size_t after = skip_template_args(toks, i + 1);
-      if (after != i + 1 && after < n &&
-          toks[after].kind == TokKind::Identifier && after + 1 < n &&
-          (is_punct(toks[after + 1], ";") || is_punct(toks[after + 1], "=") ||
-           is_punct(toks[after + 1], "(") || is_punct(toks[after + 1], "{"))) {
-        fn->heap_hits.push_back({"vector-local", t.line});
-      }
-    }
-
     // Call sites: ident "(" or ident "<tmpl>" "(".
     std::size_t args = 0;
     if (i + 1 < n && is_punct(toks[i + 1], "(")) {
@@ -539,7 +548,8 @@ FileIndex build_index(const std::string& rel_path, const LexedFile& lexed) {
       const std::size_t after = skip_template_args(toks, i + 1);
       if (after != i + 1 && after < n && is_punct(toks[after], "(")) args = after;
     }
-    if (args != 0 && !in_list(t.text, not_a_call()) && t.text != "operator") {
+    if (args != 0 && !in_list(t.text, not_a_call()) && t.text != "operator" &&
+        t.text != "new") {
       const std::size_t start = member_recv ? i : name_start(toks, i);
       bool is_call = true;
       if (start >= 1) {
@@ -566,6 +576,14 @@ FileIndex build_index(const std::string& rel_path, const LexedFile& lexed) {
     ++i;
   }
 
+  // Banned token shapes over the whole stream, so namespace-scope tokens,
+  // class members and parameter lists are seen too.
+  std::size_t b = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    while (b < bodies.size() && bodies[b].second < k) ++b;
+    const bool in_body = b < bodies.size() && bodies[b].first < k;
+    match_banned(toks, k, in_body ? static_cast<int>(b) : -1, out);
+  }
   return out;
 }
 
