@@ -259,6 +259,14 @@ CorrupterConfig bit_range(std::uint64_t flips, int first_bit, int last_bit,
   return cc;
 }
 
+/// A row's "log" value: the log's compact text, embedded verbatim. A
+/// 1000-record log built as a Json tree would cost ~7x its text in heap.
+Json row_log(const InjectionLog& log) {
+  std::string text;
+  log.write_json(text);
+  return Json::raw(std::move(text));
+}
+
 Json accuracy_curve(const nn::TrainResult& res) {
   Json a = Json::array();
   for (const auto& s : res.epochs) a.push_back(s.test_accuracy);
@@ -315,7 +323,7 @@ class Table4Campaign final : public GridCampaign {
     row["collapsed"] = probed.result.collapsed;
     row["final_accuracy"] = probed.result.final_accuracy;
     row["clean_accuracy"] = clean.result.final_accuracy;
-    row["log"] = rep.log.to_json();
+    row["log"] = row_log(rep.log);
     row["divergence"] =
         runner.divergence_vs_clean(probed.probes, opts_.resume_epochs)
             .to_json();
@@ -360,7 +368,7 @@ class Table5Campaign final : public GridCampaign {
     row["collapsed"] = res.collapsed;
     row["final_accuracy"] = res.final_accuracy;
     row["clean_accuracy"] = clean.result.final_accuracy;
-    row["log"] = rep.log.to_json();
+    row["log"] = row_log(rep.log);
     row["divergence"] =
         runner.divergence_vs_clean(probed.probes, opts_.resume_epochs)
             .to_json();
@@ -400,7 +408,7 @@ class Table6Campaign final : public GridCampaign {
       cc.injection_attempts = 10;  // 10 weights/training (paper)
       cc.seed = trial.seed;
       const InjectionReport rep = Corrupter(cc).corrupt(ckpt);
-      log = rep.log.to_json();
+      log = row_log(rep.log);
       // 10 random weights scatter across layers; the shallowest one bounds
       // the reusable prefix (often 0 — then this is a no-op).
       seg = entry_segment(runner, rep.log);
@@ -447,7 +455,7 @@ class Table7Campaign final : public GridCampaign {
     Json row = trial_row(cell, trial);
     row["collapsed"] = res.collapsed;
     row["final_accuracy"] = res.final_accuracy;
-    row["log"] = rep.log.to_json();
+    row["log"] = row_log(rep.log);
     return stamped(std::move(row));
   }
 };
@@ -484,7 +492,7 @@ class Table8Campaign final : public GridCampaign {
       // Spare the exponent MSB: prediction still runs, as in the paper.
       CorrupterConfig cc = bit_range(s.count, 0, s.precision - 2, trial.seed);
       cc.float_precision = s.precision;
-      log = Corrupter(cc).corrupt(ckpt).log.to_json();
+      log = row_log(Corrupter(cc).corrupt(ckpt).log);
     }
     const nn::EvalResult res = runner.predict_subset(ckpt, trial.index % 2, 2);
     Json row = trial_row(cell, trial);
@@ -569,7 +577,7 @@ class Fig3Campaign final : public GridCampaign {
     const nn::TrainResult res = runner.resume_training(ckpt);
     Json row = trial_row(cell, trial);
     row["curve"] = accuracy_curve(res);
-    row["log"] = rep.log.to_json();
+    row["log"] = row_log(rep.log);
     return stamped(std::move(row));
   }
 };
@@ -622,7 +630,7 @@ class Fig4Campaign final : public GridCampaign {
       const nn::EvalResult ev = runner.predict(ckpt, seg);
       row["accuracy"] = ev.accuracy;
       row["nev"] = ev.nev;
-      row["log"] = rep.log.to_json();
+      row["log"] = row_log(rep.log);
       return stamped(std::move(row));
     }
 
@@ -641,7 +649,7 @@ class Fig4Campaign final : public GridCampaign {
     row["final_accuracy"] = probed.result.final_accuracy;
     row["clean_accuracy"] = runner.clean_probed_run().result.final_accuracy;
     row["accuracy"] = accuracy_curve(probed.result);
-    row["log"] = rep.log.to_json();
+    row["log"] = row_log(rep.log);
     row["divergence"] = div.to_json();
     return stamped(std::move(row));
   }

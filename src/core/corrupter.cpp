@@ -88,21 +88,30 @@ InjectionReport Corrupter::corrupt(mh5::File& file, const ModelContext* ctx) {
   require(!locations.empty(), "Corrupter: no corruptible locations");
   const std::uint64_t attempts = resolve_attempts(file);
 
+  // Each location's dataset and model coordinates, resolved on its first
+  // draw: a tree walk (and a context lookup) per location, not per flip.
+  std::vector<Target> targets(locations.size());
   InjectionReport report;
   for (std::uint64_t a = 0; a < attempts; ++a) {
     ++report.attempts;
-    const auto& path =
-        locations[static_cast<std::size_t>(rng_.uniform_u64(locations.size()))];
-    mh5::Dataset& ds = file.dataset(path);
+    const auto li =
+        static_cast<std::size_t>(rng_.uniform_u64(locations.size()));
+    Target& t = targets[li];
+    if (t.ds == nullptr) {
+      t.path = &locations[li];
+      t.ds = &file.dataset(*t.path);
+      t.info = ctx != nullptr ? ctx->lookup(*t.path) : nullptr;
+    }
+    mh5::Dataset& ds = *t.ds;
     const std::uint64_t index = rng_.uniform_u64(ds.num_elements());
     if (!rng_.bernoulli(cfg_.injection_probability)) {
       ++report.prob_skipped;
       continue;
     }
     if (mh5::dtype_is_float(ds.dtype())) {
-      if (!corrupt_float(ds, index, path, ctx, report)) ++report.nan_gave_up;
+      if (!corrupt_float(t, index, ctx, report)) ++report.nan_gave_up;
     } else {
-      corrupt_int(ds, index, path, ctx, report);
+      corrupt_int(t, index, ctx, report);
     }
   }
   if (obs::metrics_enabled()) {
@@ -132,9 +141,10 @@ InjectionReport Corrupter::corrupt_file(const std::string& in_path,
   return report;
 }
 
-bool Corrupter::corrupt_float(mh5::Dataset& ds, std::uint64_t index,
-                              const std::string& path, const ModelContext* ctx,
+bool Corrupter::corrupt_float(const Target& t, std::uint64_t index,
+                              const ModelContext* ctx,
                               InjectionReport& report) {
+  mh5::Dataset& ds = *t.ds;
   // Bits that exist on disk are the bits that can flip: corrupt at the
   // dataset's stored width even if the config names a different precision.
   const int bits = mh5::dtype_bits(ds.dtype());
@@ -189,16 +199,16 @@ bool Corrupter::corrupt_float(mh5::Dataset& ds, std::uint64_t index,
     }
 
     ds.set_element_bits(index, new_repr);
-    record(path, index, std::move(flipped), scale, old_value, new_value, ctx,
+    record(t, index, std::move(flipped), scale, old_value, new_value, ctx,
            report);
     return true;
   }
   return false;
 }
 
-void Corrupter::corrupt_int(mh5::Dataset& ds, std::uint64_t index,
-                            const std::string& path, const ModelContext* ctx,
-                            InjectionReport& report) {
+void Corrupter::corrupt_int(const Target& t, std::uint64_t index,
+                            const ModelContext* ctx, InjectionReport& report) {
+  mh5::Dataset& ds = *t.ds;
   // Python-bin() semantics (paper Section IV-B): flip a random bit within
   // the value's binary representation. bin(|v|) of 0 is "0", one digit.
   report.bytes_scanned += sizeof(std::int64_t);
@@ -214,16 +224,16 @@ void Corrupter::corrupt_int(mh5::Dataset& ds, std::uint64_t index,
       old_int < 0 ? -static_cast<std::int64_t>(new_mag)
                   : static_cast<std::int64_t>(new_mag);
   ds.set_int(index, new_int);
-  record(path, index, {bit}, std::nullopt, static_cast<double>(old_int),
+  record(t, index, {bit}, std::nullopt, static_cast<double>(old_int),
          static_cast<double>(new_int), ctx, report);
 }
 
-void Corrupter::record(const std::string& path, std::uint64_t stored_index,
+void Corrupter::record(const Target& t, std::uint64_t stored_index,
                        std::vector<int> bits, std::optional<double> scale,
                        double old_value, double new_value,
                        const ModelContext* ctx, InjectionReport& report) {
   InjectionRecord rec;
-  rec.location = path;
+  rec.location = *t.path;
   rec.index = stored_index;
   rec.bits = std::move(bits);
   rec.scale = scale;
@@ -237,13 +247,11 @@ void Corrupter::record(const std::string& path, std::uint64_t stored_index,
                       .count();
     rec.rng_draw = rng_.draws();
   }
-  if (ctx != nullptr) {
-    if (const auto* info = ctx->lookup(path)) {
-      rec.canonical_param = info->canonical_param;
-      rec.layer = info->layer;
-      rec.canonical_index = ctx->adapter().canonical_index(
-          stored_index, info->canonical_dims, info->kind);
-    }
+  if (t.info != nullptr) {
+    rec.canonical_param = t.info->canonical_param;
+    rec.layer = t.info->layer;
+    rec.canonical_index = ctx->adapter().canonical_index(
+        stored_index, t.info->canonical_dims, t.info->kind);
   }
   ++report.injections;
   if (obs::events_enabled()) obs::emit_event("bitflip_applied", rec.to_json());

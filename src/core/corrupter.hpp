@@ -80,16 +80,23 @@ class Corrupter {
   std::uint64_t resolve_attempts(const mh5::File& file) const;
 
  private:
+  /// A resolved location of the current run: its path, its dataset and its
+  /// model coordinates (null without a context or for a non-parameter).
+  struct Target {
+    const std::string* path = nullptr;
+    mh5::Dataset* ds = nullptr;
+    const ModelContext::ParamInfo* info = nullptr;
+  };
+
   /// One corruption of a float dataset element; returns false if the NaN
   /// filter exhausted its retries.
-  bool corrupt_float(mh5::Dataset& ds, std::uint64_t index,
-                     const std::string& path, const ModelContext* ctx,
-                     InjectionReport& report);
-  void corrupt_int(mh5::Dataset& ds, std::uint64_t index,
-                   const std::string& path, const ModelContext* ctx,
-                   InjectionReport& report);
+  bool corrupt_float(const Target& t, std::uint64_t index,
+                     const ModelContext* ctx, InjectionReport& report);
+  void corrupt_int(const Target& t, std::uint64_t index,
+                   const ModelContext* ctx, InjectionReport& report);
 
-  void record(const std::string& path, std::uint64_t stored_index,
+  /// Logs one injection; `ctx` maps the stored index when `t.info` is set.
+  void record(const Target& t, std::uint64_t stored_index,
               std::vector<int> bits, std::optional<double> scale,
               double old_value, double new_value, const ModelContext* ctx,
               InjectionReport& report);

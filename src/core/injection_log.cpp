@@ -8,22 +8,54 @@
 
 namespace ckptfi::core {
 
+void InjectionRecord::write_json(std::string& out) const {
+  out += "{\"location\":";
+  Json::write_string(out, location);
+  // u64 fields print as the i64 they cast to, as Json(std::uint64_t) does;
+  // from_json casts them back.
+  out += ",\"index\":";
+  Json::write_int(out, static_cast<std::int64_t>(index));
+  if (!canonical_param.empty()) {
+    out += ",\"canonical_param\":";
+    Json::write_string(out, canonical_param);
+  }
+  if (!layer.empty()) {
+    out += ",\"layer\":";
+    Json::write_string(out, layer);
+  }
+  if (canonical_index) {
+    out += ",\"canonical_index\":";
+    Json::write_int(out, static_cast<std::int64_t>(*canonical_index));
+  }
+  out += ",\"bits\":[";
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (i) out += ',';
+    Json::write_int(out, bits[i]);
+  }
+  out += ']';
+  if (scale) {
+    out += ",\"scale\":";
+    Json::write_double(out, *scale);
+  }
+  out += ",\"old_value\":";
+  Json::write_double(out, old_value);
+  out += ",\"new_value\":";
+  Json::write_double(out, new_value);
+  if (wall_ms) {
+    out += ",\"wall_ms\":";
+    Json::write_double(out, *wall_ms);
+  }
+  if (rng_draw) {
+    out += ",\"rng_draw\":";
+    Json::write_int(out, static_cast<std::int64_t>(*rng_draw));
+  }
+  out += '}';
+}
+
 Json InjectionRecord::to_json() const {
-  Json j = Json::object();
-  j["location"] = location;
-  j["index"] = index;
-  if (!canonical_param.empty()) j["canonical_param"] = canonical_param;
-  if (!layer.empty()) j["layer"] = layer;
-  if (canonical_index) j["canonical_index"] = *canonical_index;
-  Json bits_json = Json::array();
-  for (int b : bits) bits_json.push_back(b);
-  j["bits"] = std::move(bits_json);
-  if (scale) j["scale"] = *scale;
-  j["old_value"] = old_value;
-  j["new_value"] = new_value;
-  if (wall_ms) j["wall_ms"] = *wall_ms;
-  if (rng_draw) j["rng_draw"] = *rng_draw;
-  return j;
+  std::string text;
+  write_json(text);
+  return Json::parse(text);
 }
 
 InjectionRecord InjectionRecord::from_json(const Json& j) {
@@ -68,20 +100,34 @@ std::string InjectionLog::meta(const std::string& key) const {
   return "";
 }
 
-Json InjectionLog::to_json() const {
-  // A campaign row embeds this log (1000 records on the predict benches), so
-  // the subtrees are moved into place rather than deep-copied.
+void InjectionLog::write_json(std::string& out) const {
+  // A campaign row embeds this log (1000 records on the predict benches):
+  // it is written straight into the row's text, never built as a tree.
   obs::Span span("injection_log.to_json", "log");
-  Json j = Json::object();
-  j["version"] = 1;
-  Json meta_json = Json::object();
-  for (const auto& [k, v] : meta_) meta_json[k] = v;
-  j["meta"] = std::move(meta_json);
-  Json arr = Json::array();
-  for (const auto& r : records_) arr.push_back(r.to_json());
-  j["injections"] = std::move(arr);
-  if (!divergence_.is_null()) j["divergence"] = divergence_;
-  return j;
+  out += "{\"version\":1,\"meta\":{";
+  for (std::size_t i = 0; i < meta_.size(); ++i) {
+    if (i) out += ',';
+    Json::write_string(out, meta_[i].first);
+    out += ':';
+    Json::write_string(out, meta_[i].second);
+  }
+  out += "},\"injections\":[";
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    if (i) out += ',';
+    records_[i].write_json(out);
+  }
+  out += ']';
+  if (!divergence_.is_null()) {
+    out += ",\"divergence\":";
+    out += divergence_.dump();
+  }
+  out += '}';
+}
+
+Json InjectionLog::to_json() const {
+  std::string text;
+  write_json(text);
+  return Json::parse(text);
 }
 
 InjectionLog InjectionLog::from_json(const Json& j) {

@@ -49,6 +49,10 @@ struct InjectionRecord {
   std::optional<double> wall_ms;
   std::optional<std::uint64_t> rng_draw;
 
+  /// Append this record as compact JSON. The one place that knows the
+  /// record's keys, their order and which ones are optional.
+  void write_json(std::string& out) const;
+  /// The parsed write_json() text.
   Json to_json() const;
   static InjectionRecord from_json(const Json& j);
 };
@@ -74,6 +78,11 @@ class InjectionLog {
   const Json& divergence() const { return divergence_; }
   bool has_divergence() const { return !divergence_.is_null(); }
 
+  /// Append the log as compact JSON: the bytes Json::dump() prints for the
+  /// same tree, without building one. Campaign rows embed this text as a
+  /// Json::raw fragment.
+  void write_json(std::string& out) const;
+  /// The parsed write_json() text (for save() and in-memory consumers).
   Json to_json() const;
   static InjectionLog from_json(const Json& j);
 

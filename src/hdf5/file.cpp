@@ -59,6 +59,17 @@ class Reader {
     pos_ += n;
   }
   bool at_end() const { return pos_ == size_; }
+  std::size_t remaining() const { return size_ - pos_; }
+
+  /// A u32 count of items at least `min_item_bytes` long each, checked
+  /// against the bytes that remain before anything is sized by it.
+  std::uint32_t count(std::size_t min_item_bytes) {
+    const std::uint32_t n = u32();
+    if (n > remaining() / min_item_bytes)
+      throw FormatError("mh5: count " + std::to_string(n) +
+                        " exceeds the bytes that remain");
+    return n;
+  }
 
  private:
   void need(std::size_t n) {
@@ -107,6 +118,15 @@ void read_attrs(Reader& r, Node& node) {
   }
 }
 
+/// A dataset header's dtype and dims (the payload size is checked apart).
+std::pair<DType, std::vector<std::uint64_t>> read_dataset_header(Reader& r) {
+  const auto dtype = static_cast<DType>(r.u8());
+  dtype_size(dtype);  // validates
+  std::vector<std::uint64_t> dims(r.count(sizeof(std::uint64_t)));
+  for (auto& d : dims) d = r.u64();
+  return {dtype, std::move(dims)};
+}
+
 // --- v1: payloads inlined into the tree ---
 
 void write_node_v1(SinkWriter& w, const Node& node) {
@@ -147,15 +167,14 @@ std::unique_ptr<Node> read_node_v1(Reader& r) {
     // Read attributes into a temp group node, then move onto the dataset.
     Node attr_holder;
     read_attrs(r, attr_holder);
-    const auto dtype = static_cast<DType>(r.u8());
-    dtype_size(dtype);  // validates
-    const std::uint32_t ndim = r.u32();
-    std::vector<std::uint64_t> dims(ndim);
-    for (auto& d : dims) d = r.u64();
-    Dataset ds(dtype, std::move(dims));
+    auto [dtype, dims] = read_dataset_header(r);
+    // Allocate only a payload the header, the byte count and the input agree
+    // on.
     const std::uint64_t nbytes = r.u64();
-    if (nbytes != ds.raw().size())
+    if (nbytes != Dataset::payload_bytes(dtype, dims))
       throw FormatError("mh5: dataset byte count mismatch");
+    if (nbytes > r.remaining()) throw FormatError("mh5: truncated file");
+    Dataset ds(dtype, std::move(dims));
     r.raw(ds.raw().data(), ds.raw().size());
     const std::uint32_t crc = r.u32();
     if (crc != crc32(ds.raw().data(), ds.raw().size()))
@@ -203,11 +222,7 @@ std::unique_ptr<Node> read_tree_node_v2(Reader& r) {
   if (kind == 1) {
     Node attr_holder;
     read_attrs(r, attr_holder);
-    const auto dtype = static_cast<DType>(r.u8());
-    dtype_size(dtype);  // validates
-    const std::uint32_t ndim = r.u32();
-    std::vector<std::uint64_t> dims(ndim);
-    for (auto& d : dims) d = r.u64();
+    auto [dtype, dims] = read_dataset_header(r);
     auto node = std::make_unique<Node>(
         Dataset(dtype, std::move(dims), Dataset::DeferPayload{}));
     for (const auto& [k, v] : attr_holder.attrs()) node->set_attr(k, v);
@@ -347,7 +362,8 @@ File File::parse_v2(std::shared_ptr<Source> src, bool lazy) {
       static_cast<std::size_t>(size - 8 - toc_offset));
   src->read_at(toc_offset, toc_buf.data(), toc_buf.size());
   Reader tr(toc_buf.data(), toc_buf.size());
-  const std::uint32_t count = tr.u32();
+  // An entry is at least {u32 path length, u64 offset, u64 nbytes, u32 crc}.
+  const std::uint32_t count = tr.count(4 + 8 + 8 + 4);
   std::vector<TocEntry> toc;
   toc.reserve(count);
   std::uint64_t tree_end = toc_offset;

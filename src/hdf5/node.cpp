@@ -1,6 +1,7 @@
 #include "hdf5/node.hpp"
 
 #include <cstring>
+#include <limits>
 
 #include "obs/registry.hpp"
 #include "util/bitops.hpp"
@@ -9,23 +10,35 @@
 
 namespace ckptfi::mh5 {
 
-Dataset::Dataset(DType dtype, std::vector<std::uint64_t> dims)
-    : dtype_(dtype), dims_(std::move(dims)) {
-  nelem_ = 1;
-  for (auto d : dims_) {
+std::uint64_t Dataset::payload_bytes(DType dtype,
+                                     const std::vector<std::uint64_t>& dims) {
+  // Dims come from file headers: multiply with overflow checks, so a header
+  // cannot wrap its element count to something small and plausible.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t nelem = 1;  // also the scalar's count
+  for (const std::uint64_t d : dims) {
     require(d > 0, "Dataset: zero-sized dimension");
-    nelem_ *= d;
+    if (nelem > kMax / d)
+      throw FormatError("Dataset: element count overflows 64 bits");
+    nelem *= d;
   }
-  if (dims_.empty()) nelem_ = 1;  // scalar
+  const std::uint64_t esize = dtype_size(dtype);
+  if (nelem > kMax / esize)
+    throw FormatError("Dataset: byte count overflows 64 bits");
+  return nelem * esize;
+}
+
+Dataset::Dataset(DType dtype, std::vector<std::uint64_t> dims)
+    : Dataset(dtype, std::move(dims), DeferPayload{}) {
   raw_.assign(nelem_ * dtype_size(dtype_), 0);
+  materialized_ = true;
 }
 
 Dataset::Dataset(DType dtype, std::vector<std::uint64_t> dims, DeferPayload)
-    : Dataset(dtype, std::move(dims)) {
-  raw_.clear();
-  raw_.shrink_to_fit();
-  materialized_ = false;
-}
+    : dtype_(dtype),
+      dims_(std::move(dims)),
+      nelem_(payload_bytes(dtype_, dims_) / dtype_size(dtype_)),
+      materialized_(false) {}
 
 void Dataset::check_index(std::uint64_t i) const {
   if (i >= nelem_)

@@ -38,9 +38,15 @@ class Dataset {
 
   Dataset(DType dtype, std::vector<std::uint64_t> dims);
 
-  /// Header-only: no payload allocation; the reader must bind_source()
+  /// Header-only: allocates no payload; the reader must bind_source()
   /// before the payload is accessed (access before binding throws).
   Dataset(DType dtype, std::vector<std::uint64_t> dims, DeferPayload);
+
+  /// Payload size implied by `dtype` and `dims`. Throws FormatError when
+  /// the element or byte count overflows 64 bits, so a reader can check a
+  /// header's claim against the bytes it holds before allocating.
+  static std::uint64_t payload_bytes(DType dtype,
+                                     const std::vector<std::uint64_t>& dims);
 
   DType dtype() const { return dtype_; }
   const std::vector<std::uint64_t>& dims() const { return dims_; }

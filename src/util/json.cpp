@@ -91,7 +91,15 @@ bool needs_escape(char c) {
   return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
 }
 
-void escape_into(std::string& out, const std::string& s) {
+void newline_indent(std::string& out, int indent, int depth) {
+  if (indent < 0) return;
+  out += '\n';
+  out.append(static_cast<std::size_t>(indent * depth), ' ');
+}
+
+}  // namespace
+
+void Json::write_string(std::string& out, std::string_view s) {
   out += '"';
   const char* p = s.data();
   const char* const end = p + s.size();
@@ -129,14 +137,22 @@ void escape_into(std::string& out, const std::string& s) {
   out += '"';
 }
 
-void append_int(std::string& out, std::int64_t v) {
+void Json::write_int(std::string& out, std::int64_t v) {
   char buf[24];  // "-9223372036854775808" is 20 chars
   const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
   (void)ec;
   out.append(buf, end);
 }
 
-void append_double(std::string& out, double v) {
+void Json::write_double(std::string& out, double v) {
+  if (std::isnan(v)) {
+    out += "\"NaN\"";  // JSON has no NaN literal; logs stringify it
+    return;
+  }
+  if (std::isinf(v)) {
+    out += v > 0 ? "\"Inf\"" : "\"-Inf\"";
+    return;
+  }
   // to_chars(general, 17) is specified as printf("%.17g"), but ignores the
   // locale and skips the format-string machinery.
   char buf[32];  // "%.17g" needs at most 24: sign, 17 digits, '.', "e-308"
@@ -145,14 +161,6 @@ void append_double(std::string& out, double v) {
   (void)ec;
   out.append(buf, end);
 }
-
-void newline_indent(std::string& out, int indent, int depth) {
-  if (indent < 0) return;
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent * depth), ' ');
-}
-
-}  // namespace
 
 void Json::dump_impl(std::string& out, int indent, int depth) const {
   switch (type_) {
@@ -163,20 +171,16 @@ void Json::dump_impl(std::string& out, int indent, int depth) const {
       out += bool_ ? "true" : "false";
       break;
     case Type::Int:
-      append_int(out, int_);
+      write_int(out, int_);
       break;
-    case Type::Double: {
-      if (std::isnan(double_)) {
-        out += "\"NaN\"";  // JSON has no NaN literal; logs stringify it
-      } else if (std::isinf(double_)) {
-        out += double_ > 0 ? "\"Inf\"" : "\"-Inf\"";
-      } else {
-        append_double(out, double_);
-      }
+    case Type::Double:
+      write_double(out, double_);
       break;
-    }
     case Type::String:
-      escape_into(out, string_);
+      write_string(out, string_);
+      break;
+    case Type::Raw:
+      out += string_;
       break;
     case Type::Array: {
       out += '[';
@@ -194,7 +198,7 @@ void Json::dump_impl(std::string& out, int indent, int depth) const {
       for (std::size_t i = 0; i < object_.size(); ++i) {
         if (i) out += ',';
         newline_indent(out, indent, depth + 1);
-        escape_into(out, object_[i].first);
+        write_string(out, object_[i].first);
         out += indent >= 0 ? ": " : ":";
         object_[i].second.dump_impl(out, indent, depth + 1);
       }
@@ -205,8 +209,45 @@ void Json::dump_impl(std::string& out, int indent, int depth) const {
   }
 }
 
+std::size_t Json::compact_size_hint() const {
+  switch (type_) {
+    case Type::Null:
+      return 4;
+    case Type::Bool:
+      return bool_ ? 4 : 5;
+    case Type::Int: {
+      char buf[24];
+      return static_cast<std::size_t>(
+          std::to_chars(buf, buf + sizeof buf, int_).ptr - buf);
+    }
+    case Type::Double:
+      return 24;  // the longest "%.17g"
+    case Type::String:
+      return string_.size() + 2;
+    case Type::Raw:
+      return string_.size();
+    case Type::Array: {
+      std::size_t n = 2 + array_.size();  // brackets, commas
+      for (const Json& v : array_) n += v.compact_size_hint();
+      return n;
+    }
+    case Type::Object: {
+      std::size_t n = 2 + object_.size();  // braces, commas
+      for (const auto& [k, v] : object_) {
+        n += k.size() + 3 + v.compact_size_hint();  // quotes, colon
+      }
+      return n;
+    }
+  }
+  return 0;
+}
+
 std::string Json::dump(int indent) const {
+  // Size a compact dump once. Grown by doubling, a campaign row (~180 KB,
+  // nearly all of it one raw log) would keep up to twice its bytes for as
+  // long as the caller holds the text, e.g. queued for an ordered write.
   std::string out;
+  if (indent < 0) out.reserve(compact_size_hint());
   dump_impl(out, indent, 0);
   return out;
 }
@@ -381,7 +422,12 @@ class Parser {
     if (!is_double) {
       std::int64_t v = 0;
       auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-      if (ec == std::errc() && p == tok.data() + tok.size()) return Json(v);
+      if (ec == std::errc() && p == tok.data() + tok.size()) {
+        // dump() prints -0.0 as "-0", and an integer has no negative zero:
+        // read it back as the double it was, sign bit included.
+        if (v == 0 && tok[0] == '-') return Json(-0.0);
+        return Json(v);
+      }
     }
     // strtod, not stod: stod throws out_of_range on gradual underflow, but
     // subnormal doubles (e.g. tiny relative deviations near 1e-316) are

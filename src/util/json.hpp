@@ -8,15 +8,17 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace ckptfi {
 
-/// A JSON value: null, bool, number (double or int64), string, array, object.
+/// A JSON value: null, bool, number (double or int64), string, array, object
+/// — or a raw, already-serialized fragment (see raw()).
 class Json {
  public:
-  enum class Type { Null, Bool, Int, Double, String, Array, Object };
+  enum class Type { Null, Bool, Int, Double, String, Array, Object, Raw };
 
   Json() : type_(Type::Null) {}
   Json(std::nullptr_t) : type_(Type::Null) {}
@@ -36,6 +38,17 @@ class Json {
   static Json object() {
     Json j;
     j.type_ = Type::Object;
+    return j;
+  }
+  /// A pre-serialized value: `text` must be one complete compact JSON value
+  /// (what dump() would print for it). dump() appends it verbatim at any
+  /// indent; every accessor throws FormatError, as for any type mismatch.
+  /// Lets a large subtree (a campaign row's injection log) be written
+  /// straight into text instead of built node by node.
+  static Json raw(std::string text) {
+    Json j;
+    j.type_ = Type::Raw;
+    j.string_ = std::move(text);
     return j;
   }
 
@@ -70,8 +83,21 @@ class Json {
   /// Parse a JSON text; throws FormatError on malformed input.
   static Json parse(const std::string& text);
 
+  // dump()'s scalar formatters, for writers that emit JSON text directly.
+  // A writer built on these prints the bytes dump() prints for the same tree.
+
+  /// Quoted string; `"`, `\` and control bytes escaped.
+  static void write_string(std::string& out, std::string_view s);
+  static void write_int(std::string& out, std::int64_t v);
+  /// printf("%.17g"); NaN and ±Inf, which JSON lacks, as the strings "NaN",
+  /// "Inf" and "-Inf".
+  static void write_double(std::string& out, double v);
+
  private:
   void dump_impl(std::string& out, int indent, int depth) const;
+  /// Length of the compact dump, or more: doubles count as their longest
+  /// form. Short only when a string needs escapes.
+  std::size_t compact_size_hint() const;
 
   Type type_;
   bool bool_ = false;

@@ -1,9 +1,10 @@
 // The campaign registry: every registered kind must survive the fleet
 // manifest round-trip — the rebuilt campaign has the same cells and
 // fingerprint and produces the same row for a sampled trial — keep its
-// pinned artifact shape, and refuse cells and modes it does not run; an
-// unknown kind is refused with the registered names in the message, and a
-// manifest with a negative size or a malformed seed with a FormatError.
+// pinned artifact shape and row bytes, and refuse cells and modes it does
+// not run; an unknown kind is refused with the registered names in the
+// message, and a manifest with a negative size or a malformed seed with a
+// FormatError.
 #include "core/campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -17,14 +18,27 @@
 
 #include "core/scheduler.hpp"
 #include "util/common.hpp"
+#include "util/crc32.hpp"
 
 namespace ckptfi::core {
 namespace {
 
-CampaignOptions tiny_options(const std::string& kind) {
+/// fig4's predict mode (the inference path bench/perf's predict_deep runs)
+/// is a parameter of its own; every other parameter is a kind in its
+/// default mode.
+constexpr const char* kFig4Predict = "fig4_predict";
+
+std::vector<std::string> params() {
+  std::vector<std::string> p = campaign_kinds();
+  p.push_back(kFig4Predict);
+  return p;
+}
+
+CampaignOptions tiny_options(const std::string& param) {
   CampaignOptions o;
-  o.bench = kind;
-  o.mode = kind == "table7" ? "fp64" : "train";
+  const bool fig4_predict = param == kFig4Predict;
+  o.bench = fig4_predict ? "fig4" : param;
+  o.mode = fig4_predict ? "predict" : param == "table7" ? "fp64" : "train";
   o.trainings = 2;
   o.train_images = 32;
   o.test_images = 64;  // table8 predicts on test-set halves: two batches
@@ -72,13 +86,14 @@ std::string key_sequence(const Json& row) {
 }
 
 /// What an artifact of each kind looks like at tiny_options. None of it
-/// depends on the kernel tier.
+/// depends on the kernel lanes (CKPTFI_SIMD on or off).
 struct Shape {
   std::size_t cells;
   std::string first_cell;
   std::string last_cell;
-  std::string trials;  ///< trials_per_cell()
-  std::string keys;    ///< key_sequence() of the sampled row
+  std::string trials;    ///< trials_per_cell()
+  std::string keys;      ///< key_sequence() of the sampled row
+  std::uint32_t row_crc; ///< crc32 of the sampled row's dump(): its bytes
 };
 
 const std::map<std::string, Shape>& pinned_shapes() {
@@ -86,47 +101,62 @@ const std::map<std::string, Shape>& pinned_shapes() {
       {"table4",
        {36, "chainer/resnet50/1", "tensorflow/alexnet/1000", "2x36",
         "cell,trial,seed,collapsed,final_accuracy,clean_accuracy,log,"
-        "divergence,fp"}},
+        "divergence,fp",
+        0x0ad7c68e}},
       {"table5",
        {9, "chainer/resnet50", "tensorflow/alexnet", "2x9",
         "cell,trial,seed,rwc,collapsed,final_accuracy,clean_accuracy,log,"
-        "divergence,fp"}},
+        "divergence,fp",
+        0x22264607}},
       {"table6",
        {18, "chainer/resnet50/maskbaseline",
         "tensorflow/resnet50/mask11101101", "1x1,2x5,1x1,2x5,1x1,2x5",
-        "cell,trial,seed,collapsed,final_accuracy,log,fp"}},
+        "cell,trial,seed,collapsed,final_accuracy,log,fp",
+        0x4844adef}},
       {"table7",
        {24, "chainer/resnet50/p16/1", "chainer/alexnet/p32/1000", "2x24",
-        "cell,trial,seed,collapsed,final_accuracy,log,fp"}},
+        "cell,trial,seed,collapsed,final_accuracy,log,fp",
+        0x9dae7717}},
       {"table8",
        {45, "chainer/resnet50/p16/predict0", "chainer/alexnet/p64/predict1000",
         "1x1,2x4,1x1,2x4,1x1,2x4,1x1,2x4,1x1,2x4,1x1,2x4,1x1,2x4,1x1,2x4,"
         "1x1,2x4",
-        "cell,trial,seed,nev,accuracy,log,fp"}},
+        "cell,trial,seed,nev,accuracy,log,fp",
+        0xf8aad4e9}},
       {"fig2",
        {7, "fig2/[0,63] full value", "fig2/[62,62] exponent MSB only", "2x7",
-        "cell,trial,seed,collapsed,final_accuracy,flips_applied,fp"}},
+        "cell,trial,seed,collapsed,final_accuracy,flips_applied,fp",
+        0x06a2139c}},
       {"fig3",
        {12, "chainer/resnet50/10", "tensorflow/alexnet/1000", "2x12",
-        "cell,trial,seed,curve,log,fp"}},
+        "cell,trial,seed,curve,log,fp",
+        0x7a1c450c}},
       {"fig4",
        {3, "fig4/conv1", "fig4/fc8", "2x3",
         "cell,trial,seed,collapsed,final_accuracy,clean_accuracy,accuracy,"
-        "log,divergence,fp"}},
+        "log,divergence,fp",
+        0x448a4b8d}},
       {"fig5",
        {2, "fig5/pytorch", "fig5/tensorflow", "3x2",
-        "cell,trial,seed,layer,replayed,final_accuracy,accuracy,fp"}},
+        "cell,trial,seed,layer,replayed,final_accuracy,accuracy,fp",
+        0x51612164}},
       {"fig6",
        {1, "fig6/propagation", "fig6/propagation", "3x1",
         "cell,trial,seed,layer,collapsed,final_accuracy,clean_accuracy,"
         "diff_weights,q1,median,q3,whisker_lo,whisker_hi,n_outliers,"
-        "divergence,fp"}},
+        "divergence,fp",
+        0xf5b5c0f4}},
       {"fig7",
        {20, "fig7/10x1.5", "fig7/1000x4500.0", "2x20",
-        "cell,trial,seed,accuracy,fp"}},
+        "cell,trial,seed,accuracy,fp",
+        0x76baefeb}},
       {"ablation_nev_guard",
        {6, "ablation/100/unguarded", "ablation/1000/guard: clamp", "2x6",
-        "cell,trial,seed,collapsed,final_accuracy,fp"}},
+        "cell,trial,seed,collapsed,final_accuracy,fp",
+        0x6cb88800}},
+      {kFig4Predict,
+       {3, "fig4predict/conv1", "fig4predict/fc8", "2x3",
+        "cell,trial,seed,accuracy,nev,log,fp", 0x5c77e750}},
   };
   return shapes;
 }
@@ -146,6 +176,9 @@ TEST_P(CampaignRegistry, ArtifactShapeIsPinned) {
   EXPECT_EQ(c->cells().back().name, want.last_cell);
   EXPECT_EQ(trials_per_cell(*c), want.trials);
   EXPECT_EQ(key_sequence(row), want.keys);
+  const std::string bytes = row.dump();
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), want.row_crc)
+      << std::hex << "got 0x" << crc32(bytes.data(), bytes.size());
 }
 
 TEST_P(CampaignRegistry, RefusesCellsItDoesNotRun) {
@@ -160,12 +193,12 @@ TEST_P(CampaignRegistry, RefusesCellsItDoesNotRun) {
 }
 
 TEST_P(CampaignRegistry, RefusesModesItDoesNotRun) {
-  const std::string kind = GetParam();
+  CampaignOptions o = tiny_options(GetParam());
+  const std::string kind = o.bench;
   const std::vector<std::string> runs =
       kind == "fig4"     ? std::vector<std::string>{"train", "predict"}
       : kind == "table7" ? std::vector<std::string>{"fp64", "fp16"}
                          : std::vector<std::string>{"train"};
-  CampaignOptions o = tiny_options(kind);
   for (const char* mode :
        {"train", "predict", "fp64", "fp16", "Predict", "", "train|predict"}) {
     o.mode = mode;
@@ -203,7 +236,7 @@ TEST_P(CampaignRegistry, ManifestRoundTripReplaysTheSameRow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Kinds, CampaignRegistry, ::testing::ValuesIn(campaign_kinds()),
+    Kinds, CampaignRegistry, ::testing::ValuesIn(params()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });

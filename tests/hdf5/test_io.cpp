@@ -1,9 +1,11 @@
 // Streaming I/O layer: Sink/Source units, lazy fault-in semantics, checksum
-// caching, patched rewrites and malformed-v2 rejection.
+// caching, patched rewrites and malformed-v2 rejection (length fields are
+// checked before anything is allocated).
 #include "hdf5/io.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -11,6 +13,7 @@
 
 #include "hdf5/file.hpp"
 #include "obs/registry.hpp"
+#include "support/address_space_cap.hpp"
 #include "util/common.hpp"
 #include "util/crc32.hpp"
 
@@ -401,6 +404,88 @@ TEST(MalformedV2, VerifyReportsPerDatasetCrcFailures) {
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_NE(errors[0].find("predictor/conv1_1/b"), std::string::npos);
   std::remove(path.c_str());
+}
+
+/// Offset of the `{u32 ndim, u64 dims[ndim]}` header field that spells
+/// `dims` in serialized `bytes`; the field must occur exactly once.
+std::size_t dims_field_pos(const std::vector<std::uint8_t>& bytes,
+                           const std::vector<std::uint64_t>& dims) {
+  std::vector<std::uint8_t> field(4 + 8 * dims.size());
+  const auto ndim = static_cast<std::uint32_t>(dims.size());
+  std::memcpy(field.data(), &ndim, 4);
+  std::memcpy(field.data() + 4, dims.data(), 8 * dims.size());
+  const auto at = std::search(bytes.begin(), bytes.end(), field.begin(),
+                              field.end());
+  if (at == bytes.end()) {
+    ADD_FAILURE() << "no dims field spells the given dims";
+    return 0;
+  }
+  EXPECT_EQ(std::search(at + 1, bytes.end(), field.begin(), field.end()),
+            bytes.end());
+  return static_cast<std::size_t>(at - bytes.begin());
+}
+
+/// Both v2 readers must refuse `bytes` with a FormatError, allocating no
+/// more than the input justifies.
+void expect_v2_refused(const std::vector<std::uint8_t>& bytes) {
+  const auto shared = std::make_shared<const std::vector<std::uint8_t>>(bytes);
+  EXPECT_THROW(test::with_address_space_cap(
+                   [&] { File::deserialize_lazy(shared); }),
+               FormatError);
+  EXPECT_THROW(
+      test::with_address_space_cap([&] { File::deserialize(bytes); }),
+      FormatError);
+}
+
+TEST(MalformedV2, GigabyteDimensionRejectedBeforeAllocating) {
+  // W's {2, 3} f64 becomes {2^27, 3}: 3 GiB claimed by a 48-byte payload.
+  const std::vector<std::uint64_t> dims = {2, 3};
+  const std::uint64_t huge = 1ull << 27;
+  auto v2 = make_sample().serialize();
+  std::memcpy(v2.data() + dims_field_pos(v2, dims) + 4, &huge, 8);
+  expect_v2_refused(v2);
+  // v1 inlines the payload after the dims: the same claim, eagerly read.
+  auto v1 = make_sample().serialize_v1();
+  std::memcpy(v1.data() + dims_field_pos(v1, dims) + 4, &huge, 8);
+  EXPECT_THROW(test::with_address_space_cap([&] { File::deserialize(v1); }),
+               FormatError);
+}
+
+TEST(MalformedV2, WrappingDimensionProductRejected) {
+  // {2^60 + 1, 16} multiplies to 2^64 + 16, which wraps to the 16 elements
+  // the {4, 4} payload holds: only an overflow check tells them apart.
+  File f;
+  f.create_dataset("w", DType::F64, {4, 4});
+  auto bytes = f.serialize();
+  const std::uint64_t wrapped[2] = {(1ull << 60) + 1, 16};
+  std::memcpy(bytes.data() + dims_field_pos(bytes, {4, 4}) + 4, wrapped, 16);
+  expect_v2_refused(bytes);
+}
+
+TEST(MalformedV2, RankPastTheInputRejectedBeforeAllocating) {
+  auto bytes = make_sample().serialize();
+  const std::uint32_t ndim = 0xFFFFFFF0u;  // 32 GiB of dims
+  std::memcpy(bytes.data() + dims_field_pos(bytes, {2, 3}), &ndim, 4);
+  expect_v2_refused(bytes);
+}
+
+TEST(MalformedV2, TocCountPastTheInputRejectedBeforeAllocating) {
+  auto bytes = make_sample().serialize();
+  std::uint64_t toc_offset;
+  std::memcpy(&toc_offset, bytes.data() + bytes.size() - 8, 8);
+  const std::uint32_t count = 0xFFFFFFF0u;
+  std::memcpy(bytes.data() + toc_offset, &count, 4);
+  expect_v2_refused(bytes);
+}
+
+TEST(LazyLoad, DeferredDatasetAllocatesNoPayload) {
+  // Every lazy open (and so every per-trial checkpoint clone) builds its
+  // datasets header-only: a 1 TiB claim costs nothing until fault-in.
+  test::with_address_space_cap([] {
+    const Dataset ds(DType::F64, {1ull << 37}, Dataset::DeferPayload{});
+    EXPECT_FALSE(ds.is_materialized());
+    EXPECT_EQ(ds.num_elements(), 1ull << 37);
+  });
 }
 
 // --- format probing ----------------------------------------------------------

@@ -1,16 +1,16 @@
 #include "hdf5/npz.hpp"
 
 #include <gtest/gtest.h>
-#include <sys/resource.h>
-#include <unistd.h>
 
 #include <filesystem>
-#include <fstream>
 
+#include "support/address_space_cap.hpp"
 #include "util/common.hpp"
 
 namespace ckptfi::mh5 {
 namespace {
+
+using test::with_address_space_cap;
 
 File sample() {
   File f;
@@ -30,35 +30,6 @@ std::vector<std::uint8_t> npy_with_header(const std::string& header) {
                            static_cast<char>(header.size() & 0xff) +
                            static_cast<char>(header.size() >> 8) + header;
   return std::vector<std::uint8_t>(file.begin(), file.end());
-}
-
-/// Runs `fn` with the address space capped 512 MiB above what the process
-/// maps now, so an allocation the input cannot justify throws bad_alloc
-/// instead of quietly succeeding. ASan reserves terabytes of shadow memory
-/// up front, so its builds run uncapped.
-template <typename Fn>
-void with_address_space_cap(Fn&& fn) {
-#if defined(__SANITIZE_ADDRESS__)
-  fn();
-#else
-  std::size_t pages = 0;
-  std::ifstream("/proc/self/statm") >> pages;
-  rlimit old{};
-  ASSERT_EQ(getrlimit(RLIMIT_AS, &old), 0);
-  rlimit capped = old;
-  capped.rlim_cur = pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE)) +
-                    (std::size_t{512} << 20);
-  if (old.rlim_cur != RLIM_INFINITY && old.rlim_cur < capped.rlim_cur)
-    capped.rlim_cur = old.rlim_cur;
-  ASSERT_EQ(setrlimit(RLIMIT_AS, &capped), 0);
-  try {
-    fn();
-  } catch (...) {
-    setrlimit(RLIMIT_AS, &old);
-    throw;
-  }
-  setrlimit(RLIMIT_AS, &old);
-#endif
 }
 
 TEST(Npy, SingleArrayRoundTrip) {

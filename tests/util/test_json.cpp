@@ -114,11 +114,90 @@ TEST(Json, RoundTripPrettyAndCompact) {
   for (int i = 0; i < 5; ++i) o["vals"].push_back(i * 1.5);
   o["nested"] = Json::object();
   o["nested"]["flag"] = false;
+  // The values a corrupted weight takes: ±0 (a sign-bit flip of 0.0),
+  // subnormals, NaN/±Inf, and integral doubles that print without a '.' or
+  // an exponent; plus int64 extremes and every control byte in a string.
+  Json edge = Json::array();
+  for (const double d :
+       {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min() / 3,
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), 1e16, -1e16,
+        12345678901234568.0, 1e17, 9.2233720368547758e18, 1e300})
+    edge.push_back(d);
+  edge.push_back(std::numeric_limits<std::int64_t>::min());
+  edge.push_back(std::numeric_limits<std::int64_t>::max());
+  std::string control;
+  for (int b = 0; b < 0x20; ++b) control += static_cast<char>(b);
+  control += "\x7f\"\\";
+  edge.push_back(control);
+  o["edge"] = std::move(edge);
 
   for (int indent : {-1, 2, 4}) {
-    const Json back = Json::parse(o.dump(indent));
+    const std::string text = o.dump(indent);
+    const Json back = Json::parse(text);
     EXPECT_EQ(back.dump(), o.dump());
+    // A re-dump is a fixed point: parse loses nothing dump() wrote.
+    EXPECT_EQ(back.dump(indent), text) << "indent " << indent;
   }
+  // The sign of a zero survives the trip, as a double.
+  const Json zero = Json::parse(Json(-0.0).dump());
+  ASSERT_EQ(zero.type(), Json::Type::Double);
+  EXPECT_TRUE(std::signbit(zero.as_double()));
+}
+
+TEST(Json, RawIsDumpedVerbatimAndOpaque) {
+  const std::string text = "{\"b\":[1,-0,\"NaN\"],\"a\":{}}";
+  Json row = Json::object();
+  row["id"] = 7;
+  row["log"] = Json::raw(text);
+  row["after"] = true;
+  EXPECT_EQ(row.dump(), "{\"id\":7,\"log\":" + text + ",\"after\":true}");
+  // Indented dumps copy the fragment as is, compact inside.
+  EXPECT_EQ(row.dump(2), "{\n  \"id\": 7,\n  \"log\": " + text +
+                             ",\n  \"after\": true\n}");
+  EXPECT_EQ(Json::raw(text).dump(4), text);
+  // The text parses back to the tree it spells.
+  EXPECT_EQ(Json::parse(row.dump()).at("log").dump(), text);
+
+  const Json raw = Json::raw(text);
+  EXPECT_EQ(raw.type(), Json::Type::Raw);
+  EXPECT_FALSE(raw.is_null() || raw.is_number() || raw.is_string() ||
+               raw.is_array() || raw.is_object());
+  EXPECT_THROW(raw.as_bool(), FormatError);
+  EXPECT_THROW(raw.as_int(), FormatError);
+  EXPECT_THROW(raw.as_double(), FormatError);
+  EXPECT_THROW(raw.as_string(), FormatError);
+  EXPECT_THROW(raw.size(), FormatError);
+  EXPECT_THROW(raw.at(0), FormatError);
+  EXPECT_THROW(raw.at("b"), FormatError);
+  EXPECT_THROW(raw.items(), FormatError);
+  EXPECT_THROW(raw.members(), FormatError);
+  EXPECT_FALSE(raw.contains("b"));
+  Json mutable_raw = Json::raw(text);
+  EXPECT_THROW(mutable_raw["b"], FormatError);
+  EXPECT_THROW(mutable_raw.push_back(1), FormatError);
+}
+
+TEST(Json, CompactDumpIsAllocatedOnce) {
+  // A campaign row's shape: a few scalars around a large raw log. Its text
+  // is allocated at about its length, not grown to up to twice that.
+  std::string log = "[0.5";
+  for (int i = 1; i < 20000; ++i) log += ",0.5";
+  log += ']';
+  Json row = Json::object();
+  row["cell"] = "alexnet/fc8";
+  row["trial"] = 12345;
+  row["accuracy"] = 0.1;
+  row["log"] = Json::raw(log);
+  row["fp"] = "07e5bab9";
+  const std::string text = row.dump();
+  EXPECT_EQ(text, "{\"cell\":\"alexnet/fc8\",\"trial\":12345,"
+                  "\"accuracy\":0.10000000000000001,\"log\":" +
+                      log + ",\"fp\":\"07e5bab9\"}");
+  EXPECT_LE(text.capacity(), text.size() + 64);
 }
 
 TEST(Json, LargeIntsPreserved) {
