@@ -45,9 +45,6 @@
 //                      prefixes for trial groups that share an injected
 //                      layer (core::PrefixCache). Bitwise-identical to a
 //                      full recompute; default on.
-//   --progress=N       heartbeat: print trials done/total, p50 trial time
-//                      and ETA to stderr every ~N seconds while a campaign
-//                      runs (0 = off, the default)
 #pragma once
 
 #include <cstdio>
@@ -79,7 +76,6 @@ struct BenchOptions {
   std::size_t resume_epochs = 1;
   std::uint64_t seed = 42;
   std::size_t jobs = 1;   ///< campaign fan-out (trials in flight per cell)
-  std::size_t progress = 0;  ///< heartbeat period in seconds (0 = silent)
   bool prefix_reuse = true;  ///< cached-prefix trial entry
   std::string json_out;   ///< metrics snapshot destination ("" = don't emit)
   std::string trace_out;  ///< Chrome trace destination ("" = don't record)
@@ -234,8 +230,6 @@ inline BenchOptions BenchOptions::parse(int argc, char** argv,
       o.seed = val;
     } else if (key == "jobs") {
       o.jobs = val == 0 ? 1 : val;
-    } else if (key == "progress") {
-      o.progress = val;
     } else {
       std::fprintf(stderr, "unknown option --%s\n", key.c_str());
       std::exit(2);
@@ -298,7 +292,7 @@ inline std::unique_ptr<core::Campaign> open_campaign(
 /// std::vector<Json>&)`; rows are dropped after the callback, so memory
 /// stays per-cell.
 ///
-/// A cell's trials fan out on core::TrialScheduler (--jobs, --progress);
+/// A cell's trials fan out on core::TrialScheduler (--jobs);
 /// per-trial seeds are trial_seed(cell seed, index), so rows are bitwise
 /// independent of scheduling. With --resume-from, trials already in the
 /// prior artifact are not rerun: the callback gets the prior row and
@@ -330,8 +324,6 @@ void run_campaign(const BenchOptions& o, core::Campaign& campaign,
     core::TrialScheduler::Config sc;
     sc.jobs = o.jobs;
     sc.campaign_seed = campaign.cell_seed(cell.name);
-    sc.progress_interval_s = static_cast<double>(o.progress);
-    sc.progress_label = cell.name;
     core::TrialScheduler(sc).run(
         cell.trials, [&](const core::TrialContext& trial) {
           const core::TrialLogReader::Row* hit =

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "obs/events.hpp"
 #include "obs/registry.hpp"
@@ -29,91 +26,11 @@ std::uint64_t trial_seed(std::uint64_t campaign_seed,
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-// Heartbeat state shared by trial runners (writers) and the printer. Trials
-// publish their wall time into per-index atomic slots; the printer reads
-// whatever subset has completed — no lock on the trial path, and exact
-// numbers are not needed for an ETA.
-class Progress {
- public:
-  Progress(std::string label, std::size_t n, double interval_s)
-      : label_(std::move(label)),
-        n_(n),
-        interval_(interval_s),
-        start_(Clock::now()),
-        trial_us_(n) {}
-
-  void trial_done(std::size_t index, Clock::duration elapsed) {
-    const auto us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-            .count());
-    // 0 marks "not finished" in the slot, so clamp instant trials to 1us.
-    trial_us_[index].store(std::max<std::uint64_t>(us, 1),
-                           std::memory_order_relaxed);
-    done_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Serial-path pacing: true once interval_ has passed since the last print.
-  bool due() const {
-    return std::chrono::duration<double>(Clock::now() - last_print_).count() >=
-           interval_;
-  }
-
-  double interval_s() const { return interval_; }
-
-  void print(bool final_line = false) {
-    const std::size_t done = done_.load(std::memory_order_relaxed);
-    const double elapsed =
-        std::chrono::duration<double>(Clock::now() - start_).count();
-    std::vector<std::uint64_t> us;
-    us.reserve(done);
-    for (const auto& slot : trial_us_) {
-      const std::uint64_t v = slot.load(std::memory_order_relaxed);
-      if (v != 0) us.push_back(v);
-    }
-    double p50_s = 0.0;
-    if (!us.empty()) {
-      auto mid = us.begin() + static_cast<std::ptrdiff_t>(us.size() / 2);
-      std::nth_element(us.begin(), mid, us.end());
-      p50_s = static_cast<double>(*mid) * 1e-6;
-    }
-    if (final_line) {
-      std::fprintf(stderr, "[%s] %zu/%zu trials done in %.1fs, p50 %.2fs\n",
-                   label_.c_str(), done, n_, elapsed, p50_s);
-    } else {
-      const double eta =
-          done > 0 ? elapsed / static_cast<double>(done) *
-                         static_cast<double>(n_ - done)
-                   : 0.0;
-      std::fprintf(stderr, "[%s] %zu/%zu trials, p50 %.2fs, eta %.0fs\n",
-                   label_.c_str(), done, n_, p50_s, eta);
-    }
-    std::fflush(stderr);
-    last_print_ = Clock::now();
-  }
-
- private:
-  std::string label_;
-  std::size_t n_;
-  double interval_;
-  Clock::time_point start_;
-  Clock::time_point last_print_ = start_;
-  std::vector<std::atomic<std::uint64_t>> trial_us_;
-  std::atomic<std::size_t> done_{0};
-};
-
-// One trial: attribution scope + latency/progress metrics around the body.
-// `base` is the shard's first global index — Progress slots are shard-local.
-void run_trial(const TrialScheduler::TrialFn& fn, const TrialContext& ctx,
-               Progress* progress, std::size_t base) {
+// One trial: attribution scope + latency metrics around the body.
+void run_trial(const TrialScheduler::TrialFn& fn, const TrialContext& ctx) {
   obs::ScopedTrialIndex attribution(ctx.index);
   obs::Span span("campaign.trial", "campaign", "campaign.trial_time");
-  const auto t0 = progress != nullptr ? Clock::now() : Clock::time_point{};
   fn(ctx);
-  if (progress != nullptr) {
-    progress->trial_done(ctx.index - base, Clock::now() - t0);
-  }
   obs::counter_add("campaign.trials_done");
 }
 
@@ -149,24 +66,16 @@ void TrialScheduler::run_range(std::size_t begin, std::size_t end,
   ErrorSlot err;
   err.index = end;
 
-  std::unique_ptr<Progress> progress;
-  if (cfg_.progress_interval_s > 0.0) {
-    progress = std::make_unique<Progress>(cfg_.progress_label, n,
-                                          cfg_.progress_interval_s);
-  }
-
   const std::size_t pumps = std::min({cfg_.jobs, n, pool.size()});
   if (pumps <= 1 || pool.in_worker()) {
     // Serial path — same error contract as the parallel one: every trial
     // runs, the lowest-index failure surfaces at the end.
     for (std::size_t i = begin; i < end; ++i) {
       try {
-        run_trial(fn, {i, trial_seed(cfg_.campaign_seed, i)}, progress.get(),
-                  begin);
+        run_trial(fn, {i, trial_seed(cfg_.campaign_seed, i)});
       } catch (...) {
         err.offer(i, std::current_exception());
       }
-      if (progress != nullptr && progress->due()) progress->print();
     }
   } else {
     // `pumps` pool tasks drain an atomic trial counter. This bounds
@@ -184,14 +93,13 @@ void TrialScheduler::run_range(std::size_t begin, std::size_t end,
     join->active = pumps;
     join->next.store(begin, std::memory_order_relaxed);
     for (std::size_t p = 0; p < pumps; ++p) {
-      pool.submit([this, join, &fn, &err, begin, end,
-                   prog = progress.get()] {
+      pool.submit([this, join, &fn, &err, end] {
         for (;;) {
           const std::size_t i =
               join->next.fetch_add(1, std::memory_order_relaxed);
           if (i >= end) break;
           try {
-            run_trial(fn, {i, trial_seed(cfg_.campaign_seed, i)}, prog, begin);
+            run_trial(fn, {i, trial_seed(cfg_.campaign_seed, i)});
           } catch (...) {
             err.offer(i, std::current_exception());
           }
@@ -205,21 +113,9 @@ void TrialScheduler::run_range(std::size_t begin, std::size_t end,
       });
     }
     std::unique_lock lock(join->mu);
-    if (progress != nullptr) {
-      // The joining thread doubles as the heartbeat printer: wake every
-      // interval, print, go back to waiting until the pumps drain.
-      const auto interval =
-          std::chrono::duration<double>(progress->interval_s());
-      while (!join->cv.wait_for(lock, interval,
-                                [&] { return join->active == 0; })) {
-        progress->print();
-      }
-    } else {
-      join->cv.wait(lock, [&] { return join->active == 0; });
-    }
+    join->cv.wait(lock, [&] { return join->active == 0; });
   }
 
-  if (progress != nullptr) progress->print(/*final_line=*/true);
   if (err.error) std::rethrow_exception(err.error);
 }
 

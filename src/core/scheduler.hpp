@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 
 namespace ckptfi {
 class ThreadPool;
@@ -53,14 +52,6 @@ class TrialScheduler {
     /// Pool to fan out on; nullptr selects ThreadPool::global(). Tests pass
     /// an explicit pool so fan-out is exercised regardless of host cores.
     ThreadPool* pool = nullptr;
-    /// Heartbeat: when > 0, a progress line (trials done/total, p50 trial
-    /// time, ETA) goes to stderr roughly every this-many seconds while the
-    /// campaign runs, plus one final line. Off by default; benches expose it
-    /// as --progress. Reporting only — trial order, seeds and results are
-    /// unaffected.
-    double progress_interval_s = 0.0;
-    /// Prefix for heartbeat lines (typically the bench name).
-    std::string progress_label = "campaign";
   };
 
   explicit TrialScheduler(Config cfg);

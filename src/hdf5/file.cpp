@@ -120,11 +120,36 @@ void read_attrs(Reader& r, Node& node) {
 
 /// A dataset header's dtype and dims (the payload size is checked apart).
 std::pair<DType, std::vector<std::uint64_t>> read_dataset_header(Reader& r) {
-  const auto dtype = static_cast<DType>(r.u8());
-  dtype_size(dtype);  // validates
+  const std::uint8_t code = r.u8();
+  if (code > static_cast<std::uint8_t>(DType::U8))
+    throw FormatError("mh5: bad dtype " + std::to_string(code));
   std::vector<std::uint64_t> dims(r.count(sizeof(std::uint64_t)));
-  for (auto& d : dims) d = r.u64();
-  return {dtype, std::move(dims)};
+  for (auto& d : dims) {
+    d = r.u64();
+    if (d == 0) throw FormatError("mh5: zero-sized dimension");
+  }
+  return {static_cast<DType>(code), std::move(dims)};
+}
+
+/// Trees may nest this many levels deep, the Json::parse limit: the readers
+/// recurse once per level, so deeper input would overflow the stack.
+constexpr int kMaxDepth = 256;
+
+void check_depth(int depth) {
+  if (depth > kMaxDepth)
+    throw FormatError("mh5: tree nested deeper than " +
+                      std::to_string(kMaxDepth) + " levels");
+}
+
+/// A group's next child name, held to Node::add_child's rules up front so a
+/// bad file is a FormatError, not the API's InvalidArgument.
+std::string read_child_name(Reader& r, const Node& group) {
+  std::string name = r.str();
+  if (name.empty() || name.find('/') != std::string::npos)
+    throw FormatError("mh5: bad child name '" + name + "'");
+  if (group.find(name) != nullptr)
+    throw FormatError("mh5: duplicate child '" + name + "'");
+  return name;
 }
 
 // --- v1: payloads inlined into the tree ---
@@ -151,15 +176,16 @@ void write_node_v1(SinkWriter& w, const Node& node) {
   }
 }
 
-std::unique_ptr<Node> read_node_v1(Reader& r) {
+std::unique_ptr<Node> read_node_v1(Reader& r, int depth) {
+  check_depth(depth);
   const std::uint8_t kind = r.u8();
   if (kind == 0) {
     auto node = std::make_unique<Node>();
     read_attrs(r, *node);
     const std::uint32_t n = r.u32();
     for (std::uint32_t i = 0; i < n; ++i) {
-      std::string name = r.str();
-      node->add_child(name, read_node_v1(r));
+      std::string name = read_child_name(r, *node);
+      node->add_child(name, read_node_v1(r, depth + 1));
     }
     return node;
   }
@@ -207,15 +233,16 @@ void write_tree_v2(SinkWriter& w, const Node& node) {
   }
 }
 
-std::unique_ptr<Node> read_tree_node_v2(Reader& r) {
+std::unique_ptr<Node> read_tree_node_v2(Reader& r, int depth) {
+  check_depth(depth);
   const std::uint8_t kind = r.u8();
   if (kind == 0) {
     auto node = std::make_unique<Node>();
     read_attrs(r, *node);
     const std::uint32_t n = r.u32();
     for (std::uint32_t i = 0; i < n; ++i) {
-      std::string name = r.str();
-      node->add_child(name, read_tree_node_v2(r));
+      std::string name = read_child_name(r, *node);
+      node->add_child(name, read_tree_node_v2(r, depth + 1));
     }
     return node;
   }
@@ -265,7 +292,7 @@ File deserialize_v1(const std::uint8_t* data, std::size_t size) {
   Reader r(data, size);
   std::uint8_t header[8];
   r.raw(header, 8);  // magic + version, validated by the caller
-  auto root = read_node_v1(r);
+  auto root = read_node_v1(r, 1);
   if (!r.at_end()) throw FormatError("mh5: trailing bytes");
   File out;
   out.root() = std::move(*root);
@@ -386,7 +413,7 @@ File File::parse_v2(std::shared_ptr<Source> src, bool lazy) {
   std::vector<std::uint8_t> tree_buf(static_cast<std::size_t>(tree_end - 8));
   src->read_at(8, tree_buf.data(), tree_buf.size());
   Reader r(tree_buf.data(), tree_buf.size());
-  auto root = read_tree_node_v2(r);
+  auto root = read_tree_node_v2(r, 1);
   if (!r.at_end()) throw FormatError("mh5: trailing bytes after tree");
 
   File f;

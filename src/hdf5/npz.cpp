@@ -7,6 +7,7 @@
 
 #include "util/common.hpp"
 #include "util/crc32.hpp"
+#include "util/strings.hpp"
 
 namespace ckptfi::mh5 {
 namespace {
@@ -307,6 +308,26 @@ std::vector<std::uint8_t> npz_serialize(const File& file) {
   return zip_build(entries);
 }
 
+namespace {
+
+/// An entry's dataset path must name a new leaf below groups only, checked
+/// up front so a bad archive is a FormatError, not create_dataset's
+/// InvalidArgument.
+void check_entry_path(const File& f, const std::string& path) {
+  const std::vector<std::string> parts = split_path(path);
+  if (parts.empty()) throw FormatError("npz: empty entry name");
+  const Node* cur = &f.root();
+  for (const std::string& seg : parts) {
+    if (!cur->is_group())
+      throw FormatError("npz: entry '" + path + "' lies under a dataset");
+    cur = cur->find(seg);
+    if (cur == nullptr) return;
+  }
+  throw FormatError("npz: duplicate entry '" + path + "'");
+}
+
+}  // namespace
+
 File npz_deserialize(const std::vector<std::uint8_t>& bytes) {
   File f;
   for (const auto& e : zip_parse(bytes)) {
@@ -314,6 +335,7 @@ File npz_deserialize(const std::vector<std::uint8_t>& bytes) {
     if (path.size() > 4 && path.compare(path.size() - 4, 4, ".npy") == 0) {
       path.resize(path.size() - 4);
     }
+    check_entry_path(f, path);
     Dataset ds = npy_deserialize(e.data);
     Dataset& placed =
         f.create_dataset(path, ds.dtype(),

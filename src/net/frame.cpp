@@ -64,4 +64,28 @@ bool recv_message(Socket& s, Message& out) {
   return true;
 }
 
+std::string encode_row(std::uint64_t trial, std::string_view line) {
+  std::string payload(8, '\0');
+  for (std::size_t i = 0; i < 8; ++i) {
+    payload[i] = static_cast<char>(trial >> (8 * i));
+  }
+  payload.append(line);
+  return payload;
+}
+
+Row decode_row(std::string_view payload) {
+  if (payload.size() < 8) {
+    throw NetError("ROWS payload of " + std::to_string(payload.size()) +
+                   " bytes has no 8-byte trial index");
+  }
+  Row row;
+  for (std::size_t i = 0; i < 8; ++i) {
+    row.trial |= static_cast<std::uint64_t>(
+                     static_cast<unsigned char>(payload[i]))
+                 << (8 * i);
+  }
+  row.line = payload.substr(8);
+  return row;
+}
+
 }  // namespace ckptfi::net

@@ -4,28 +4,30 @@
 //
 //   u32  length   little-endian, = 1 (type byte) + payload size
 //   u8   type     MsgType below
-//   ...  payload  UTF-8 JSON text (possibly empty)
+//   ...  payload  type-specific bytes (possibly empty)
 //
-// Five message types carry the whole protocol (docs/FLEET.md):
+// A connection serves one campaign and holds at most one shard at a time,
+// so after the handshake no frame names a lease, a connection or a
+// manifest (docs/FLEET.md):
 //
-//   HELLO      worker -> fleetd   {"version": 1}
-//   LEASE      fleetd -> worker   {"lease", "cell", "begin", "end",
-//                                  "manifest"} — or {"lease": -1} meaning
-//                                  "drained, disconnect"
-//   ROWS       worker -> fleetd   {"lease", "cell",
-//                                  "rows": [{"trial", "line"}, ...]}
-//   DONE       worker -> fleetd   {"lease"}
-//   HEARTBEAT  worker -> fleetd   {"lease", "done"} — refreshes the lease
-//                                  deadline while a long trial runs
+//   HELLO      worker -> fleetd   {"version": 2}; acked with {"version",
+//                                  "manifest", "lease_timeout_s"}
+//   LEASE      fleetd -> worker   {"cell", "begin", "end"}; an empty payload
+//                                  means "drained, disconnect"
+//   ROWS       worker -> fleetd   encode_row(): u64 LE trial index, then the
+//                                  trial's JSONL line verbatim
+//   DONE       worker -> fleetd   empty: the held shard is finished
+//   HEARTBEAT  worker -> fleetd   empty: refreshes the held shard's deadline
 //
-// Row payloads carry the *serialized* JSONL line, not a re-encoded object:
+// A ROWS frame carries the *serialized* JSONL line, not a re-encoded object:
 // the coordinator writes worker lines into the merged artifact verbatim, so
 // the fleet's --trials-out is byte-identical to a single-process run by
-// construction rather than by double-serialization luck.
+// construction.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "net/socket.hpp"
 #include "util/json.hpp"
@@ -45,9 +47,10 @@ const char* msg_type_name(MsgType t);
 
 struct Message {
   MsgType type = MsgType::Hello;
-  std::string payload;  ///< JSON text
+  std::string payload;
 
-  /// Parse the payload; throws FormatError on malformed JSON.
+  /// Parse a JSON payload (HELLO, LEASE); throws FormatError on malformed
+  /// JSON.
   Json json() const { return Json::parse(payload); }
 };
 
@@ -57,7 +60,7 @@ constexpr std::uint32_t kMaxFramePayload = 64u << 20;  // 64 MiB
 
 /// Wire protocol version spoken by this build; HELLO carries it and the
 /// coordinator refuses mismatches.
-constexpr int kProtocolVersion = 1;
+constexpr int kProtocolVersion = 2;
 
 void send_message(Socket& s, MsgType type, const std::string& payload);
 inline void send_message(Socket& s, MsgType type, const Json& payload) {
@@ -68,5 +71,17 @@ inline void send_message(Socket& s, MsgType type, const Json& payload) {
 /// (orderly disconnect); throws NetError on torn frames, unknown types or
 /// oversized lengths.
 bool recv_message(Socket& s, Message& out);
+
+/// A ROWS payload: one trial's index and its JSONL line.
+struct Row {
+  std::uint64_t trial = 0;
+  std::string_view line;  ///< view into the decoded payload
+};
+
+/// ROWS payload for `trial`: the index as u64 little-endian, then `line`.
+std::string encode_row(std::uint64_t trial, std::string_view line);
+
+/// Split a ROWS payload; throws NetError when it is shorter than the index.
+Row decode_row(std::string_view payload);
 
 }  // namespace ckptfi::net

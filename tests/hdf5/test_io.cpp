@@ -478,6 +478,105 @@ TEST(MalformedV2, TocCountPastTheInputRejectedBeforeAllocating) {
   expect_v2_refused(bytes);
 }
 
+// --- malformed trees: typed errors where the in-memory API would throw
+// InvalidArgument or the reader would recurse off the stack ----------------
+
+/// Both readers, lazy and eager, must refuse `bytes` (mh5 v1 or v2) with a
+/// FormatError.
+void expect_format_error(const std::vector<std::uint8_t>& bytes) {
+  const auto shared = std::make_shared<const std::vector<std::uint8_t>>(bytes);
+  EXPECT_THROW(File::deserialize_lazy(shared), FormatError);
+  EXPECT_THROW(File::deserialize(bytes), FormatError);
+}
+
+/// A group with no attributes and `children` children, which must follow
+/// as (name, node) pairs.
+void put_group(SinkWriter& w, std::uint32_t children) {
+  w.u8(0);   // kind: group
+  w.u32(0);  // attributes
+  w.u32(children);
+}
+
+/// An mh5 file of `version` around the tree `put_tree` writes. The tree
+/// holds no dataset, so v2 gets an empty TOC.
+template <typename PutTree>
+std::vector<std::uint8_t> groups_file(std::uint32_t version,
+                                      PutTree put_tree) {
+  std::vector<std::uint8_t> out;
+  BufferSink sink(out);
+  SinkWriter w(sink);
+  w.raw("MH5F", 4);
+  w.u32(version);
+  put_tree(w);
+  if (version == File::kVersionV2) {
+    const std::uint64_t toc_offset = w.tell();
+    w.u32(0);  // TOC entries
+    w.u64(toc_offset);
+  }
+  return out;
+}
+
+/// `depth` groups, each the only child "g" of the one above.
+std::vector<std::uint8_t> nested_groups(std::uint32_t version,
+                                        std::size_t depth) {
+  return groups_file(version, [&](SinkWriter& w) {
+    for (std::size_t level = 1; level < depth; ++level) {
+      put_group(w, 1);
+      w.str("g");
+    }
+    put_group(w, 0);
+  });
+}
+
+/// A root group whose children are empty groups named `names`.
+std::vector<std::uint8_t> named_children(
+    std::uint32_t version, const std::vector<std::string>& names) {
+  return groups_file(version, [&](SinkWriter& w) {
+    put_group(w, static_cast<std::uint32_t>(names.size()));
+    for (const std::string& name : names) {
+      w.str(name);
+      put_group(w, 0);
+    }
+  });
+}
+
+TEST(MalformedV2, NestingPastTheDepthCapIsAFormatError) {
+  for (const std::uint32_t version : {File::kVersionV1, File::kVersionV2}) {
+    // 256 levels (the Json::parse limit) still load...
+    EXPECT_NO_THROW(File::deserialize(nested_groups(version, 256)));
+    // ...one more is refused, and so is a 420 KB tower that recursed the
+    // readers off the stack.
+    expect_format_error(nested_groups(version, 257));
+    expect_format_error(nested_groups(version, 30000));
+  }
+}
+
+TEST(MalformedV2, ChildNamesTheTreeCannotHoldAreFormatErrors) {
+  for (const std::uint32_t version : {File::kVersionV1, File::kVersionV2}) {
+    EXPECT_NO_THROW(File::deserialize(named_children(version, {"a", "b"})));
+    expect_format_error(named_children(version, {"a", ""}));
+    expect_format_error(named_children(version, {"a/b"}));
+    expect_format_error(named_children(version, {"a", "a"}));
+  }
+}
+
+TEST(MalformedV2, DtypeBytePastU8IsAFormatError) {
+  for (auto bytes : {make_sample().serialize(), make_sample().serialize_v1()}) {
+    const std::size_t dtype_pos = dims_field_pos(bytes, {2, 3}) - 1;
+    ASSERT_EQ(bytes[dtype_pos], static_cast<std::uint8_t>(DType::F64));
+    bytes[dtype_pos] = static_cast<std::uint8_t>(DType::U8) + 1;
+    expect_format_error(bytes);
+  }
+}
+
+TEST(MalformedV2, ZeroDimensionIsAFormatError) {
+  for (auto bytes : {make_sample().serialize(), make_sample().serialize_v1()}) {
+    const std::uint64_t zero = 0;
+    std::memcpy(bytes.data() + dims_field_pos(bytes, {2, 3}) + 4, &zero, 8);
+    expect_format_error(bytes);
+  }
+}
+
 TEST(LazyLoad, DeferredDatasetAllocatesNoPayload) {
   // Every lazy open (and so every per-trial checkpoint clone) builds its
   // datasets header-only: a 1 TiB claim costs nothing until fault-in.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "support/address_space_cap.hpp"
@@ -135,6 +136,47 @@ TEST(Npz, RejectsNonZipBytes) {
 TEST(Npz, EmptyFileRoundTrips) {
   const File back = npz_deserialize(npz_serialize(File{}));
   EXPECT_TRUE(back.dataset_paths().empty());
+}
+
+/// `bytes` with every occurrence of entry name `from` (the local header and
+/// the central directory) respelled as `to`, which has the same length.
+std::vector<std::uint8_t> rename_entry(std::vector<std::uint8_t> bytes,
+                                       const std::string& from,
+                                       const std::string& to) {
+  EXPECT_EQ(from.size(), to.size());
+  std::size_t hits = 0;
+  for (auto at = bytes.begin();
+       (at = std::search(at, bytes.end(), from.begin(), from.end())) !=
+       bytes.end();
+       ++hits) {
+    at = std::copy(to.begin(), to.end(), at);
+  }
+  EXPECT_EQ(hits, 2u) << from;
+  return bytes;
+}
+
+File two_datasets(const std::string& first, const std::string& second) {
+  File f;
+  f.create_dataset(first, DType::F64, {2});
+  f.create_dataset(second, DType::F64, {2});
+  return f;
+}
+
+TEST(Npz, EntryUnderADatasetIsAFormatError) {
+  // a.npy, then a/b.npy: the second entry would need dataset `a` as a group.
+  const auto bytes = rename_entry(npz_serialize(two_datasets("a", "x/b")),
+                                  "x/b.npy", "a/b.npy");
+  EXPECT_THROW(npz_deserialize(bytes), FormatError);
+}
+
+TEST(Npz, DuplicateEntryIsAFormatError) {
+  const auto twice = rename_entry(npz_serialize(two_datasets("a", "b")),
+                                  "b.npy", "a.npy");
+  EXPECT_THROW(npz_deserialize(twice), FormatError);
+  // a/b.npy, then a.npy: the path is taken, here by a group.
+  const auto over_group = rename_entry(
+      npz_serialize(two_datasets("x/b", "a")), "x/b.npy", "a/b.npy");
+  EXPECT_THROW(npz_deserialize(over_group), FormatError);
 }
 
 TEST(Npz, LoadMissingFileThrows) {

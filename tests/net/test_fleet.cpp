@@ -88,8 +88,7 @@ pid_t spawn_worker(std::uint16_t port,
   EXPECT_GE(pid, 0);
   if (pid == 0) {
     std::vector<std::string> args = {CKPTFI_WORKER_BIN,
-                                     "--port=" + std::to_string(port),
-                                     "--heartbeat=1"};
+                                     "--port=" + std::to_string(port)};
     args.insert(args.end(), extra.begin(), extra.end());
     std::vector<char*> argv;
     argv.reserve(args.size() + 1);
@@ -107,12 +106,19 @@ int reap(pid_t pid) {
   return status;
 }
 
-fleet::FleetdOptions fleet_options(const fs::path& out) {
+// Workers heartbeat at a quarter of the lease timeout: 1 s here, so the
+// heartbeat path runs in every test.
+fleet::FleetdOptions fleet_options(const Json& manifest, const fs::path& out) {
   fleet::FleetdOptions opts;
-  opts.manifest = baseline().manifest;
+  opts.manifest = manifest;
   opts.trials_out = out.string();
   opts.shard_trials = 2;
+  opts.lease_timeout_s = 4;
   return opts;
+}
+
+fleet::FleetdOptions fleet_options(const fs::path& out) {
+  return fleet_options(baseline().manifest, out);
 }
 
 TEST(Fleet, TwoWorkersProduceByteIdenticalArtifact) {
@@ -202,11 +208,7 @@ TEST(Fleet, Table7Fp16WorkersMatchTheBench) {
   ASSERT_EQ(bench.manifest.at("options").at("mode").as_string(), "fp16");
   const fs::path out = fs::temp_directory_path() /
                        ("fleet_table7_" + std::to_string(getpid()) + ".jsonl");
-  fleet::FleetdOptions opts;
-  opts.manifest = bench.manifest;
-  opts.trials_out = out.string();
-  opts.shard_trials = 2;
-  fleet::Fleetd fleetd(std::move(opts));
+  fleet::Fleetd fleetd(fleet_options(bench.manifest, out));
   fleetd.start();
   const pid_t a = spawn_worker(fleetd.port());
   const pid_t b = spawn_worker(fleetd.port());

@@ -1,10 +1,11 @@
 // Wire-level tests for the fleet framing layer (net/socket.hpp,
 // net/frame.hpp): every message type round-trips over a real loopback
-// connection byte-for-byte, and the defensive paths — torn frames, oversized
-// length prefixes, unknown type bytes, clean EOF — behave exactly as the
-// coordinator's worker-death handling assumes they do. The fleet treats
-// "recv_message returned false" as an orderly disconnect and any NetError as
-// a dead worker, so these distinctions are load-bearing, not cosmetic.
+// connection byte-for-byte, the ROWS payload codec pins its byte layout, and
+// the defensive paths — torn frames, oversized length prefixes, unknown type
+// bytes, clean EOF — behave exactly as the coordinator's worker-death
+// handling assumes they do. The fleet treats "recv_message returned false"
+// as an orderly disconnect and any NetError as a dead worker, so these
+// distinctions are load-bearing, not cosmetic.
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 
@@ -37,12 +38,12 @@ struct Loopback {
 TEST(Frame, EveryTypeRoundTripsOverLoopback) {
   Loopback lo;
   const std::vector<std::pair<MsgType, std::string>> cases = {
-      {MsgType::Hello, "{\"version\":1}"},
-      {MsgType::Lease, "{\"lease\":0,\"cell\":\"chainer/alexnet/10\","
-                       "\"begin\":0,\"end\":2}"},
-      {MsgType::Rows, "{\"lease\":0,\"rows\":[{\"trial\":0,\"line\":\"x\"}]}"},
-      {MsgType::Done, "{\"lease\":0}"},
-      {MsgType::Heartbeat, "{\"lease\":0,\"done\":1}"},
+      {MsgType::Hello, "{\"version\":2}"},
+      {MsgType::Lease, "{\"cell\":\"chainer/alexnet/10\",\"begin\":0,"
+                       "\"end\":2}"},
+      {MsgType::Rows, encode_row(1, "{\"trial\": 1}")},
+      {MsgType::Done, ""},
+      {MsgType::Heartbeat, ""},
   };
   for (const auto& [type, payload] : cases) {
     send_message(lo.client, type, payload);
@@ -69,7 +70,22 @@ TEST(Frame, JsonHelperParsesThePayload) {
   send_message(lo.client, MsgType::Hello, hello);
   Message got;
   ASSERT_TRUE(recv_message(lo.server, got));
-  EXPECT_EQ(got.json().at("version").as_int(), 1);
+  EXPECT_EQ(got.json().at("version").as_int(), kProtocolVersion);
+}
+
+TEST(Frame, RowPayloadIsTheLittleEndianIndexThenTheLine) {
+  const std::string line = "{\"cell\": \"fig6/propagation\", \"trial\": 258}";
+  const std::string payload = encode_row(258, line);
+  ASSERT_EQ(payload.size(), 8 + line.size());
+  EXPECT_EQ(payload.substr(0, 8), std::string("\x02\x01\0\0\0\0\0\0", 8));
+  EXPECT_EQ(payload.substr(8), line);
+  const Row row = decode_row(payload);
+  EXPECT_EQ(row.trial, 258u);
+  EXPECT_EQ(row.line, line);
+  // An index with no line is a valid (empty) row; fewer than 8 bytes is not.
+  EXPECT_TRUE(decode_row(encode_row(~0ull, "")).line.empty());
+  EXPECT_EQ(decode_row(encode_row(~0ull, "")).trial, ~0ull);
+  EXPECT_THROW(decode_row("12345"), NetError);
 }
 
 TEST(Frame, CleanEofBeforeAFrameIsFalseNotAnError) {

@@ -16,10 +16,20 @@
 
 namespace ckptfi::fleet {
 
+namespace {
+
+/// Minimum spacing of the merged artifact's temp checkpoints.
+constexpr double kCheckpointEvery_s = 5.0;
+
+}  // namespace
+
 Fleetd::Fleetd(FleetdOptions opts)
     : opts_(std::move(opts)), listener_(opts_.port) {}
 
 void Fleetd::start() {
+  if (!(opts_.lease_timeout_s > 0.0)) {
+    throw Error("fleetd: the lease timeout must be positive");
+  }
   campaign_ = core::campaign_from_manifest(opts_.manifest);
   fp_hex_ = campaign_->options().fingerprint_hex();
   if (opts_.trials_out.empty()) {
@@ -85,23 +95,20 @@ void Fleetd::enqueue_missing(const std::string& cell, std::size_t begin,
   }
 }
 
+bool Fleetd::complete() const {
+  return rows_.size() == expected_ &&
+         std::none_of(conns_.begin(), conns_.end(),
+                      [](const Conn& c) { return c.shard.has_value(); });
+}
+
 void Fleetd::issue(Conn& conn, Shard shard) {
   Json j = Json::object();
-  j["lease"] = next_lease_;
   j["cell"] = shard.cell;
   j["begin"] = shard.begin;
   j["end"] = shard.end;
-  j["manifest"] = opts_.manifest;
   net::send_message(conn.sock, net::MsgType::Lease, j);
-  conn.lease = next_lease_;
-  Lease lease;
-  lease.shard = std::move(shard);
-  lease.conn_id = conn.id;
-  lease.deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(opts_.lease_timeout_s));
-  leases_.emplace(next_lease_, std::move(lease));
-  ++next_lease_;
+  conn.shard = std::move(shard);
+  touch(conn);
   ++stats_.shards_issued;
   obs::counter_add("fleet.shards_issued");
 }
@@ -109,7 +116,7 @@ void Fleetd::issue(Conn& conn, Shard shard) {
 void Fleetd::pump_leases() {
   auto it = conns_.begin();
   while (it != conns_.end() && !queue_.empty()) {
-    if (!it->helloed || it->lease != -1) {
+    if (!it->helloed || it->shard) {
       ++it;
       continue;
     }
@@ -121,7 +128,7 @@ void Fleetd::pump_leases() {
     } catch (const net::NetError& e) {
       // The worker vanished between frames; the shard goes back to the
       // queue head and the next pump hands it to someone alive. issue()
-      // sends before it records the lease, so there is nothing to unwind.
+      // sends before it records the shard, so there is nothing to unwind.
       std::fprintf(stderr, "fleetd: worker lost while leasing: %s\n",
                    e.what());
       queue_.push_front(std::move(shard));
@@ -130,10 +137,8 @@ void Fleetd::pump_leases() {
   }
 }
 
-void Fleetd::touch(int lease_id) {
-  const auto hit = leases_.find(lease_id);
-  if (hit == leases_.end()) return;
-  hit->second.deadline =
+void Fleetd::touch(Conn& conn) const {
+  conn.deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(opts_.lease_timeout_s));
 }
@@ -150,6 +155,8 @@ void Fleetd::handle_frame(Conn& conn, const net::Message& msg) {
       }
       Json ack = Json::object();
       ack["version"] = net::kProtocolVersion;
+      ack["manifest"] = opts_.manifest;
+      ack["lease_timeout_s"] = opts_.lease_timeout_s;
       net::send_message(conn.sock, net::MsgType::Hello, ack);
       conn.helloed = true;
       ++stats_.workers_seen;
@@ -157,39 +164,37 @@ void Fleetd::handle_frame(Conn& conn, const net::Message& msg) {
       return;
     }
     case net::MsgType::Rows: {
-      const Json j = msg.json();
-      touch(static_cast<int>(j.at("lease").as_int()));
-      const std::string cell = j.at("cell").as_string();
-      for (const Json& r : j.at("rows").items()) {
-        const auto trial = static_cast<std::size_t>(r.at("trial").as_int());
-        ++stats_.rows_streamed;
-        obs::counter_add("fleet.rows_streamed");
-        // Dedupe by (cell, trial): a re-issued shard's duplicate rows are
-        // bitwise-identical by the determinism contract, first write wins.
-        rows_.emplace(std::make_pair(cell, trial), r.at("line").as_string());
+      if (!conn.shard) throw net::NetError("ROWS before any lease");
+      const Shard& shard = *conn.shard;
+      const net::Row row = net::decode_row(msg.payload);
+      if (row.trial < shard.begin || row.trial >= shard.end) {
+        throw net::NetError("ROWS for trial " + std::to_string(row.trial) +
+                            ", outside the held shard");
       }
+      touch(conn);
+      ++stats_.rows_streamed;
+      obs::counter_add("fleet.rows_streamed");
+      // Dedupe by (cell, trial): a re-issued shard's duplicate rows are
+      // bitwise-identical by the determinism contract, first write wins.
+      rows_.emplace(
+          std::make_pair(shard.cell, static_cast<std::size_t>(row.trial)),
+          std::string(row.line));
       dirty_ = true;
       return;
     }
     case net::MsgType::Done: {
-      const Json j = msg.json();
-      const int lease_id = static_cast<int>(j.at("lease").as_int());
-      const auto hit = leases_.find(lease_id);
-      if (hit != leases_.end()) {
-        const Shard shard = hit->second.shard;
-        leases_.erase(hit);
-        // A DONE with rows still missing is a worker bug, not a death — but
-        // the campaign must finish either way, so re-queue the gap.
-        enqueue_missing(shard.cell, shard.begin, shard.end, /*reissue=*/true);
-      }
-      conn.lease = -1;
+      if (!conn.shard) throw net::NetError("DONE before any lease");
+      const Shard shard = std::move(*conn.shard);
+      conn.shard.reset();
+      // A DONE with rows still missing is a worker bug, not a death — but
+      // the campaign must finish either way, so re-queue the gap.
+      enqueue_missing(shard.cell, shard.begin, shard.end, /*reissue=*/true);
       checkpoint(/*final_commit=*/false);
       return;
     }
     case net::MsgType::Heartbeat: {
-      const Json j = msg.json();
       obs::Span span("fleet.heartbeat", "fleet");
-      touch(static_cast<int>(j.at("lease").as_int()));
+      if (conn.shard) touch(conn);
       return;
     }
     case net::MsgType::Lease:
@@ -199,19 +204,15 @@ void Fleetd::handle_frame(Conn& conn, const net::Message& msg) {
 }
 
 void Fleetd::drop_conn(std::list<Conn>::iterator it, const char* why) {
-  if (it->lease != -1) {
-    const auto hit = leases_.find(it->lease);
-    if (hit != leases_.end()) {
-      const Shard shard = hit->second.shard;
-      leases_.erase(hit);
-      ++stats_.worker_deaths;
-      obs::counter_add("fleet.worker_deaths");
-      std::fprintf(stderr,
-                   "fleetd: worker died holding %s[%zu,%zu) (%s); "
-                   "re-queuing its missing trials\n",
-                   shard.cell.c_str(), shard.begin, shard.end, why);
-      enqueue_missing(shard.cell, shard.begin, shard.end, /*reissue=*/true);
-    }
+  if (it->shard) {
+    const Shard& shard = *it->shard;
+    ++stats_.worker_deaths;
+    obs::counter_add("fleet.worker_deaths");
+    std::fprintf(stderr,
+                 "fleetd: worker died holding %s[%zu,%zu) (%s); "
+                 "re-queuing its missing trials\n",
+                 shard.cell.c_str(), shard.begin, shard.end, why);
+    enqueue_missing(shard.cell, shard.begin, shard.end, /*reissue=*/true);
   }
   conns_.erase(it);
   obs::gauge_set("fleet.workers", static_cast<double>(conns_.size()));
@@ -219,20 +220,12 @@ void Fleetd::drop_conn(std::list<Conn>::iterator it, const char* why) {
 
 void Fleetd::expire_leases() {
   const auto now = Clock::now();
-  for (auto it = leases_.begin(); it != leases_.end();) {
-    if (it->second.deadline > now) {
-      ++it;
-      continue;
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    const auto next = std::next(it);
+    if (it->shard && it->deadline <= now) {
+      drop_conn(it, "lease deadline passed");
     }
-    const std::uint64_t conn_id = it->second.conn_id;
-    ++it;  // drop_conn erases the lease entry itself
-    const auto conn = std::find_if(conns_.begin(), conns_.end(),
-                                   [&](const Conn& c) {
-                                     return c.id == conn_id;
-                                   });
-    if (conn != conns_.end()) {
-      drop_conn(conn, "lease deadline passed");
-    }
+    it = next;
   }
 }
 
@@ -244,7 +237,7 @@ void Fleetd::checkpoint(bool final_commit) {
                              .count();
     // DONE-triggered checkpoints ride through here too; rate-limit them so a
     // flood of tiny shards does not turn into quadratic rewriting.
-    if (since < opts_.checkpoint_every_s && rows_.size() != expected_) return;
+    if (since < kCheckpointEvery_s && rows_.size() != expected_) return;
   }
   // Full rewrite of the merged artifact in artifact order (gaps skipped),
   // left at `path + ".tmp"` until the final commit renames it into place —
@@ -274,9 +267,8 @@ FleetdStats Fleetd::run() {
     fds.push_back({listener_.fd(), POLLIN, 0});
     for (const Conn& c : conns_) fds.push_back({c.sock.fd(), POLLIN, 0});
     const int timeout_ms = std::max(
-        50, static_cast<int>(1000.0 *
-                             std::min(opts_.lease_timeout_s / 4.0,
-                                      opts_.checkpoint_every_s)));
+        50, static_cast<int>(1000.0 * std::min(opts_.lease_timeout_s / 4.0,
+                                               kCheckpointEvery_s)));
     const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
     if (rc < 0 && errno != EINTR) {
       throw net::NetError("fleetd: poll failed");
@@ -284,7 +276,6 @@ FleetdStats Fleetd::run() {
 
     if ((fds[0].revents & POLLIN) != 0) {
       Conn conn;
-      conn.id = next_conn_++;
       conn.sock = listener_.accept();
       conn.sock.set_recv_timeout(opts_.lease_timeout_s);
       conns_.push_back(std::move(conn));
@@ -321,9 +312,7 @@ FleetdStats Fleetd::run() {
   // failing here just means the worker is already gone.
   for (Conn& c : conns_) {
     try {
-      Json bye = Json::object();
-      bye["lease"] = -1;
-      net::send_message(c.sock, net::MsgType::Lease, bye);
+      net::send_message(c.sock, net::MsgType::Lease, std::string());
     } catch (const net::NetError&) {
     }
   }

@@ -2,22 +2,25 @@
 //
 // Splits a campaign manifest (core::campaign_manifest) into shards —
 // contiguous trial ranges within a cell — and leases them to ckptfi-worker
-// processes over the framed TCP protocol in net/frame.hpp. Workers stream
-// back one ROWS frame per finished trial carrying the trial's JSONL line
-// verbatim; the coordinator merges rows by (cell, trial) and writes the
+// processes over the framed TCP protocol in net/frame.hpp. The connection is
+// the lease: the HELLO ack hands a worker the manifest once, and the
+// connection then holds at most one shard, so no later frame names a lease.
+// Workers stream back one ROWS frame per finished trial carrying the trial's
+// index and JSONL line verbatim; the coordinator keeps a row only when its
+// index lies inside the shard the sending connection holds, and writes the
 // --trials-out artifact in artifact order (cells in manifest order, trial
 // index ascending), byte-identical to a single-process bench run.
 //
 // Fault tolerance, both directions:
-//   - a worker that dies (EOF, socket error, or lease deadline passed with
-//     no ROWS/HEARTBEAT) gets its lease revoked; the shard's still-missing
-//     trials are re-queued and re-issued. Re-execution is bitwise-identical
-//     (per-trial seeds are pure functions of (seed, cell, index)), so rows
-//     that did arrive before the death are kept and double-completed trials
-//     dedupe trivially.
+//   - a worker that dies (EOF, socket error, a frame that breaks the
+//     protocol, or its shard's deadline passed with no ROWS/HEARTBEAT) is
+//     dropped; its shard's still-missing trials are re-queued and re-issued.
+//     Re-execution is bitwise-identical (per-trial seeds are pure functions
+//     of (seed, cell, index)), so rows that did arrive before the death are
+//     kept and double-completed trials dedupe trivially.
 //   - the coordinator itself checkpoints the merged artifact to
-//     `--trials-out + ".tmp"` after every completed shard (and periodically),
-//     so a killed fleetd leaves a well-formed partial artifact that a rerun
+//     `--trials-out + ".tmp"` after completed shards (at most every 5 s), so
+//     a killed fleetd leaves a well-formed partial artifact that a rerun
 //     heals from via --resume-from. The final artifact is committed with an
 //     atomic rename (core::TrialLogWriter).
 //
@@ -33,6 +36,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -50,16 +54,17 @@ struct FleetdOptions {
   std::uint16_t port = 0;    ///< 0 = ephemeral (read back via Fleetd::port())
   std::string port_file;     ///< write the bound port here ("" = don't)
   std::size_t shard_trials = 2;    ///< max trials per lease
-  double lease_timeout_s = 60.0;   ///< silence budget before a lease revokes
-  double checkpoint_every_s = 5.0; ///< periodic artifact checkpoint cadence
+  /// Silence budget before a held shard is revoked (> 0). Workers learn it
+  /// from the HELLO ack and heartbeat at a quarter of it.
+  double lease_timeout_s = 60.0;
 };
 
 struct FleetdStats {
   std::size_t shards_issued = 0;    ///< leases sent (including re-issues)
   std::size_t shards_reissued = 0;  ///< re-queued shard fragments
-  std::size_t rows_streamed = 0;    ///< ROWS payload rows received
+  std::size_t rows_streamed = 0;    ///< in-shard ROWS frames received
   std::size_t rows_resumed = 0;     ///< rows carried over from --resume-from
-  std::size_t worker_deaths = 0;    ///< connections lost holding a lease
+  std::size_t worker_deaths = 0;    ///< connections dropped holding a shard
   std::size_t workers_seen = 0;     ///< HELLOs accepted
 };
 
@@ -75,8 +80,9 @@ class Fleetd {
 
   std::uint16_t port() const { return listener_.port(); }
 
-  /// Serve until every trial row is present and all leases have resolved,
-  /// then commit the artifact and dismiss the workers. Returns the stats.
+  /// Serve until every trial row is present and no connection holds a
+  /// shard, then commit the artifact and dismiss the workers. Returns the
+  /// stats.
   FleetdStats run();
 
   const FleetdStats& stats() const { return stats_; }
@@ -90,22 +96,15 @@ class Fleetd {
     std::size_t end = 0;  ///< exclusive
   };
 
+  /// One worker connection; it is also the lease.
   struct Conn {
-    std::uint64_t id = 0;
     net::Socket sock;
     bool helloed = false;
-    int lease = -1;  ///< -1 = idle (parked once the queue is empty)
+    std::optional<Shard> shard;  ///< none = idle (parked once queue empties)
+    Clock::time_point deadline;  ///< when the held shard is revoked
   };
 
-  struct Lease {
-    Shard shard;
-    std::uint64_t conn_id = 0;
-    Clock::time_point deadline;
-  };
-
-  bool complete() const {
-    return rows_.size() == expected_ && leases_.empty();
-  }
+  bool complete() const;
 
   void enqueue_missing(const std::string& cell, std::size_t begin,
                        std::size_t end, bool reissue);
@@ -114,7 +113,7 @@ class Fleetd {
   void handle_frame(Conn& conn, const net::Message& msg);
   void drop_conn(std::list<Conn>::iterator it, const char* why);
   void expire_leases();
-  void touch(int lease_id);
+  void touch(Conn& conn) const;
   void checkpoint(bool final_commit);
 
   FleetdOptions opts_;
@@ -122,14 +121,12 @@ class Fleetd {
   std::string fp_hex_;
   net::Listener listener_;
 
-  /// Merged rows keyed (cell, trial); values are verbatim JSONL lines.
+  /// Merged rows keyed (cell, trial); values are verbatim JSONL lines. Only
+  /// the manifest's trials ever get in.
   std::map<std::pair<std::string, std::size_t>, std::string> rows_;
   std::size_t expected_ = 0;
 
   std::deque<Shard> queue_;
-  std::map<int, Lease> leases_;
-  int next_lease_ = 0;
-  std::uint64_t next_conn_ = 0;
   std::list<Conn> conns_;
 
   Clock::time_point last_checkpoint_;

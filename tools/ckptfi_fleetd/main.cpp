@@ -30,8 +30,7 @@ void usage(const char* argv0) {
       "  --port=N                 listen port (default 0 = ephemeral)\n"
       "  --port-file=PATH         write the bound port here\n"
       "  --shard-trials=N         max trials per lease (default 2)\n"
-      "  --lease-timeout=SECONDS  silence budget per lease (default 60)\n"
-      "  --checkpoint-every=SECONDS  artifact checkpoint cadence (default 5)\n",
+      "  --lease-timeout=SECONDS  silence budget per lease, > 0 (default 60)\n",
       argv0);
 }
 
@@ -55,10 +54,11 @@ double parse_seconds(const std::string& key, const std::string& value) {
   try {
     std::size_t used = 0;
     const double v = std::stod(value, &used);
-    if (used != value.size() || v < 0.0) throw std::invalid_argument(value);
+    if (used != value.size() || !(v > 0.0)) throw std::invalid_argument(value);
     return v;
   } catch (const std::exception&) {
-    std::fprintf(stderr, "ckptfi-fleetd: --%s wants seconds, got '%s'\n",
+    std::fprintf(stderr,
+                 "ckptfi-fleetd: --%s wants positive seconds, got '%s'\n",
                  key.c_str(), value.c_str());
     std::exit(2);
   }
@@ -92,8 +92,6 @@ int main(int argc, char** argv) {
       opts.shard_trials = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "lease-timeout") {
       opts.lease_timeout_s = parse_seconds(key, value);
-    } else if (key == "checkpoint-every") {
-      opts.checkpoint_every_s = parse_seconds(key, value);
     } else {
       std::fprintf(stderr, "ckptfi-fleetd: unknown option --%s\n",
                    key.c_str());

@@ -18,8 +18,6 @@ void usage(const char* argv0) {
       "  --host=ADDR            coordinator address (default 127.0.0.1)\n"
       "  --port=N               coordinator port (required)\n"
       "  --jobs=N               trials in flight per shard (default 1)\n"
-      "  --heartbeat=SECONDS    lease-refresh cadence (default 5, 0 = off)\n"
-      "  --idle-timeout=SECONDS recv deadline while parked (default 600)\n"
       "  --kill-after-rows=N    test hook: SIGKILL self after N rows\n",
       argv0);
 }
@@ -32,19 +30,6 @@ std::uint64_t parse_u64(const std::string& key, const std::string& value) {
     return v;
   } catch (const std::exception&) {
     std::fprintf(stderr, "ckptfi-worker: --%s wants a number, got '%s'\n",
-                 key.c_str(), value.c_str());
-    std::exit(2);
-  }
-}
-
-double parse_seconds(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    if (used != value.size() || v < 0.0) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "ckptfi-worker: --%s wants seconds, got '%s'\n",
                  key.c_str(), value.c_str());
     std::exit(2);
   }
@@ -70,10 +55,6 @@ int main(int argc, char** argv) {
     } else if (key == "jobs") {
       opts.jobs = static_cast<std::size_t>(parse_u64(key, value));
       if (opts.jobs == 0) opts.jobs = 1;
-    } else if (key == "heartbeat") {
-      opts.heartbeat_s = parse_seconds(key, value);
-    } else if (key == "idle-timeout") {
-      opts.idle_timeout_s = parse_seconds(key, value);
     } else if (key == "kill-after-rows") {
       opts.kill_after_rows = static_cast<std::size_t>(parse_u64(key, value));
     } else {

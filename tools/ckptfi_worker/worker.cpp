@@ -1,6 +1,5 @@
 #include "worker.hpp"
 
-#include <atomic>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
@@ -17,7 +16,11 @@ namespace ckptfi::fleet {
 
 namespace {
 
-// Lease-refresh side channel. Shares the socket's send mutex with the row
+/// Receive deadline on the coordinator socket: how long a parked worker
+/// waits for its next lease before it gives up.
+constexpr double kParkedRecvTimeout_s = 600.0;
+
+// Deadline-refresh side channel. Shares the socket's send mutex with the row
 // stream; joined before the socket dies.
 class Heartbeat {
  public:
@@ -36,24 +39,17 @@ class Heartbeat {
     if (thread_.joinable()) thread_.join();
   }
 
-  void set_lease(int lease, std::size_t done) {
-    lease_.store(lease, std::memory_order_relaxed);
-    done_.store(done, std::memory_order_relaxed);
-  }
+  Heartbeat(const Heartbeat&) = delete;
+  Heartbeat& operator=(const Heartbeat&) = delete;
 
  private:
   void loop() {
     std::unique_lock lock(mu_);
     while (!cv_.wait_for(lock, std::chrono::duration<double>(period_s_),
                          [this] { return stop_; })) {
-      const int lease = lease_.load(std::memory_order_relaxed);
-      if (lease < 0) continue;  // parked: nothing to keep alive
-      Json j = Json::object();
-      j["lease"] = lease;
-      j["done"] = done_.load(std::memory_order_relaxed);
       try {
         std::lock_guard send_lock(send_mu_);
-        net::send_message(sock_, net::MsgType::Heartbeat, j);
+        net::send_message(sock_, net::MsgType::Heartbeat, std::string());
       } catch (const net::NetError&) {
         // The main loop will see the same dead socket; go quiet.
         return;
@@ -64,8 +60,6 @@ class Heartbeat {
   net::Socket& sock_;
   std::mutex& send_mu_;
   double period_s_;
-  std::atomic<int> lease_{-1};
-  std::atomic<std::size_t> done_{0};
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
@@ -77,7 +71,7 @@ class Heartbeat {
 int run_worker(const WorkerOptions& opts) {
   try {
     net::Socket sock = net::Socket::connect(opts.host, opts.port);
-    sock.set_recv_timeout(opts.idle_timeout_s);
+    sock.set_recv_timeout(kParkedRecvTimeout_s);
 
     Json hello = Json::object();
     hello["version"] = net::kProtocolVersion;
@@ -87,15 +81,17 @@ int run_worker(const WorkerOptions& opts) {
       std::fprintf(stderr, "worker: coordinator refused the handshake\n");
       return 1;
     }
-    if (ack.json().at("version").as_int() != net::kProtocolVersion) {
+    const Json welcome = ack.json();
+    if (welcome.at("version").as_int() != net::kProtocolVersion) {
       std::fprintf(stderr, "worker: protocol version mismatch\n");
       return 1;
     }
+    const std::unique_ptr<core::Campaign> campaign =
+        core::campaign_from_manifest(welcome.at("manifest"));
 
     std::mutex send_mu;
-    Heartbeat heartbeat(sock, send_mu, opts.heartbeat_s);
-
-    std::unique_ptr<core::Campaign> campaign;
+    Heartbeat heartbeat(sock, send_mu,
+                        welcome.at("lease_timeout_s").as_double() / 4.0);
     std::size_t rows_streamed = 0;
 
     for (;;) {
@@ -109,34 +105,16 @@ int run_worker(const WorkerOptions& opts) {
                      net::msg_type_name(msg.type));
         return 1;
       }
+      if (msg.payload.empty()) return 0;  // drained: orderly dismissal
+
       const Json j = msg.json();
-      const auto lease = static_cast<int>(j.at("lease").as_int());
-      if (lease < 0) return 0;  // drained: orderly dismissal
-
-      if (campaign == nullptr) {
-        campaign = core::campaign_from_manifest(j.at("manifest"));
-      } else {
-        // Every lease must belong to the campaign we already built; a
-        // coordinator restarted onto a different campaign is a hard error.
-        const std::string fp = j.at("manifest").at("fp").as_string();
-        if (fp != campaign->options().fingerprint_hex()) {
-          std::fprintf(stderr,
-                       "worker: lease carries campaign %s but this worker "
-                       "built %s; refusing to mix campaigns\n",
-                       fp.c_str(),
-                       campaign->options().fingerprint_hex().c_str());
-          return 1;
-        }
-      }
-
       const std::string cell = j.at("cell").as_string();
       const auto begin = static_cast<std::size_t>(j.at("begin").as_int());
       const auto end = static_cast<std::size_t>(j.at("end").as_int());
-      heartbeat.set_lease(lease, 0);
 
       // Baseline training for the cell happens before the shard fans out —
       // the same prepare-then-run shape the single-process benches use, so
-      // the heartbeat thread is what keeps the lease alive through it.
+      // the heartbeat thread is what keeps the shard alive through it.
       campaign->prepare_cell(cell);
 
       core::TrialScheduler::Config sc;
@@ -144,32 +122,19 @@ int run_worker(const WorkerOptions& opts) {
       sc.campaign_seed = campaign->cell_seed(cell);
       core::TrialScheduler(sc).run_range(
           begin, end, [&](const core::TrialContext& trial) {
-            const Json row = campaign->run_trial(cell, trial);
-            Json rj = Json::object();
-            rj["lease"] = lease;
-            rj["cell"] = cell;
-            Json rows = Json::array();
-            Json one = Json::object();
-            one["trial"] = trial.index;
-            one["line"] = row.dump();
-            rows.push_back(std::move(one));
-            rj["rows"] = std::move(rows);
+            const std::string row = net::encode_row(
+                trial.index, campaign->run_trial(cell, trial).dump());
             std::lock_guard lock(send_mu);
-            net::send_message(sock, net::MsgType::Rows, rj);
-            ++rows_streamed;
-            heartbeat.set_lease(lease, rows_streamed);
-            if (rows_streamed >= opts.kill_after_rows) {
+            net::send_message(sock, net::MsgType::Rows, row);
+            if (++rows_streamed >= opts.kill_after_rows) {
               // Deterministic node-loss fixture: die the hard way, exactly
               // like a kernel OOM-kill or a pulled power cord would.
               std::raise(SIGKILL);
             }
           });
 
-      heartbeat.set_lease(-1, rows_streamed);
-      Json done = Json::object();
-      done["lease"] = lease;
       std::lock_guard lock(send_mu);
-      net::send_message(sock, net::MsgType::Done, done);
+      net::send_message(sock, net::MsgType::Done, std::string());
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "worker: %s\n", e.what());

@@ -1,22 +1,22 @@
 // ckptfi-worker: executes leased campaign shards for ckptfi-fleetd.
 //
-// A worker connects to the coordinator, handshakes (HELLO), and then loops:
-// receive a LEASE naming a cell and a trial range [begin, end), rebuild the
-// campaign from the manifest the lease carries (once — subsequent leases
-// must match its fingerprint), prepare the cell, run the shard through
+// A worker connects to the coordinator and handshakes: the HELLO ack carries
+// the campaign manifest, which the worker builds once, and the lease
+// timeout, a quarter of which is its heartbeat period. The connection then
+// serves that one campaign: receive a LEASE naming a cell and a trial range
+// [begin, end), prepare the cell, run the shard through
 // core::TrialScheduler::run_range, and stream one ROWS frame per finished
-// trial back — each carrying the trial's serialized JSONL line verbatim.
-// DONE closes the lease; the empty lease ({"lease": -1}) dismisses the
-// worker and it exits 0.
+// trial back — the trial's index and its serialized JSONL line verbatim.
+// DONE closes the shard; the empty LEASE dismisses the worker and it exits 0.
 //
 // Trial rows are pure functions of (campaign, cell, index), so whatever
 // worker runs a shard — or re-runs it after another worker's death —
 // produces byte-identical lines. The worker holds no durable state at all:
-// crash recovery is entirely the coordinator's lease re-issue.
+// crash recovery is entirely the coordinator's shard re-issue.
 //
-// A heartbeat thread refreshes the coordinator's lease deadline while a
-// long trial computes. All socket writes (rows, DONE, heartbeats) are
-// serialized by one mutex so frames never interleave.
+// A heartbeat thread refreshes the deadline of whatever shard the
+// connection holds while a long trial computes. All socket writes (rows,
+// DONE, heartbeats) are serialized by one mutex so frames never interleave.
 #pragma once
 
 #include <cstddef>
@@ -29,8 +29,6 @@ struct WorkerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   std::size_t jobs = 1;      ///< trials in flight within a leased shard
-  double heartbeat_s = 5.0;  ///< lease-refresh cadence (0 = no heartbeats)
-  double idle_timeout_s = 600.0;  ///< recv deadline while parked
   /// Test hook: after streaming this many rows, die by raise(SIGKILL) —
   /// the deterministic stand-in for a node loss mid-shard. SIZE_MAX = off.
   std::size_t kill_after_rows = static_cast<std::size_t>(-1);
