@@ -162,7 +162,7 @@ BENCHMARK(BM_GemmSweepFp16)->Arg(0)->Arg(1)->Arg(2);
 // --------------------------------------------------------------------------
 // Convolution forward/backward at three scales:
 //   Arg 0: tiny   — 1x2x6x6,  co=2
-//   Arg 1: lenet  — 8x6x16x16, co=16 (the repro's LeNet block at width 6)
+//   Arg 1: lenet  — 8x6x16x16, co=16 (a LeNet-5-sized conv block)
 //   Arg 2: alex   — 8x16x16x16, co=32 (AlexNet mid-block at bench width)
 
 struct ConvCase {

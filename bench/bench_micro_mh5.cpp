@@ -1,9 +1,9 @@
 // Microbenchmarks of the mh5 container and float encode/decode paths.
 //
-// The serialize/load benchmarks come in pairs contrasting the two container
-// generations (see docs/MH5_FORMAT.md):
-//   - monolithic v1 (payloads inline in the tree) vs streaming v2 (TOC +
-//     sequential payload region written through a Sink),
+// The save/load benchmarks come in pairs contrasting two ways through the
+// container (see docs/MH5_FORMAT.md):
+//   - a materialized byte vector written out vs a save() streamed through a
+//     Sink,
 //   - eager load (every payload decoded up front) vs lazy load (headers +
 //     TOC only; payloads fault in on first access).
 // Each mode also reports the mh5 obs counters it moved (mh5.bytes_serialized,
@@ -69,25 +69,8 @@ void probe_obs_counters(benchmark::State& state,
   obs::set_metrics_enabled(was_enabled);
 }
 
-/// v1: monolithic buffer, each dataset's payload inline in the tree walk.
-void BM_SerializeV1(benchmark::State& state) {
-  const mh5::File f =
-      make_tree(8, 4, static_cast<std::uint64_t>(state.range(0)));
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    const auto buf = f.serialize_v1();
-    bytes = buf.size();
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes));
-  probe_obs_counters(state, {"mh5.bytes_serialized"},
-                     [&] { benchmark::DoNotOptimize(f.serialize_v1()); });
-}
-BENCHMARK(BM_SerializeV1)->Arg(256)->Arg(4096)->Arg(65536);
-
-/// v2: streaming writer — tree section, sequential payloads, TOC — through a
-/// BufferSink. Same bytes end-to-end, different write discipline.
+/// The streaming writer — tree section, sequential payloads, TOC — through a
+/// BufferSink.
 void BM_Serialize(benchmark::State& state) {
   const mh5::File f =
       make_tree(8, 4, static_cast<std::uint64_t>(state.range(0)));
@@ -104,7 +87,7 @@ void BM_Serialize(benchmark::State& state) {
 }
 BENCHMARK(BM_Serialize)->Arg(256)->Arg(4096)->Arg(65536);
 
-/// To-disk "before": materialize the full v2 byte vector, then write it out.
+/// To-disk "before": materialize the full byte vector, then write it out.
 /// This is the intermediate copy File::serialize_into() exists to remove.
 void BM_SaveMaterialized(benchmark::State& state) {
   const mh5::File f =
@@ -195,8 +178,8 @@ void BM_LoadLazyTouchOne(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadLazyTouchOne)->Arg(256)->Arg(4096)->Arg(65536);
 
-/// Patched rewrite after dirtying one dataset: 31 of 32 payloads stream
-/// verbatim from the source file, only the dirty one re-encodes.
+/// save() after dirtying one dataset of a lazy open: 31 of 32 payloads
+/// stream verbatim from the source file, only the dirty one re-encodes.
 void BM_SavePatchedOneDirty(benchmark::State& state) {
   const std::string in_path = "bench_micro_mh5_in.mh5";
   const std::string out_path = "bench_micro_mh5_out.mh5";
@@ -204,13 +187,13 @@ void BM_SavePatchedOneDirty(benchmark::State& state) {
   for (auto _ : state) {
     mh5::File f = mh5::File::load_lazy(in_path);
     f.dataset("g0/layer0/W").set_element_bits(0, 0x3f800000u);
-    f.save_patched(out_path);
+    f.save(out_path);
   }
   probe_obs_counters(
       state, {"mh5.bytes_serialized", "mh5.bytes_copied_verbatim"}, [&] {
         mh5::File f = mh5::File::load_lazy(in_path);
         f.dataset("g0/layer0/W").set_element_bits(0, 0x3f800000u);
-        f.save_patched(out_path);
+        f.save(out_path);
       });
   std::remove(in_path.c_str());
   std::remove(out_path.c_str());

@@ -440,9 +440,9 @@ inline BenchOptions trained_defaults() {
 /// The run-start obs event, stamped with the active kernel backend so a
 /// metrics/trace artifact records which compute path produced it. A bench
 /// whose campaign applies its own GEMM precision once its cells run (table7)
-/// names it in `gemm_precision`. Benches that print their own banner (solver
-/// extension, micro harnesses) still call this — ckptfi-lint's
-/// obs-bench-conventions rule insists on it.
+/// names it in `gemm_precision`. print_banner calls it; a bench that prints
+/// its own banner must call it itself — ckptfi-lint's obs-bench-conventions
+/// rule insists on one or the other.
 inline void emit_run_start(const std::string& what, const BenchOptions& o,
                            const std::string& gemm_precision =
                                gemm_precision_name()) {

@@ -2,9 +2,9 @@
 //
 //   $ ./ckpt_inspect <file.h5|file.npz> [--nev] [--check]
 //
-// Prints the container format version, the tree (groups, datasets with
-// dtype/shape, attributes) and — for streamed v2 containers — the dataset
-// TOC with each payload's offset, byte count and CRC-32. With --nev it adds
+// Prints the container format, the tree (groups, datasets with dtype/shape,
+// attributes) and — for mh5 containers — the dataset TOC with each
+// payload's offset, byte count and CRC-32. With --nev it adds
 // a NaN/Inf/extreme-value scan per dataset (the first thing one wants to
 // know about a possibly-corrupted checkpoint); with --check it verifies
 // every dataset payload against its stored CRC and exits non-zero on any
@@ -67,10 +67,7 @@ int main(int argc, char** argv) {
     std::printf("%s  (%llu entries in %zu datasets)\n", path.c_str(),
                 static_cast<unsigned long long>(file.total_entries()),
                 file.dataset_paths().size());
-    if (!is_npz) {
-      std::printf("format: mh5 v%u\n",
-                  mh5::File::probe_version(path));
-    }
+    if (!is_npz) std::printf("format: mh5 v%u\n", mh5::File::kVersionV2);
     file.visit([&](const std::string& p, const mh5::Node& node) {
       const std::string display = p.empty() ? "/" : p;
       if (node.is_group()) {

@@ -130,14 +130,14 @@ InjectionReport Corrupter::corrupt_file(const std::string& in_path,
                                         const std::string& out_path,
                                         const ModelContext* ctx) {
   // Open lazily: only the datasets the injections actually land in are
-  // faulted into memory, and save_patched copies every untouched payload
-  // range verbatim from the source file — the corruption cycle costs bytes
+  // faulted into memory, and save() copies every untouched payload range
+  // verbatim from the source file — the corruption cycle costs bytes
   // proportional to what was hit, not to checkpoint size.
   mh5::File f = mh5::File::load_lazy(in_path);
   InjectionReport report = corrupt(f, ctx);
   report.log.set_meta("target_file", in_path);
   if (out_path != in_path) report.log.set_meta("output_file", out_path);
-  f.save_patched(out_path);
+  f.save(out_path);
   return report;
 }
 

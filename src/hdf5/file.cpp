@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "util/common.hpp"
-#include "util/crc32.hpp"
 #include "util/strings.hpp"
 
 namespace ckptfi::mh5 {
@@ -152,67 +150,7 @@ std::string read_child_name(Reader& r, const Node& group) {
   return name;
 }
 
-// --- v1: payloads inlined into the tree ---
-
-void write_node_v1(SinkWriter& w, const Node& node) {
-  if (node.is_group()) {
-    w.u8(0);
-    write_attrs(w, node);
-    w.u32(static_cast<std::uint32_t>(node.children().size()));
-    for (const auto& [name, child] : node.children()) {
-      w.str(name);
-      write_node_v1(w, *child);
-    }
-  } else {
-    w.u8(1);
-    write_attrs(w, node);
-    const Dataset& ds = node.dataset();
-    w.u8(static_cast<std::uint8_t>(ds.dtype()));
-    w.u32(static_cast<std::uint32_t>(ds.rank()));
-    for (auto d : ds.dims()) w.u64(d);
-    w.u64(ds.raw().size());
-    w.raw(ds.raw().data(), ds.raw().size());
-    w.u32(ds.checksum());
-  }
-}
-
-std::unique_ptr<Node> read_node_v1(Reader& r, int depth) {
-  check_depth(depth);
-  const std::uint8_t kind = r.u8();
-  if (kind == 0) {
-    auto node = std::make_unique<Node>();
-    read_attrs(r, *node);
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      std::string name = read_child_name(r, *node);
-      node->add_child(name, read_node_v1(r, depth + 1));
-    }
-    return node;
-  }
-  if (kind == 1) {
-    // Read attributes into a temp group node, then move onto the dataset.
-    Node attr_holder;
-    read_attrs(r, attr_holder);
-    auto [dtype, dims] = read_dataset_header(r);
-    // Allocate only a payload the header, the byte count and the input agree
-    // on.
-    const std::uint64_t nbytes = r.u64();
-    if (nbytes != Dataset::payload_bytes(dtype, dims))
-      throw FormatError("mh5: dataset byte count mismatch");
-    if (nbytes > r.remaining()) throw FormatError("mh5: truncated file");
-    Dataset ds(dtype, std::move(dims));
-    r.raw(ds.raw().data(), ds.raw().size());
-    const std::uint32_t crc = r.u32();
-    if (crc != crc32(ds.raw().data(), ds.raw().size()))
-      throw FormatError("mh5: dataset CRC mismatch");
-    auto node = std::make_unique<Node>(std::move(ds));
-    for (const auto& [k, v] : attr_holder.attrs()) node->set_attr(k, v);
-    return node;
-  }
-  throw FormatError("mh5: bad node kind");
-}
-
-// --- v2: tree holds headers only; payloads + TOC follow ---
+// --- the tree holds headers only; payloads + TOC follow ---
 
 void write_tree_v2(SinkWriter& w, const Node& node) {
   if (node.is_group()) {
@@ -259,7 +197,7 @@ std::unique_ptr<Node> read_tree_node_v2(Reader& r, int depth) {
 }
 
 /// Copy `nbytes` at `offset` from source to sink in bounded chunks, so
-/// save_patched never stages a clean multi-MB payload in memory.
+/// save never stages a clean multi-MB payload in memory.
 void copy_range(const Source& src, std::uint64_t offset, std::uint64_t nbytes,
                 SinkWriter& w) {
   constexpr std::size_t kChunk = 1u << 18;  // 256 KiB
@@ -275,7 +213,8 @@ void copy_range(const Source& src, std::uint64_t offset, std::uint64_t nbytes,
   }
 }
 
-std::uint32_t read_header_version(const Source& src) {
+/// The 8-byte header: the magic, then the one version the readers accept.
+void check_header(const Source& src) {
   if (src.size() < 8) throw FormatError("mh5: truncated file");
   std::uint8_t header[8];
   src.read_at(0, header, 8);
@@ -283,27 +222,8 @@ std::uint32_t read_header_version(const Source& src) {
     throw FormatError("mh5: bad magic (not an mh5 file)");
   std::uint32_t version;
   std::memcpy(&version, header + 4, 4);
-  if (version != File::kVersionV1 && version != File::kVersionV2)
+  if (version != File::kVersionV2)
     throw FormatError("mh5: unsupported version " + std::to_string(version));
-  return version;
-}
-
-File deserialize_v1(const std::uint8_t* data, std::size_t size) {
-  Reader r(data, size);
-  std::uint8_t header[8];
-  r.raw(header, 8);  // magic + version, validated by the caller
-  auto root = read_node_v1(r, 1);
-  if (!r.at_end()) throw FormatError("mh5: trailing bytes");
-  File out;
-  out.root() = std::move(*root);
-  return out;
-}
-
-std::vector<std::uint8_t> slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("mh5: cannot open '" + path + "'");
-  return std::vector<std::uint8_t>((std::istreambuf_iterator<char>(in)),
-                                   std::istreambuf_iterator<char>());
 }
 
 }  // namespace
@@ -362,19 +282,8 @@ std::vector<std::uint8_t> File::serialize() const {
   return out;
 }
 
-std::vector<std::uint8_t> File::serialize_v1() const {
-  obs::Span span("mh5.serialize", "io", "mh5.serialize_time");
-  std::vector<std::uint8_t> out;
-  BufferSink sink(out);
-  SinkWriter w(sink);
-  w.raw(kMagic, 4);
-  w.u32(kVersionV1);
-  write_node_v1(w, *root_);
-  obs::counter_add("mh5.bytes_serialized", out.size());
-  return out;
-}
-
 File File::parse_v2(std::shared_ptr<Source> src, bool lazy) {
+  check_header(*src);
   const std::uint64_t size = src->size();
   if (size < 8 + 4 + 8)  // header + empty TOC + footer
     throw FormatError("mh5: truncated file");
@@ -455,9 +364,6 @@ File File::parse_v2(std::shared_ptr<Source> src, bool lazy) {
 File File::deserialize(const std::vector<std::uint8_t>& bytes) {
   obs::Span span("mh5.deserialize", "io", "mh5.deserialize_time");
   obs::counter_add("mh5.bytes_deserialized", bytes.size());
-  MemorySource probe(bytes.data(), bytes.size());
-  const std::uint32_t version = read_header_version(probe);
-  if (version == kVersionV1) return deserialize_v1(bytes.data(), bytes.size());
   // Eager parse fully materializes before the non-owning source dies.
   return parse_v2(std::make_shared<MemorySource>(bytes.data(), bytes.size()),
                   /*lazy=*/false);
@@ -467,29 +373,20 @@ File File::deserialize_lazy(
     std::shared_ptr<const std::vector<std::uint8_t>> bytes) {
   require(bytes != nullptr, "mh5: deserialize_lazy: null buffer");
   obs::Span span("mh5.deserialize", "io", "mh5.deserialize_time");
-  auto src = std::make_shared<SharedBufferSource>(bytes);
-  const std::uint32_t version = read_header_version(*src);
-  if (version == kVersionV1) return deserialize(*bytes);
-  return parse_v2(std::move(src), /*lazy=*/true);
+  return parse_v2(std::make_shared<SharedBufferSource>(std::move(bytes)),
+                  /*lazy=*/true);
 }
 
 File File::load(const std::string& path) {
   obs::Span span("mh5.load", "io", "mh5.read_time");
   auto src = std::make_shared<FileSource>(path);
-  const std::uint32_t version = read_header_version(*src);
   obs::counter_add("mh5.bytes_read", src->size());
-  if (version == kVersionV1) {
-    const auto bytes = slurp(path);
-    return deserialize_v1(bytes.data(), bytes.size());
-  }
   return parse_v2(std::move(src), /*lazy=*/false);
 }
 
 File File::load_lazy(const std::string& path) {
   obs::Span span("mh5.load_lazy", "io", "mh5.read_time");
   auto src = std::make_shared<FileSource>(path);
-  const std::uint32_t version = read_header_version(*src);
-  if (version == kVersionV1) return load(path);
   obs::counter_add("mh5.lazy_opens");
   return parse_v2(std::move(src), /*lazy=*/true);
 }
@@ -502,30 +399,8 @@ void File::save(const std::string& path) const {
   sink.commit();
 }
 
-void File::save_patched(const std::string& path) const {
-  obs::Span span("mh5.save_patched", "io", "mh5.write_time");
-  obs::counter_add("mh5.patched_saves");
-  FileSink sink(path);
-  serialize_into(sink);
-  obs::counter_add("mh5.bytes_written", sink.tell());
-  sink.commit();
-}
-
-std::uint32_t File::probe_version(const std::string& path) {
-  FileSource src(path);
-  return read_header_version(src);
-}
-
 std::vector<std::string> File::verify(const std::string& path) {
   std::vector<std::string> errors;
-  if (probe_version(path) == kVersionV1) {
-    try {
-      load(path);  // v1 interleaves payloads with the tree: all-or-nothing
-    } catch (const std::exception& e) {
-      errors.emplace_back(e.what());
-    }
-    return errors;
-  }
   const File f = load_lazy(path);
   for (const auto& p : f.dataset_paths()) {
     try {

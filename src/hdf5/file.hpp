@@ -1,12 +1,10 @@
 // mh5 file: a rooted Node tree plus binary (de)serialization.
 //
-// Two on-disk formats (byte-level spec in docs/MH5_FORMAT.md):
-//   v1 — monolithic: every dataset's payload is inlined into the node tree.
-//   v2 — streaming: the tree holds only headers; payloads follow
-//        sequentially and a trailing table-of-contents maps each dataset
-//        path to {offset, nbytes, crc32}, so datasets can be loaded lazily
-//        and rewritten (save_patched) without touching clean payloads.
-// Writers emit v2; readers accept both via the version switch.
+// One on-disk format, version 2 (byte-level spec in docs/MH5_FORMAT.md): the
+// tree holds only headers; payloads follow sequentially and a trailing
+// table-of-contents maps each dataset path to {offset, nbytes, crc32}, so
+// datasets can be loaded lazily and rewritten by save() without touching
+// clean payloads. Every reader refuses any other version with FormatError.
 #pragma once
 
 #include <functional>
@@ -18,7 +16,7 @@
 
 namespace ckptfi::mh5 {
 
-/// One v2 table-of-contents row: where a dataset's payload lives.
+/// One table-of-contents row: where a dataset's payload lives.
 struct TocEntry {
   std::string path;           ///< full dataset path ("predictor/conv1_1/W")
   std::uint64_t offset = 0;   ///< absolute payload offset in the container
@@ -33,52 +31,43 @@ struct TocEntry {
 /// (temp file + rename).
 class File {
  public:
-  static constexpr std::uint32_t kVersionV1 = 1;
   static constexpr std::uint32_t kVersionV2 = 2;
 
   File() : root_(std::make_unique<Node>()) {}
 
-  /// Load from disk, eagerly decoding every dataset (v1 or v2); throws
-  /// FormatError on corruption (CRC mismatch, bad magic, truncation).
+  /// Load from disk, eagerly decoding every dataset; throws FormatError on
+  /// corruption (CRC mismatch, bad magic or version, truncation).
   static File load(const std::string& path);
 
-  /// Open a v2 container without reading dataset payloads: the returned
-  /// File's Datasets fault their bytes in from the file on first access
+  /// Open a container without reading dataset payloads: the returned File's
+  /// Datasets fault their bytes in from the file on first access
   /// (CRC-verified then; a mismatch throws FormatError at that point).
-  /// v1 containers fall back to an eager load.
   static File load_lazy(const std::string& path);
 
   /// Serialize to disk (streamed through a FileSink; atomic temp + rename).
-  void save(const std::string& path) const;
-
-  /// Like save(), but payloads of clean source-backed datasets (loaded via
+  /// Payloads of clean source-backed datasets (loaded via
   /// load_lazy()/deserialize_lazy() and never mutated) are block-copied
   /// verbatim from the backing source — never decoded, re-encoded or even
   /// faulted into memory. After a corruption run that touched one dataset,
   /// the rewrite cost is proportional to the bytes actually dirtied.
-  void save_patched(const std::string& path) const;
+  void save(const std::string& path) const;
 
-  /// Stream the v2 container into an arbitrary Sink — the zero-copy writer
-  /// underneath save()/save_patched()/serialize(). Callers that already hold
-  /// a Sink (sockets, files, hashers) avoid materializing the intermediate
-  /// byte vector entirely. Observes mh5.serialize_time and the
+  /// Stream the container into an arbitrary Sink — the zero-copy writer
+  /// underneath save()/serialize(). Callers that already hold a Sink
+  /// (sockets, files, hashers) avoid materializing the intermediate byte
+  /// vector entirely. Observes mh5.serialize_time and the
   /// mh5.bytes_serialized / mh5.bytes_copied_verbatim counters.
   void serialize_into(Sink& sink) const;
 
   // In-memory (de)serialization, used by save/load and by tests.
-  std::vector<std::uint8_t> serialize() const;                   ///< v2 bytes
-  std::vector<std::uint8_t> serialize_v1() const;                ///< legacy
+  std::vector<std::uint8_t> serialize() const;
   static File deserialize(const std::vector<std::uint8_t>& bytes);
 
   /// Lazy in-memory variant: shares ownership of `bytes` and faults
   /// datasets in on demand — cloning a cached checkpoint costs O(tree), not
-  /// O(payload). v1 bytes fall back to an eager decode.
+  /// O(payload).
   static File deserialize_lazy(
       std::shared_ptr<const std::vector<std::uint8_t>> bytes);
-
-  /// Magic-check a file on disk and return its format version (1 or 2)
-  /// without parsing the tree.
-  static std::uint32_t probe_version(const std::string& path);
 
   /// Integrity-check every dataset payload of a container against its
   /// stored CRC; returns one "path: reason" line per failure (empty = ok).
@@ -86,7 +75,7 @@ class File {
   static std::vector<std::string> verify(const std::string& path);
 
   /// The table of contents this File was loaded from. Empty for in-memory
-  /// trees and v1 loads; cleared when the tree shape changes.
+  /// trees; cleared when the tree shape changes.
   const std::vector<TocEntry>& toc() const { return toc_; }
 
   Node& root() { return *root_; }

@@ -83,7 +83,7 @@ class Dataset {
   bool is_materialized() const { return materialized_; }
 
   /// True when the payload has (potentially) been mutated since it was
-  /// bound to a source; save_patched() re-serializes only dirty datasets.
+  /// bound to a source; File::save() re-serializes only dirty datasets.
   bool is_dirty() const { return dirty_; }
 
   /// Source-range backing, if any: {offset, nbytes} inside source().
@@ -117,10 +117,9 @@ class Dataset {
   /// Bulk write from doubles (size must equal num_elements()).
   void write_doubles(const std::vector<double>& v);
 
-  /// CRC-32 of the raw bytes (used for file integrity, TOC emission and for
-  /// skip-identical fast paths in core/diff). Cached: recomputed only after
-  /// a mutation, and answered straight from the stored TOC CRC for lazy
-  /// datasets that were never faulted in.
+  /// CRC-32 of the raw bytes (used for file integrity and TOC emission).
+  /// Cached: recomputed only after a mutation, and answered straight from
+  /// the stored TOC CRC for lazy datasets that were never faulted in.
   std::uint32_t checksum() const;
 
  private:
@@ -136,7 +135,7 @@ class Dataset {
   std::vector<std::uint64_t> dims_;
   std::uint64_t nelem_;
   mutable std::vector<std::uint8_t> raw_;
-  // Source backing (lazy payloads + verbatim copy in save_patched).
+  // Source backing (lazy payloads + verbatim copy in File::save).
   std::shared_ptr<Source> source_;
   std::uint64_t src_offset_ = 0;
   std::uint64_t src_nbytes_ = 0;

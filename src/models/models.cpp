@@ -130,83 +130,11 @@ std::unique_ptr<nn::Model> make_mini_resnet50(const ModelConfig& cfg) {
       cfg.num_classes, std::move(net));
 }
 
-std::unique_ptr<nn::Model> make_mini_lenet5(const ModelConfig& cfg) {
-  require(cfg.image_size == 32, "lenet5: classic shape needs 32x32 input");
-  const std::size_t w = cfg.width;
-  // Classic channel ratios 6:16 and head 120:84, scaled by width/4 (width 4
-  // reproduces the original sizes). Valid-padded 5x5 convolutions.
-  const std::size_t c1 = std::max<std::size_t>(2, 6 * w / 4);
-  const std::size_t c2 = std::max<std::size_t>(4, 16 * w / 4);
-  const std::size_t f1 = std::max<std::size_t>(8, 120 * w / 4);
-  const std::size_t f2 = std::max<std::size_t>(6, 84 * w / 4);
-  auto net = seq("lenet5");
-  net->emplace<Conv2D>("conv1", cfg.in_channels, c1, 5, 1, 0);  // 32 -> 28
-  net->emplace<ReLU>("relu1");
-  net->emplace<MaxPool2D>("pool1", 2, 2);                       // 28 -> 14
-  net->emplace<Conv2D>("conv2", c1, c2, 5, 1, 0);               // 14 -> 10
-  net->emplace<ReLU>("relu2");
-  net->emplace<MaxPool2D>("pool2", 2, 2);                       // 10 -> 5
-  net->emplace<Flatten>("flatten");
-  net->emplace<Dense>("fc1", c2 * 5 * 5, f1);
-  net->emplace<ReLU>("relu3");
-  net->emplace<Dense>("fc2", f1, f2);
-  net->emplace<ReLU>("relu4");
-  net->emplace<Dense>("fc3", f2, cfg.num_classes);
-  return std::make_unique<nn::Model>(
-      "lenet5", Shape{cfg.in_channels, cfg.image_size, cfg.image_size},
-      cfg.num_classes, std::move(net));
-}
-
-std::unique_ptr<nn::Model> make_mini_resnet18(const ModelConfig& cfg) {
-  require(cfg.image_size % 8 == 0, "resnet18: image_size must be /8");
-  const std::size_t w = cfg.width;
-  const std::size_t blocks_per_stage[4] = {2, 2, 2, 2};
-  auto net = seq("resnet18");
-  net->emplace<Conv2D>("stem_conv", cfg.in_channels, w, 3, 1, 1);
-  net->emplace<BatchNorm2D>("stem_bn", w);
-  net->emplace<ReLU>("stem_relu");
-
-  std::size_t in_ch = w;
-  for (std::size_t s = 0; s < 4; ++s) {
-    const std::size_t out = w << s;
-    for (std::size_t b = 0; b < blocks_per_stage[s]; ++b) {
-      const std::size_t stride = (s > 0 && b == 0) ? 2 : 1;
-      const std::string p =
-          "stage" + std::to_string(s + 1) + "_block" + std::to_string(b + 1);
-      // Basic block: two 3x3 convolutions (no bottleneck).
-      auto main = seq(p + "_main");
-      main->emplace<Conv2D>(p + "_conv1", in_ch, out, 3, stride, 1);
-      main->emplace<BatchNorm2D>(p + "_bn1", out);
-      main->emplace<ReLU>(p + "_relu1");
-      main->emplace<Conv2D>(p + "_conv2", out, out, 3, 1, 1);
-      main->emplace<BatchNorm2D>(p + "_bn2", out);
-
-      nn::LayerPtr shortcut;
-      if (in_ch != out || stride != 1) {
-        auto sc = seq(p + "_short");
-        sc->emplace<Conv2D>(p + "_down", in_ch, out, 1, stride, 0);
-        sc->emplace<BatchNorm2D>(p + "_down_bn", out);
-        shortcut = std::move(sc);
-      }
-      net->add(std::make_unique<Residual>(p, std::move(main),
-                                          std::move(shortcut)));
-      in_ch = out;
-    }
-  }
-  net->emplace<GlobalAvgPool>("gap");
-  net->emplace<Dense>("fc", in_ch, cfg.num_classes);
-  return std::make_unique<nn::Model>(
-      "resnet18", Shape{cfg.in_channels, cfg.image_size, cfg.image_size},
-      cfg.num_classes, std::move(net));
-}
-
 std::unique_ptr<nn::Model> make_model(const std::string& name,
                                       const ModelConfig& cfg) {
   if (name == "alexnet") return make_mini_alexnet(cfg);
   if (name == "vgg16") return make_mini_vgg16(cfg);
   if (name == "resnet50") return make_mini_resnet50(cfg);
-  if (name == "lenet5") return make_mini_lenet5(cfg);
-  if (name == "resnet18") return make_mini_resnet18(cfg);
   throw InvalidArgument("make_model: unknown model '" + name + "'");
 }
 

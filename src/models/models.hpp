@@ -29,24 +29,11 @@ std::unique_ptr<nn::Model> make_mini_alexnet(const ModelConfig& cfg = {});
 std::unique_ptr<nn::Model> make_mini_vgg16(const ModelConfig& cfg = {});
 std::unique_ptr<nn::Model> make_mini_resnet50(const ModelConfig& cfg = {});
 
-// Extended zoo (the paper's "more DL models could be analyzed" direction).
-
-/// LeNet-5 shape: 2 convolutions (5x5, valid padding) with pooling, 3 fully
-/// connected layers. width == 4 reproduces the classic 6/16/120/84 sizes.
-std::unique_ptr<nn::Model> make_mini_lenet5(const ModelConfig& cfg = {});
-
-/// ResNet-18 shape: basic blocks (two 3x3 convolutions) in stages
-/// [2,2,2,2]; 18 main weight layers (stem + 16 + fc) plus 3 projection
-/// shortcuts.
-std::unique_ptr<nn::Model> make_mini_resnet18(const ModelConfig& cfg = {});
-
-/// Build by name: "alexnet", "vgg16", "resnet50", "lenet5", "resnet18".
+/// Build by name: "alexnet", "vgg16", "resnet50".
 std::unique_ptr<nn::Model> make_model(const std::string& name,
                                       const ModelConfig& cfg = {});
 
-/// The three studied model names, in the paper's order (the extended zoo is
-/// reachable through make_model but excluded from paper-reproduction
-/// sweeps).
+/// The three studied model names, in the paper's order.
 const std::vector<std::string>& model_names();
 
 }  // namespace ckptfi::models

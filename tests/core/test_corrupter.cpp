@@ -408,7 +408,7 @@ TEST(Corrupter, LazyCorruptionCycleFaultsInOnlyTheTargetedDataset) {
   EXPECT_EQ(counter("mh5.bytes_faulted_in") - faulted0, 64u);
   EXPECT_EQ(counter("mh5.lazy_faults") - faults0, 1u);
   // layer1/W (16 F64 = 128 bytes) + meta/steps (2 I64 = 16 bytes) streamed
-  // through save_patched without ever being decoded.
+  // through save without ever being decoded.
   EXPECT_EQ(counter("mh5.bytes_copied_verbatim") - verbatim0, 128u + 16u);
 
   const mh5::File orig = mh5::File::load(in);

@@ -29,7 +29,7 @@ void warm_up(nn::Model& model) {
 }
 
 TEST(BatchNormCheckpoint, RunningStatsUseFrameworkLeafNames) {
-  auto model = models::make_mini_resnet18(tiny());
+  auto model = models::make_mini_resnet50(tiny());
   model->init(1);
   warm_up(*model);
 
@@ -50,13 +50,13 @@ TEST(BatchNormCheckpoint, RunningStatsUseFrameworkLeafNames) {
 }
 
 TEST(BatchNormCheckpoint, RunningStatsRoundTripExactly) {
-  auto model = models::make_mini_resnet18(tiny());
+  auto model = models::make_mini_resnet50(tiny());
   model->init(2);
   warm_up(*model);
   auto adapter = make_adapter("pytorch");
   const mh5::File ckpt = adapter->checkpoint_to_file(*model, 64, 0);
 
-  auto restored = models::make_mini_resnet18(tiny());
+  auto restored = models::make_mini_resnet50(tiny());
   restored->init(99);
   adapter->load_from_file(*restored, ckpt);
   EXPECT_EQ(restored->find_param("stem_bn/running_mean")->value->vec(),
@@ -66,7 +66,7 @@ TEST(BatchNormCheckpoint, RunningStatsRoundTripExactly) {
 }
 
 TEST(BatchNormCheckpoint, SignFlipOnVarianceCollapsesEval) {
-  auto model = models::make_mini_resnet18(tiny());
+  auto model = models::make_mini_resnet50(tiny());
   model->init(4);
   warm_up(*model);
   auto adapter = make_adapter("chainer");
@@ -85,7 +85,7 @@ TEST(BatchNormCheckpoint, SignFlipOnVarianceCollapsesEval) {
   cc.seed = 5;
   core::Corrupter(cc).corrupt(ckpt);
 
-  auto corrupted = models::make_mini_resnet18(tiny());
+  auto corrupted = models::make_mini_resnet50(tiny());
   adapter->load_from_file(*corrupted, ckpt);
   bool any_negative = false;
   for (double v : corrupted->find_param("stem_bn/running_var")->value->vec())

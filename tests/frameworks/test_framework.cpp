@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 
 #include "models/models.hpp"
@@ -165,6 +168,94 @@ TEST_P(CheckpointRoundTrip, SaveLoadRestoresWeights) {
           << p.name << "[" << i << "]";
     }
   }
+}
+
+/// A temp file path no other test uses: ctest runs tests in parallel, and the
+/// instances of one test share their parameters with the suite's other tests.
+std::string unique_temp_path(const std::string& suffix) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(info->test_suite_name()) + "_" +
+                     info->name() + suffix;
+  for (char& c : name) {
+    if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
+  }
+  return (std::filesystem::temp_directory_path() / (name + ".h5")).string();
+}
+
+/// The seeded alexnet every disk round trip below saves at epoch 5.
+std::unique_ptr<nn::Model> saved_model(const FrameworkAdapter& adapter) {
+  auto model = models::make_mini_alexnet(tiny());
+  model->init(adapter.init_seed(7));
+  return model;
+}
+
+TEST_P(CheckpointRoundTrip, DiskRoundTrip) {
+  const auto& [fw_name, precision] = GetParam();
+  auto adapter = make_adapter(fw_name);
+  auto model = saved_model(*adapter);
+  const std::string path = unique_temp_path("");
+  adapter->save_checkpoint(*model, path, precision, 5);
+
+  // Every dataset's raw bytes (the bit-level view the injector corrupts) and
+  // the root attributes survive the container round trip untouched.
+  const mh5::File original = adapter->checkpoint_to_file(*model, precision, 5);
+  const mh5::File reread = mh5::File::load(path);
+  const auto paths = original.dataset_paths();
+  ASSERT_FALSE(paths.empty());
+  ASSERT_EQ(reread.dataset_paths(), paths);
+  for (const auto& p : paths) {
+    SCOPED_TRACE(p);
+    EXPECT_EQ(reread.dataset(p).dtype(), original.dataset(p).dtype());
+    EXPECT_EQ(reread.dataset(p).raw(), original.dataset(p).raw());
+  }
+  EXPECT_EQ(reread.root().attrs(), original.root().attrs());
+  EXPECT_EQ(checkpoint_epoch(reread), 5);
+  EXPECT_EQ(checkpoint_precision(reread), precision);
+  EXPECT_EQ(checkpoint_framework(reread), fw_name);
+  std::filesystem::remove(path);
+}
+
+TEST_P(CheckpointRoundTrip, LoadCheckpointEqualsLoadFromFile) {
+  const auto& [fw_name, precision] = GetParam();
+  auto adapter = make_adapter(fw_name);
+  const std::string path = unique_temp_path("");
+  adapter->save_checkpoint(*saved_model(*adapter), path, precision, 5);
+
+  // The path entry point (a lazy open) feeds the model exactly what the
+  // eager load hands to load_from_file.
+  auto from_path = models::make_mini_alexnet(tiny());
+  adapter->load_checkpoint(*from_path, path);
+  auto from_file = models::make_mini_alexnet(tiny());
+  adapter->load_from_file(*from_file, mh5::File::load(path));
+  ASSERT_EQ(from_path->params().size(), from_file->params().size());
+  for (const auto& p : from_file->params()) {
+    SCOPED_TRACE(p.name);
+    EXPECT_EQ(from_path->find_param(p.name)->value->vec(), p.value->vec());
+  }
+  std::filesystem::remove(path);
+}
+
+TEST_P(CheckpointRoundTrip, LazyResaveIsByteIdentical) {
+  // Corrupter::corrupt_file is load_lazy, flip, save: with nothing flipped,
+  // every payload of every layout streams back verbatim and the file keeps
+  // its bytes.
+  const auto& [fw_name, precision] = GetParam();
+  auto adapter = make_adapter(fw_name);
+  const std::string path = unique_temp_path("_in");
+  const std::string resaved = unique_temp_path("_out");
+  adapter->save_checkpoint(*saved_model(*adapter), path, precision, 5);
+  mh5::File::load_lazy(path).save(resaved);
+
+  const auto bytes_of = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  };
+  const std::vector<char> want = bytes_of(path);
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(bytes_of(resaved), want);
+  std::filesystem::remove(path);
+  std::filesystem::remove(resaved);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,6 @@
 // Streaming I/O layer: Sink/Source units, lazy fault-in semantics, checksum
-// caching, patched rewrites and malformed-v2 rejection (length fields are
-// checked before anything is allocated).
+// caching, patched rewrites and malformed-container rejection (length fields
+// are checked before anything is allocated).
 #include "hdf5/io.hpp"
 
 #include <gtest/gtest.h>
@@ -265,7 +265,7 @@ TEST(Checksum, InvalidatedByWriteDoublesAndMutableRaw) {
   EXPECT_NE(b.checksum(), mid);
 }
 
-// --- save_patched ------------------------------------------------------------
+// --- save over a lazily opened file -----------------------------------------
 
 TEST(SavePatched, RewritesOnlyDirtyPayloads) {
   const std::string in_path = temp_path("mh5_io_patch_in.h5");
@@ -278,7 +278,7 @@ TEST(SavePatched, RewritesOnlyDirtyPayloads) {
   ScopedMetrics metrics;
   const auto verbatim0 = metrics.value("mh5.bytes_copied_verbatim");
   const auto faults0 = metrics.value("mh5.lazy_faults");
-  f.save_patched(out_path);
+  f.save(out_path);
   // W (48 bytes) and steps (8 bytes) stream verbatim; only b re-serializes,
   // and the clean payloads were never faulted into memory to do it.
   EXPECT_EQ(metrics.value("mh5.bytes_copied_verbatim") - verbatim0, 56u);
@@ -298,7 +298,7 @@ TEST(SavePatched, UntouchedFileRoundTripsByteIdentically) {
   const std::string in_path = temp_path("mh5_io_patch_same_in.h5");
   const std::string out_path = temp_path("mh5_io_patch_same_out.h5");
   make_sample().save(in_path);
-  File::load_lazy(in_path).save_patched(out_path);
+  File::load_lazy(in_path).save(out_path);
   std::ifstream a(in_path, std::ios::binary), b(out_path, std::ios::binary);
   const std::vector<char> ba((std::istreambuf_iterator<char>(a)),
                              std::istreambuf_iterator<char>());
@@ -444,11 +444,6 @@ TEST(MalformedV2, GigabyteDimensionRejectedBeforeAllocating) {
   auto v2 = make_sample().serialize();
   std::memcpy(v2.data() + dims_field_pos(v2, dims) + 4, &huge, 8);
   expect_v2_refused(v2);
-  // v1 inlines the payload after the dims: the same claim, eagerly read.
-  auto v1 = make_sample().serialize_v1();
-  std::memcpy(v1.data() + dims_field_pos(v1, dims) + 4, &huge, 8);
-  EXPECT_THROW(test::with_address_space_cap([&] { File::deserialize(v1); }),
-               FormatError);
 }
 
 TEST(MalformedV2, WrappingDimensionProductRejected) {
@@ -481,8 +476,7 @@ TEST(MalformedV2, TocCountPastTheInputRejectedBeforeAllocating) {
 // --- malformed trees: typed errors where the in-memory API would throw
 // InvalidArgument or the reader would recurse off the stack ----------------
 
-/// Both readers, lazy and eager, must refuse `bytes` (mh5 v1 or v2) with a
-/// FormatError.
+/// Both readers, lazy and eager, must refuse `bytes` with a FormatError.
 void expect_format_error(const std::vector<std::uint8_t>& bytes) {
   const auto shared = std::make_shared<const std::vector<std::uint8_t>>(bytes);
   EXPECT_THROW(File::deserialize_lazy(shared), FormatError);
@@ -497,29 +491,25 @@ void put_group(SinkWriter& w, std::uint32_t children) {
   w.u32(children);
 }
 
-/// An mh5 file of `version` around the tree `put_tree` writes. The tree
-/// holds no dataset, so v2 gets an empty TOC.
+/// An mh5 file around the tree `put_tree` writes. The tree holds no
+/// dataset, so the TOC is empty.
 template <typename PutTree>
-std::vector<std::uint8_t> groups_file(std::uint32_t version,
-                                      PutTree put_tree) {
+std::vector<std::uint8_t> groups_file(PutTree put_tree) {
   std::vector<std::uint8_t> out;
   BufferSink sink(out);
   SinkWriter w(sink);
   w.raw("MH5F", 4);
-  w.u32(version);
+  w.u32(File::kVersionV2);
   put_tree(w);
-  if (version == File::kVersionV2) {
-    const std::uint64_t toc_offset = w.tell();
-    w.u32(0);  // TOC entries
-    w.u64(toc_offset);
-  }
+  const std::uint64_t toc_offset = w.tell();
+  w.u32(0);  // TOC entries
+  w.u64(toc_offset);
   return out;
 }
 
 /// `depth` groups, each the only child "g" of the one above.
-std::vector<std::uint8_t> nested_groups(std::uint32_t version,
-                                        std::size_t depth) {
-  return groups_file(version, [&](SinkWriter& w) {
+std::vector<std::uint8_t> nested_groups(std::size_t depth) {
+  return groups_file([&](SinkWriter& w) {
     for (std::size_t level = 1; level < depth; ++level) {
       put_group(w, 1);
       w.str("g");
@@ -530,8 +520,8 @@ std::vector<std::uint8_t> nested_groups(std::uint32_t version,
 
 /// A root group whose children are empty groups named `names`.
 std::vector<std::uint8_t> named_children(
-    std::uint32_t version, const std::vector<std::string>& names) {
-  return groups_file(version, [&](SinkWriter& w) {
+    const std::vector<std::string>& names) {
+  return groups_file([&](SinkWriter& w) {
     put_group(w, static_cast<std::uint32_t>(names.size()));
     for (const std::string& name : names) {
       w.str(name);
@@ -541,41 +531,190 @@ std::vector<std::uint8_t> named_children(
 }
 
 TEST(MalformedV2, NestingPastTheDepthCapIsAFormatError) {
-  for (const std::uint32_t version : {File::kVersionV1, File::kVersionV2}) {
-    // 256 levels (the Json::parse limit) still load...
-    EXPECT_NO_THROW(File::deserialize(nested_groups(version, 256)));
-    // ...one more is refused, and so is a 420 KB tower that recursed the
-    // readers off the stack.
-    expect_format_error(nested_groups(version, 257));
-    expect_format_error(nested_groups(version, 30000));
-  }
+  // 256 levels (the Json::parse limit) still load...
+  EXPECT_NO_THROW(File::deserialize(nested_groups(256)));
+  // ...one more is refused, and so is a 420 KB tower that recursed the
+  // readers off the stack.
+  expect_format_error(nested_groups(257));
+  expect_format_error(nested_groups(30000));
 }
 
 TEST(MalformedV2, ChildNamesTheTreeCannotHoldAreFormatErrors) {
-  for (const std::uint32_t version : {File::kVersionV1, File::kVersionV2}) {
-    EXPECT_NO_THROW(File::deserialize(named_children(version, {"a", "b"})));
-    expect_format_error(named_children(version, {"a", ""}));
-    expect_format_error(named_children(version, {"a/b"}));
-    expect_format_error(named_children(version, {"a", "a"}));
-  }
+  EXPECT_NO_THROW(File::deserialize(named_children({"a", "b"})));
+  expect_format_error(named_children({"a", ""}));
+  expect_format_error(named_children({"a/b"}));
+  expect_format_error(named_children({"a", "a"}));
 }
 
 TEST(MalformedV2, DtypeBytePastU8IsAFormatError) {
-  for (auto bytes : {make_sample().serialize(), make_sample().serialize_v1()}) {
-    const std::size_t dtype_pos = dims_field_pos(bytes, {2, 3}) - 1;
-    ASSERT_EQ(bytes[dtype_pos], static_cast<std::uint8_t>(DType::F64));
-    bytes[dtype_pos] = static_cast<std::uint8_t>(DType::U8) + 1;
-    expect_format_error(bytes);
-  }
+  auto bytes = make_sample().serialize();
+  const std::size_t dtype_pos = dims_field_pos(bytes, {2, 3}) - 1;
+  ASSERT_EQ(bytes[dtype_pos], static_cast<std::uint8_t>(DType::F64));
+  bytes[dtype_pos] = static_cast<std::uint8_t>(DType::U8) + 1;
+  expect_format_error(bytes);
 }
 
 TEST(MalformedV2, ZeroDimensionIsAFormatError) {
-  for (auto bytes : {make_sample().serialize(), make_sample().serialize_v1()}) {
-    const std::uint64_t zero = 0;
-    std::memcpy(bytes.data() + dims_field_pos(bytes, {2, 3}) + 4, &zero, 8);
-    expect_format_error(bytes);
+  auto bytes = make_sample().serialize();
+  const std::uint64_t zero = 0;
+  std::memcpy(bytes.data() + dims_field_pos(bytes, {2, 3}) + 4, &zero, 8);
+  expect_format_error(bytes);
+}
+
+// --- every reader: one damage at a time, five ways in -----------------------
+
+/// Parameterized by reader: "deserialize" and "deserialize_lazy" over a
+/// buffer, "load" and "load_lazy" over a file, and "verify", which opens the
+/// file lazily and checks every payload. All five share one parser but not
+/// one source or one moment of payload checking, so each must refuse every
+/// damaged container on its own.
+class EveryReader : public ::testing::TestWithParam<std::string> {
+ protected:
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Reads `bytes` in full through the reader under test (the lazy readers
+  /// fault in every payload) and returns the first FormatError's message, ""
+  /// for a clean read. verify reports payload errors instead of throwing
+  /// them; its first report is the error.
+  std::string read_error(const std::vector<std::uint8_t>& bytes) const {
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+    const std::string& reader = GetParam();
+    try {
+      if (reader == "verify") {
+        const auto errors = File::verify(path_);
+        return errors.empty() ? "" : errors.front();
+      }
+      const File f =
+          reader == "deserialize" ? File::deserialize(bytes)
+          : reader == "deserialize_lazy"
+              ? File::deserialize_lazy(
+                    std::make_shared<const std::vector<std::uint8_t>>(bytes))
+          : reader == "load" ? File::load(path_)
+                             : File::load_lazy(path_);
+      for (const auto& p : f.dataset_paths()) f.dataset(p).materialize();
+    } catch (const FormatError& e) {
+      return e.what();
+    }
+    return "";
+  }
+
+ private:
+  /// One file per test instance: ctest runs the instances in parallel.
+  std::string path_ = [] {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = std::string(info->test_suite_name()) + "_" +
+                       info->name() + ".h5";
+    std::replace(name.begin(), name.end(), '/', '_');
+    return temp_path(name);
+  }();
+};
+
+/// The serialized sample with the u64 little-endian `value` written at `pos`.
+std::vector<std::uint8_t> sample_with_u64(std::size_t pos,
+                                          std::uint64_t value) {
+  auto bytes = make_sample().serialize();
+  std::memcpy(bytes.data() + pos, &value, 8);
+  return bytes;
+}
+
+std::uint64_t toc_offset_of(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t toc_offset;
+  std::memcpy(&toc_offset, bytes.data() + bytes.size() - 8, 8);
+  return toc_offset;
+}
+
+TEST_P(EveryReader, IntactContainerReadsBack) {
+  EXPECT_EQ(read_error(make_sample().serialize()), "");
+}
+
+TEST_P(EveryReader, VersionOneHeaderIsRefused) {
+  // Version 1 inlined the payloads into the tree; nothing decodes it now.
+  auto bytes = make_sample().serialize();
+  bytes[4] = 1;
+  EXPECT_EQ(read_error(bytes), "mh5: unsupported version 1");
+}
+
+TEST_P(EveryReader, OtherVersionsAreRefused) {
+  for (const std::uint32_t version : {0u, 3u, 99u, 0xFFFFFFFFu}) {
+    auto bytes = make_sample().serialize();
+    std::memcpy(bytes.data() + 4, &version, 4);
+    EXPECT_EQ(read_error(bytes),
+              "mh5: unsupported version " + std::to_string(version));
   }
 }
+
+TEST_P(EveryReader, BadMagicIsRefused) {
+  auto bytes = make_sample().serialize();
+  bytes[0] = 'X';
+  EXPECT_EQ(read_error(bytes), "mh5: bad magic (not an mh5 file)");
+}
+
+TEST_P(EveryReader, CutShortIsRefused) {
+  const auto whole = make_sample().serialize();
+  for (const std::size_t size :
+       {std::size_t{0}, std::size_t{4}, std::size_t{8}, whole.size() / 2,
+        whole.size() - 1}) {
+    SCOPED_TRACE(size);
+    const std::vector<std::uint8_t> cut(
+        whole.begin(), whole.begin() + static_cast<long>(size));
+    EXPECT_NE(read_error(cut), "");
+  }
+}
+
+TEST_P(EveryReader, FooterOffsetPastEofIsRefused) {
+  const auto size = make_sample().serialize().size();
+  EXPECT_EQ(read_error(sample_with_u64(size - 8, size + 1000)),
+            "mh5: bad TOC offset");
+}
+
+TEST_P(EveryReader, TruncatedTocIsRefused) {
+  // Keep the footer but only 6 bytes of the TOC it points at: the entry
+  // count promises more entries than the bytes left can hold.
+  auto bytes = make_sample().serialize();
+  const std::uint64_t toc_offset = toc_offset_of(bytes);
+  const std::vector<std::uint8_t> footer(bytes.end() - 8, bytes.end());
+  bytes.resize(static_cast<std::size_t>(toc_offset) + 6);
+  bytes.insert(bytes.end(), footer.begin(), footer.end());
+  EXPECT_EQ(read_error(bytes), "mh5: count 3 exceeds the bytes that remain");
+}
+
+TEST_P(EveryReader, PayloadRangePastTheTocIsRefused) {
+  const auto bytes = make_sample().serialize();
+  const std::size_t pos =
+      first_toc_entry_offset_pos(bytes, toc_offset_of(bytes));
+  EXPECT_EQ(read_error(sample_with_u64(pos, bytes.size() + (1ull << 30))),
+            "mh5: TOC payload range out of bounds for 'predictor/conv1_1/W'");
+}
+
+TEST_P(EveryReader, TocCountPastTheInputIsRefusedBeforeAllocating) {
+  auto bytes = make_sample().serialize();
+  const std::uint32_t count = 0xFFFFFFF0u;
+  std::memcpy(bytes.data() + toc_offset_of(bytes), &count, 4);
+  std::string error;
+  test::with_address_space_cap([&] { error = read_error(bytes); });
+  EXPECT_EQ(error, "mh5: count " + std::to_string(count) +
+                       " exceeds the bytes that remain");
+}
+
+TEST_P(EveryReader, PayloadBitFlipIsCaught) {
+  // One bit of W's payload (the LE encoding of 3.0) flipped: the eager
+  // readers refuse at open, the lazy ones at fault-in, and verify reports it.
+  auto bytes = make_sample().serialize();
+  const unsigned char three[8] = {0, 0, 0, 0, 0, 0, 8, 0x40};
+  const auto at = std::search(bytes.begin(), bytes.end(), three, three + 8);
+  ASSERT_NE(at, bytes.end());
+  *at ^= 0x01;
+  EXPECT_NE(read_error(bytes).find("mh5: dataset CRC mismatch"),
+            std::string::npos);
+}
+
+INSTANTIATE_TEST_SUITE_P(Readers, EveryReader,
+                         ::testing::Values("deserialize", "deserialize_lazy",
+                                           "load", "load_lazy", "verify"));
 
 TEST(LazyLoad, DeferredDatasetAllocatesNoPayload) {
   // Every lazy open (and so every per-trial checkpoint clone) builds its
@@ -585,25 +724,6 @@ TEST(LazyLoad, DeferredDatasetAllocatesNoPayload) {
     EXPECT_FALSE(ds.is_materialized());
     EXPECT_EQ(ds.num_elements(), 1ull << 37);
   });
-}
-
-// --- format probing ----------------------------------------------------------
-
-TEST(ProbeVersion, DistinguishesV1AndV2) {
-  const std::string p1 = temp_path("mh5_io_probe_v1.h5");
-  const std::string p2 = temp_path("mh5_io_probe_v2.h5");
-  const File f = make_sample();
-  {
-    const auto v1 = f.serialize_v1();
-    std::ofstream out(p1, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(v1.data()),
-              static_cast<std::streamsize>(v1.size()));
-  }
-  f.save(p2);
-  EXPECT_EQ(File::probe_version(p1), File::kVersionV1);
-  EXPECT_EQ(File::probe_version(p2), File::kVersionV2);
-  std::remove(p1.c_str());
-  std::remove(p2.c_str());
 }
 
 TEST(Toc, LoadedTocMatchesDatasetsAndClearsOnMutation) {

@@ -1,7 +1,7 @@
-// End-to-end learning sanity: every model in the zoo must move meaningfully
-// above chance on the synthetic task within a few epochs. This is the
-// foundation every accuracy-based experiment stands on — if a model cannot
-// learn, "no degradation after corruption" would be vacuous.
+// End-to-end learning sanity: each of the paper's three models must move
+// meaningfully above chance on the synthetic task within a few epochs. This
+// is the foundation every accuracy-based experiment stands on — if a model
+// cannot learn, "no degradation after corruption" would be vacuous.
 #include <gtest/gtest.h>
 
 #include "data/synthetic_cifar.hpp"
@@ -38,19 +38,20 @@ double train_and_eval(const std::string& model_name, std::size_t width,
 }
 
 // Chance is 10 %; require a clear margin. Configurations are calibrated to
-// the smallest scale at which each architecture reliably takes off (AlexNet,
-// BN-free and fc-heavy, needs more data than LeNet or the BN-equipped
-// ResNet18).
+// the smallest scale at which each architecture reliably takes off (the
+// engine is bitwise deterministic, so each test always passes or always
+// fails). ResNet50, the one batch-norm + residual model, is the slowest to
+// leave chance and gets the lowest bar.
 TEST(Learning, AlexNetBeatsChance) {
   EXPECT_GT(train_and_eval("alexnet", 6, 6, 256), 0.4);
 }
 
-TEST(Learning, LeNet5BeatsChance) {
-  EXPECT_GT(train_and_eval("lenet5", 4, 5), 0.6);
+TEST(Learning, Vgg16BeatsChance) {
+  EXPECT_GT(train_and_eval("vgg16", 6, 8, 320), 0.4);
 }
 
-TEST(Learning, ResNet18BeatsChance) {
-  EXPECT_GT(train_and_eval("resnet18", 2, 6), 0.25);
+TEST(Learning, ResNet50BeatsChance) {
+  EXPECT_GT(train_and_eval("resnet50", 4, 10, 320), 0.25);
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -180,6 +182,31 @@ TEST(LintTierB, SarifEncodesCodeFlowsAndRelatedLocations) {
   EXPECT_TRUE(saw_lock);
 }
 
+/// The backticked tree paths (`src/...`, `tools/...`) in the paragraph of
+/// `doc` that opens with `heading`.
+std::vector<std::string> doc_paths(const std::string& doc,
+                                   const std::string& heading) {
+  std::vector<std::string> out;
+  const auto para = doc.find(heading);
+  if (para == std::string::npos) {
+    ADD_FAILURE() << "docs/LINT.md has no paragraph " << heading;
+    return out;
+  }
+  const std::string text = doc.substr(para, doc.find("\n\n", para) - para);
+  for (auto open = text.find('`'); open != std::string::npos;) {
+    const auto close = text.find('`', open + 1);
+    if (close == std::string::npos) {
+      ADD_FAILURE() << "unbalanced backtick in " << heading;
+      break;
+    }
+    std::string path = text.substr(open + 1, close - open - 1);
+    if (path.rfind("src/", 0) == 0 || path.rfind("tools/", 0) == 0)
+      out.push_back(std::move(path));
+    open = text.find('`', close + 1);
+  }
+  return out;
+}
+
 TEST(LintScopes, DumpListsEveryTableAndMatchesDocs) {
   const std::string dump = scopes_dump();
   // Spot checks that the dump is the constexpr tables, not a paraphrase.
@@ -208,20 +235,37 @@ TEST(LintScopes, DumpListsEveryTableAndMatchesDocs) {
         << "scope entry not documented in docs/LINT.md: " << entry;
   }
 
-  // ...and every file the doc lists as a kernel hot path is in the table,
-  // so a file dropped from the table cannot linger in the doc.
-  const auto para = doc.find("**Kernel hot paths**");
-  ASSERT_NE(para, std::string::npos);
-  const std::string hot = doc.substr(para, doc.find("\n\n", para) - para);
-  for (auto open = hot.find('`'); open != std::string::npos;) {
-    const auto close = hot.find('`', open + 1);
-    ASSERT_NE(close, std::string::npos);
-    const std::string path = hot.substr(open + 1, close - open - 1);
-    if (path.rfind("src/", 0) == 0) {
-      EXPECT_TRUE(is_kernel_hot_path(path))
-          << "docs/LINT.md lists a kernel hot path the table lacks: " << path;
-    }
-    open = hot.find('`', close + 1);
+  // ...and every path the doc lists as a kernel hot path or a
+  // deterministic module is in the table, so an entry dropped from the
+  // table cannot linger in the doc.
+  for (const std::string& path : doc_paths(doc, "**Kernel hot paths**")) {
+    EXPECT_TRUE(is_kernel_hot_path(path))
+        << "docs/LINT.md lists a kernel hot path the table lacks: " << path;
+  }
+  const auto modules = doc_paths(doc, "**Deterministic modules**");
+  EXPECT_FALSE(modules.empty());
+  for (const std::string& path : modules) {
+    EXPECT_NE(std::find(std::begin(kDeterministicModules),
+                        std::end(kDeterministicModules), path),
+              std::end(kDeterministicModules))
+        << "docs/LINT.md lists a deterministic module the table lacks: "
+        << path;
+  }
+
+  // Every path entry names a directory (trailing '/') or a file in the tree
+  // it scopes, so a deleted module cannot linger in the table.
+  const std::filesystem::path root = CKPTFI_LINT_SOURCE_ROOT;
+  std::vector<std::string_view> paths(std::begin(kDeterministicModules),
+                                      std::end(kDeterministicModules));
+  paths.insert(paths.end(), std::begin(kDeterministicExempt),
+               std::end(kDeterministicExempt));
+  paths.insert(paths.end(), std::begin(kKernelHotPaths),
+               std::end(kKernelHotPaths));
+  for (const std::string_view entry : paths) {
+    const std::filesystem::path at = root / entry;
+    EXPECT_TRUE(entry.ends_with('/') ? std::filesystem::is_directory(at)
+                                     : std::filesystem::is_regular_file(at))
+        << "scope entry names nothing in the tree: " << entry;
   }
 }
 

@@ -115,7 +115,8 @@ TEST(Models, WidthScalesParameters) {
 }
 
 TEST(Models, UnknownNameThrows) {
-  EXPECT_THROW(make_model("lenet", tiny()), InvalidArgument);
+  for (const char* name : {"lenet", "lenet5", "resnet18"})
+    EXPECT_THROW(make_model(name, tiny()), InvalidArgument) << name;
 }
 
 TEST(Models, NamesListedInPaperOrder) {

@@ -4,8 +4,9 @@
 // path lists are data in this header, the predicates in rules.cpp and
 // sema/index_rules.cpp read them, `ckptfi_lint --list-scopes` dumps them,
 // and tests/lint/test_lint.cpp asserts every entry is documented verbatim in
-// docs/LINT.md — so adding a module without extending lint coverage (or the
-// docs) fails a test instead of silently shrinking the gate.
+// docs/LINT.md and names a path that exists — so adding a module without
+// extending lint coverage (or the docs), or deleting one without dropping
+// its entry, fails a test instead of silently drifting.
 #pragma once
 
 #include <string>
@@ -17,9 +18,9 @@ namespace ckptfi::lint {
 /// Path prefixes whose files carry the determinism contract: trial rows must
 /// be a pure function of (--seed, trial index). det-* rules apply here.
 inline constexpr std::string_view kDeterministicModules[] = {
-    "src/tensor/",         "src/nn/",   "src/core/",
-    "src/hdf5/",           "src/solver/", "src/data/",
-    "src/models/",         "src/net/",  "tools/ckptfi_fleetd/",
+    "src/tensor/",         "src/nn/",     "src/core/",
+    "src/hdf5/",           "src/data/",   "src/models/",
+    "src/net/",            "tools/ckptfi_fleetd/",
     "tools/ckptfi_worker/",
 };
 
