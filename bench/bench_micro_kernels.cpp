@@ -11,6 +11,10 @@
 // mixed-precision GEMM path (fp16 storage panels, fp32 accumulate) on the
 // same shapes.
 //
+// Per-layer cases time the eval forward of each conv layer bench/perf's
+// predict_full runs, a resnet50 1x1 conv, and the ReLU and max-pool after
+// conv1, in GFLOP/s or GB/s.
+//
 // Each benchmark also reports the kernel obs instrumentation it moved
 // (kernels.gemm_time / kernels.im2col_time histograms, arena gauges) from
 // one untimed probe run, so the counters never sit in the hot loop.
@@ -20,6 +24,7 @@
 // JSON at exit — the EXPERIMENTS.md speedup table comes from this binary.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -300,6 +305,89 @@ void BM_GemmBtSimd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GemmBtSimd);
+
+// --------------------------------------------------------------------------
+// Per-layer eval forwards, through the layer objects exactly as a predict
+// trial calls them: the five convolutions of bench/perf's predict_full
+// (alexnet, width 8, batch 32, 32x32 images), a resnet50 1x1 bottleneck
+// conv, and the ReLU and 2x2 max-pool that follow conv1. Items are FLOPs for
+// the convs and bytes read + written for ReLU and max-pool, so the console
+// shows GFLOP/s or GB/s per layer; under --json-out each rate also lands in
+// the snapshot as a `bench.layer.<name>.gflop_per_s` / `.gb_per_s` gauge.
+
+constexpr std::size_t kLayerBatch = 32;
+
+struct ConvLayerCase {
+  const char* name;
+  std::size_t ci, hw, co, kernel, pad;
+};
+
+const ConvLayerCase kConvLayers[] = {
+    {"alexnet_conv1", 3, 32, 8, 3, 1},  {"alexnet_conv2", 8, 16, 16, 3, 1},
+    {"alexnet_conv3", 16, 8, 24, 3, 1}, {"alexnet_conv4", 24, 8, 24, 3, 1},
+    {"alexnet_conv5", 24, 8, 16, 3, 1}, {"resnet50_1x1", 16, 16, 32, 1, 0}};
+
+/// Time layer.forward(x, eval) and report `work` (FLOPs, or bytes when
+/// `bytes`) per call.
+void time_eval_forward(benchmark::State& state, nn::Layer& layer,
+                       const Tensor& x, double work, bool bytes) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    Tensor y = layer.forward(x, /*training=*/false);
+    benchmark::DoNotOptimize(y.data());
+  }
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - t0;
+  const double total = work * static_cast<double>(state.iterations());
+  if (bytes) {
+    state.SetBytesProcessed(static_cast<std::int64_t>(total));
+  } else {
+    state.SetItemsProcessed(static_cast<std::int64_t>(total));
+  }
+  state.SetLabel(layer.name());
+  if (obs::metrics_enabled() && dt.count() > 0) {
+    obs::gauge_set("bench.layer." + layer.name() +
+                       (bytes ? ".gb_per_s" : ".gflop_per_s"),
+                   total / dt.count() / 1e9);
+  }
+}
+
+void BM_LayerConvEval(benchmark::State& state) {
+  const ConvLayerCase& c = kConvLayers[state.range(0)];
+  Rng rng(8);
+  nn::Conv2D conv(c.name, c.ci, c.co, c.kernel, 1, c.pad);
+  conv.init_params(rng);
+  const Tensor x = random_tensor({kLayerBatch, c.ci, c.hw, c.hw}, rng);
+  const double flops = 2.0 * static_cast<double>(kLayerBatch * c.co * c.hw *
+                                                 c.hw * c.ci * c.kernel *
+                                                 c.kernel);
+  time_eval_forward(state, conv, x, flops, /*bytes=*/false);
+}
+BENCHMARK(BM_LayerConvEval)->DenseRange(0, 5)->UseRealTime();
+
+/// conv1's output: [32, 8, 32, 32], signs mixed as after a convolution.
+Tensor conv1_output() {
+  Rng rng(9);
+  return random_tensor({kLayerBatch, 8, 32, 32}, rng);
+}
+
+void BM_LayerReluEval(benchmark::State& state) {
+  nn::ReLU relu("alexnet_relu1");
+  const Tensor x = conv1_output();
+  time_eval_forward(state, relu, x,
+                    2.0 * static_cast<double>(x.numel() * sizeof(double)),
+                    /*bytes=*/true);
+}
+BENCHMARK(BM_LayerReluEval)->UseRealTime();
+
+void BM_LayerMaxPoolEval(benchmark::State& state) {
+  nn::MaxPool2D pool("alexnet_pool1", 2, 2);
+  const Tensor x = conv1_output();
+  time_eval_forward(state, pool, x,
+                    1.25 * static_cast<double>(x.numel() * sizeof(double)),
+                    /*bytes=*/true);
+}
+BENCHMARK(BM_LayerMaxPoolEval)->UseRealTime();
 
 // --------------------------------------------------------------------------
 // Probe overhead: one training step (forward + backward) of an MLP with and

@@ -28,14 +28,26 @@ void Conv2D::init_params(Rng& rng) {
   b_.fill(0.0);
 }
 
-Tensor Conv2D::forward(const Tensor& x, bool) {
-  x_cache_ = x;
+// Eval forwards keep no backward state and drop a stale one. A dropped
+// cache keeps its heap block (resize to {0}), so the trainer's end-of-epoch
+// evaluation does not hand the next epoch's training forward a fresh
+// allocation; a model that only runs eval forwards never allocates one.
+
+Tensor Conv2D::forward(const Tensor& x, bool training) {
+  if (training) {
+    x_cache_ = x;
+  } else {
+    x_cache_.resize({0});
+  }
   Tensor y;
   conv2d_forward(x, w_, b_, spec_, y);
   return y;
 }
 
 Tensor Conv2D::backward(const Tensor& dy) {
+  if (x_cache_.rank() != 4)
+    throw InvalidArgument("Conv2D '" + name() +
+                          "': backward needs a training forward");
   Tensor dx;
   conv2d_backward(x_cache_, w_, spec_, dy, dx, dw_, db_);
   return dx;
@@ -63,11 +75,15 @@ void Dense::init_params(Rng& rng) {
   b_.fill(0.0);
 }
 
-Tensor Dense::forward(const Tensor& x, bool) {
-  require(x.rank() == 2 && x.dim(1) == in_dim_,
-          "Dense '" + name() + "': bad input shape " +
-              shape_to_string(x.shape()));
-  x_cache_ = x;
+Tensor Dense::forward(const Tensor& x, bool training) {
+  if (x.rank() != 2 || x.dim(1) != in_dim_)
+    throw InvalidArgument("Dense '" + name() + "': bad input shape " +
+                          shape_to_string(x.shape()));
+  if (training) {
+    x_cache_ = x;
+  } else {
+    x_cache_.resize({0});
+  }
   Tensor y;
   matmul(x, w_, y);
   const std::size_t n = y.dim(0);
@@ -78,6 +94,9 @@ Tensor Dense::forward(const Tensor& x, bool) {
 }
 
 Tensor Dense::backward(const Tensor& dy) {
+  if (x_cache_.rank() != 2)
+    throw InvalidArgument("Dense '" + name() +
+                          "': backward needs a training forward");
   matmul_at(x_cache_, dy, dw_);
   db_.fill(0.0);
   const std::size_t n = dy.dim(0);
@@ -96,27 +115,25 @@ void Dense::collect_params(std::vector<ParamRef>& out) {
 
 // --- ReLU --------------------------------------------------------------------
 
-Tensor ReLU::forward(const Tensor& x, bool) {
+Tensor ReLU::forward(const Tensor& x, bool training) {
+  // relu(NaN) = NaN in the frameworks we model; keep propagation alive.
   Tensor y = x;
-  mask_.assign(x.numel(), false);
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    if (y[i] > 0.0) {
-      mask_[i] = true;
-    } else if (std::isnan(y[i])) {
-      // relu(NaN) = NaN in the frameworks we model; keep propagation alive.
-      mask_[i] = true;
-    } else {
-      y[i] = 0.0;
-    }
+  if (training) {
+    mask_.reset(y.numel());
+    relu_forward(y, &mask_);
+  } else {
+    mask_.clear();
+    relu_forward(y, nullptr);
   }
   return y;
 }
 
 Tensor ReLU::backward(const Tensor& dy) {
+  if (mask_.size() != dy.numel())
+    throw InvalidArgument("ReLU '" + name() +
+                          "': backward needs a training forward");
   Tensor dx = dy;
-  for (std::size_t i = 0; i < dx.numel(); ++i) {
-    if (!mask_[i]) dx[i] = 0.0;
-  }
+  relu_backward(dx, mask_);
   return dx;
 }
 
@@ -126,14 +143,22 @@ MaxPool2D::MaxPool2D(std::string name, std::size_t kernel, std::size_t stride,
                      std::size_t pad)
     : Layer(std::move(name)), spec_{kernel, stride, pad} {}
 
-Tensor MaxPool2D::forward(const Tensor& x, bool) {
-  x_shape_ = x.shape();
+Tensor MaxPool2D::forward(const Tensor& x, bool training) {
   Tensor y;
-  maxpool2d_forward(x, spec_, y, argmax_);
+  if (training) {
+    x_shape_ = x.shape();
+    maxpool2d_forward(x, spec_, y, &argmax_);
+  } else {
+    argmax_.clear();
+    maxpool2d_forward(x, spec_, y, nullptr);
+  }
   return y;
 }
 
 Tensor MaxPool2D::backward(const Tensor& dy) {
+  if (argmax_.size() != dy.numel())
+    throw InvalidArgument("MaxPool2D '" + name() +
+                          "': backward needs a training forward");
   Tensor dx(x_shape_);
   maxpool2d_backward(dy, argmax_, dx);
   return dx;
@@ -188,16 +213,20 @@ void BatchNorm2D::init_params(Rng&) {
 }
 
 Tensor BatchNorm2D::forward(const Tensor& x, bool training) {
-  require(x.rank() == 4 && x.dim(1) == channels_,
-          "BatchNorm2D '" + name() + "': bad input shape");
-  x_shape_ = x.shape();
+  if (x.rank() != 4 || x.dim(1) != channels_)
+    throw InvalidArgument("BatchNorm2D '" + name() + "': bad input shape");
   const std::size_t n = x.dim(0), c = channels_, hw = x.dim(2) * x.dim(3);
   const double count = static_cast<double>(n * hw);
 
-  batch_mean_.assign(c, 0.0);
-  batch_inv_std_.assign(c, 0.0);
   Tensor y(x.shape());
-  x_hat_.resize(x.shape());
+  if (training) {
+    x_shape_ = x.shape();
+    batch_mean_.assign(c, 0.0);
+    batch_inv_std_.assign(c, 0.0);
+    x_hat_.resize(x.shape());
+  } else {
+    x_hat_.resize({0});
+  }
 
   for (std::size_t ch = 0; ch < c; ++ch) {
     double m, var;
@@ -221,15 +250,19 @@ Tensor BatchNorm2D::forward(const Tensor& x, bool training) {
       var = running_var_[ch];
     }
     const double inv_std = 1.0 / std::sqrt(var + eps_);
-    batch_mean_[ch] = m;
-    batch_inv_std_[ch] = inv_std;
+    const double g = gamma_[ch], b = beta_[ch];
+    if (training) {
+      batch_mean_[ch] = m;
+      batch_inv_std_[ch] = inv_std;
+    }
     for (std::size_t i = 0; i < n; ++i) {
       const double* p = x.data() + (i * c + ch) * hw;
-      double* ph = x_hat_.data() + (i * c + ch) * hw;
+      double* ph = training ? x_hat_.data() + (i * c + ch) * hw : nullptr;
       double* py = y.data() + (i * c + ch) * hw;
       for (std::size_t j = 0; j < hw; ++j) {
-        ph[j] = (p[j] - m) * inv_std;
-        py[j] = gamma_[ch] * ph[j] + beta_[ch];
+        const double h = (p[j] - m) * inv_std;
+        if (training) ph[j] = h;
+        py[j] = g * h + b;
       }
     }
   }
@@ -237,6 +270,9 @@ Tensor BatchNorm2D::forward(const Tensor& x, bool training) {
 }
 
 Tensor BatchNorm2D::backward(const Tensor& dy) {
+  if (x_hat_.shape() != dy.shape())
+    throw InvalidArgument("BatchNorm2D '" + name() +
+                          "': backward needs a training forward");
   const std::size_t n = x_shape_[0], c = channels_,
                     hw = x_shape_[2] * x_shape_[3];
   const double count = static_cast<double>(n * hw);

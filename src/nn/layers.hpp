@@ -68,7 +68,7 @@ class ReLU : public Layer {
   void restore_forward_state(PrefixStateReader& in) override;
 
  private:
-  std::vector<bool> mask_;
+  BitMask mask_;
 };
 
 class MaxPool2D : public Layer {

@@ -13,11 +13,12 @@ void PrefixState::put_tensor(const Tensor& t) {
   blocks_.push_back(std::move(b));
 }
 
-void PrefixState::put_mask(const std::vector<bool>& m) {
+void PrefixState::put_mask(const BitMask& m) {
   Block b;
   b.tag = Tag::kMask;
   b.u64.reserve(m.size());
-  for (const bool v : m) b.u64.push_back(v ? 1 : 0);
+  for (std::size_t i = 0; i < m.size(); ++i)
+    b.u64.push_back(m.test(i) ? 1 : 0);
   blocks_.push_back(std::move(b));
 }
 
@@ -76,10 +77,12 @@ void PrefixStateReader::take_tensor(Tensor& t) {
   for (std::size_t i = 0; i < b.f64.size(); ++i) t[i] = b.f64[i];
 }
 
-void PrefixStateReader::take_mask(std::vector<bool>& m) {
+void PrefixStateReader::take_mask(BitMask& m) {
   const PrefixState::Block& b = next(PrefixState::Tag::kMask);
-  m.assign(b.u64.size(), false);
-  for (std::size_t i = 0; i < b.u64.size(); ++i) m[i] = b.u64[i] != 0;
+  m.reset(b.u64.size());
+  for (std::size_t i = 0; i < b.u64.size(); ++i) {
+    if (b.u64[i] != 0) m.set(i);
+  }
 }
 
 void PrefixStateReader::take_indices(std::vector<std::size_t>& v) {

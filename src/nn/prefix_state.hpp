@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/bitmask.hpp"
 #include "tensor/tensor.hpp"
 
 namespace ckptfi::nn {
@@ -43,7 +44,7 @@ class PrefixState {
 
   // --- capture side -------------------------------------------------------
   void put_tensor(const Tensor& t);
-  void put_mask(const std::vector<bool>& m);
+  void put_mask(const BitMask& m);
   void put_indices(const std::vector<std::size_t>& v);
   void put_shape(const Shape& s);
   void put_scalars(const std::vector<double>& v);
@@ -70,7 +71,7 @@ class PrefixStateReader {
   explicit PrefixStateReader(const PrefixState& state) : state_(&state) {}
 
   void take_tensor(Tensor& t);
-  void take_mask(std::vector<bool>& m);
+  void take_mask(BitMask& m);
   void take_indices(std::vector<std::size_t>& v);
   void take_shape(Shape& s);
   void take_scalars(std::vector<double>& v);

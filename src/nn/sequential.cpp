@@ -1,8 +1,7 @@
 #include "nn/sequential.hpp"
 
-#include <cmath>
-
 #include "obs/probes.hpp"
+#include "tensor/ops.hpp"
 #include "util/common.hpp"
 
 namespace ckptfi::nn {
@@ -102,30 +101,32 @@ Residual::Residual(std::string name, LayerPtr main_path, LayerPtr shortcut)
 }
 
 Tensor Residual::forward(const Tensor& x, bool training) {
-  Tensor m = main_->forward(x, training);
-  Tensor s = shortcut_ ? shortcut_->forward(x, training) : x;
-  require(m.shape() == s.shape(),
-          "Residual '" + name() + "': branch shape mismatch " +
-              shape_to_string(m.shape()) + " vs " + shape_to_string(s.shape()));
-  Tensor y(m.shape());
-  relu_mask_.assign(y.numel(), false);
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    const double v = m[i] + s[i];
-    if (v > 0.0 || std::isnan(v)) {
-      y[i] = v;
-      relu_mask_[i] = true;
-    } else {
-      y[i] = 0.0;
-    }
+  Tensor y = main_->forward(x, training);
+  Tensor projected;
+  if (shortcut_) projected = shortcut_->forward(x, training);
+  const Tensor& s = shortcut_ ? projected : x;
+  if (y.shape() != s.shape())
+    throw InvalidArgument("Residual '" + name() +
+                          "': branch shape mismatch " +
+                          shape_to_string(y.shape()) + " vs " +
+                          shape_to_string(s.shape()));
+  // y = relu(main + shortcut), fused in place; eval forwards keep no mask.
+  if (training) {
+    relu_mask_.reset(y.numel());
+    add_relu_forward(y, s, &relu_mask_);
+  } else {
+    relu_mask_.clear();
+    add_relu_forward(y, s, nullptr);
   }
   return y;
 }
 
 Tensor Residual::backward(const Tensor& dy) {
+  if (relu_mask_.size() != dy.numel())
+    throw InvalidArgument("Residual '" + name() +
+                          "': backward needs a training forward");
   Tensor g = dy;
-  for (std::size_t i = 0; i < g.numel(); ++i) {
-    if (!relu_mask_[i]) g[i] = 0.0;
-  }
+  relu_backward(g, relu_mask_);
   Tensor dx_main = main_->backward(g);
   Tensor dx_skip = shortcut_ ? shortcut_->backward(g) : g;
   dx_main += dx_skip;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "nn/layer.hpp"
+#include "tensor/bitmask.hpp"
 
 namespace ckptfi::nn {
 
@@ -83,7 +84,7 @@ class Residual : public Layer {
  private:
   LayerPtr main_;
   LayerPtr shortcut_;  // nullptr => identity
-  std::vector<bool> relu_mask_;
+  BitMask relu_mask_;
 };
 
 }  // namespace ckptfi::nn

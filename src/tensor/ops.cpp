@@ -1,13 +1,13 @@
-// Kernel dispatch plus the kernels too light to vectorize: pooling and
-// softmax. The GEMM family and convolution run on the simd tier or, for the
-// GEMM family under fp16 compute, on the mixed-precision path — both in
-// ops_simd.cpp.
+// Kernel dispatch plus the kernels too light to vectorize: pooling backward,
+// global average pooling and softmax. The GEMM family and convolution run on
+// the simd tier or, for the GEMM family under fp16 compute, on the
+// mixed-precision path; ReLU and max-pool forward are selects with their own
+// vector lanes — all in ops_simd.cpp.
 #include "tensor/ops.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <limits>
 
 #include "tensor/kernels.hpp"
 #include "tensor/ops_detail.hpp"
@@ -52,60 +52,6 @@ void conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
 void conv2d_backward(const Tensor& x, const Tensor& w, const ConvSpec& spec,
                      const Tensor& dy, Tensor& dx, Tensor& dw, Tensor& db) {
   simd::conv2d_backward(x, w, spec, dy, dx, dw, db);
-}
-
-void maxpool2d_forward(const Tensor& x, const ConvSpec& spec, Tensor& y,
-                       std::vector<std::size_t>& argmax) {
-  require(x.rank() == 4, "maxpool2d: input must be [N,C,H,W]");
-  const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const std::size_t ho = spec.out_extent(h), wo = spec.out_extent(w);
-  y.resize({n, c, ho, wo});
-  // ckptfi-lint: allow(arena-kernel-heap) argmax is a caller-owned output (backward needs it across the arena's batch reset); assign reuses capacity, so steady-state batches stay allocation-free
-  argmax.assign(y.numel(), 0);
-
-  const double* px = x.data();
-  double* py = y.data();
-  std::size_t yoff = 0;
-  for (std::size_t img = 0; img < n; ++img) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const double* xmap = px + (img * c + ch) * h * w;
-      const std::size_t base = (img * c + ch) * h * w;
-      for (std::size_t oy = 0; oy < ho; ++oy) {
-        for (std::size_t ox = 0; ox < wo; ++ox, ++yoff) {
-          double best = -std::numeric_limits<double>::infinity();
-          std::size_t best_off = 0;
-          bool found = false;
-          const std::ptrdiff_t iy0 =
-              static_cast<std::ptrdiff_t>(oy * spec.stride) -
-              static_cast<std::ptrdiff_t>(spec.pad);
-          const std::ptrdiff_t ix0 =
-              static_cast<std::ptrdiff_t>(ox * spec.stride) -
-              static_cast<std::ptrdiff_t>(spec.pad);
-          for (std::size_t ky = 0; ky < spec.kernel; ++ky) {
-            const std::ptrdiff_t iy = iy0 + static_cast<std::ptrdiff_t>(ky);
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-            for (std::size_t kx = 0; kx < spec.kernel; ++kx) {
-              const std::ptrdiff_t ix = ix0 + static_cast<std::ptrdiff_t>(kx);
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-              const std::size_t off = static_cast<std::size_t>(iy) * w +
-                                      static_cast<std::size_t>(ix);
-              // NaN-aware: max(NaN, x) propagates NaN like framework kernels.
-              const double v = xmap[off];
-              if (!found || v > best || std::isnan(v)) {
-                best = v;
-                best_off = off;
-                found = true;
-                if (std::isnan(v)) goto window_done;
-              }
-            }
-          }
-        window_done:
-          py[yoff] = found ? best : 0.0;
-          argmax[yoff] = base + best_off;
-        }
-      }
-    }
-  }
 }
 
 void maxpool2d_backward(const Tensor& dy,

@@ -1,4 +1,5 @@
-// Tensor kernels: GEMM, 2-d convolution, pooling — forward and backward.
+// Tensor kernels: GEMM, 2-d convolution, ReLU, pooling — forward and
+// backward.
 //
 // Kernels are deterministic: loop order is fixed and parallel chunking is a
 // pure function of the range and worker count, so repeated runs at fixed
@@ -24,6 +25,7 @@
 //                                    vector bitwise
 #pragma once
 
+#include "tensor/bitmask.hpp"
 #include "tensor/tensor.hpp"
 
 namespace ckptfi {
@@ -84,10 +86,23 @@ void matmul_at(const Tensor& a, const Tensor& b, Tensor& c);
 void matmul_bt(const Tensor& a, const Tensor& b, Tensor& c);
 }  // namespace fp16
 
-/// Max pooling; `argmax` records the winning input offset per output (for
-/// backward).
+/// In-place ReLU through a select: y[i] stays where y[i] > 0 or y[i] is NaN
+/// (payload kept) and becomes +0 elsewhere, −0 included. A non-null `mask`,
+/// sized to y.numel() by the caller, gets bit i set where y[i] stayed — the
+/// train-mode backward mask; eval forwards pass nullptr and keep none.
+void relu_forward(Tensor& y, BitMask* mask);
+
+/// In-place y = relu(y + s), the Residual join; same select and mask.
+void add_relu_forward(Tensor& y, const Tensor& s, BitMask* mask);
+
+/// ReLU backward in place: g[i] stays where mask bit i is set, else +0.
+void relu_backward(Tensor& g, const BitMask& mask);
+
+/// Max pooling. The first NaN in a window's scan order wins, else its first
+/// strict maximum. A non-null `argmax` (train mode) records the winning
+/// input offset per output for backward; eval forwards pass nullptr.
 void maxpool2d_forward(const Tensor& x, const ConvSpec& spec, Tensor& y,
-                       std::vector<std::size_t>& argmax);
+                       std::vector<std::size_t>* argmax);
 void maxpool2d_backward(const Tensor& dy,
                         const std::vector<std::size_t>& argmax, Tensor& dx);
 

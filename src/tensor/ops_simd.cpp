@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "tensor/bitmask.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/ops_detail.hpp"
@@ -88,64 +89,99 @@ void run_chunks(std::size_t n, bool parallel,
   }
 }
 
+/// The outputs [lo, hi) of one kernel offset k whose input o·stride + k −
+/// pad lies inside [0, extent): the in-bounds run every im2col row shares.
+struct Run {
+  std::size_t lo, hi;
+};
+
+Run in_bounds_run(std::size_t k, std::size_t extent, std::size_t out,
+                  const ConvSpec& spec) {
+  const std::size_t lo =
+      spec.pad > k ? (spec.pad - k + spec.stride - 1) / spec.stride : 0;
+  const std::size_t hi =
+      extent + spec.pad > k
+          ? std::min(out, (extent - 1 + spec.pad - k) / spec.stride + 1)
+          : 0;
+  return {std::min(lo, hi), hi};
+}
+
 /// x image [ci,h,w] -> col [K = ci*kh*kw, P = ho*wo], row r = (ic,ky,kx) in
 /// ascending order (the reference kernels' accumulation order), padding as
-/// explicit zeros.
+/// explicit zeros. Each (ic,ky,kx) computes its in-bounds runs once and
+/// copies them: at stride 1 with wo == w, row r is the map shifted by
+/// (ky − pad)·w + kx − pad, so its in-bounds rows copy as one band;
+/// otherwise each output row gathers one run at the stride. Then the rows
+/// outside the band and the columns outside the run (including any the band
+/// wrapped around) are zeroed, the columns by strided loops so no per-row
+/// memset call is paid.
 void im2col(const double* xi, const ConvDims& d, const ConvSpec& spec,
             double* col) {
+  const std::size_t P = d.ho * d.wo;
+  const bool band = spec.stride == 1 && d.wo == d.w;
   double* out = col;
   for (std::size_t ic = 0; ic < d.ci; ++ic) {
     const double* xmap = xi + ic * d.h * d.w;
     for (std::size_t ky = 0; ky < d.kh; ++ky) {
-      for (std::size_t kx = 0; kx < d.kw; ++kx) {
-        for (std::size_t oy = 0; oy < d.ho; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * spec.stride + ky) -
-              static_cast<std::ptrdiff_t>(spec.pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(d.h)) {
-            for (std::size_t ox = 0; ox < d.wo; ++ox) *out++ = 0.0;
-            continue;
-          }
-          const double* xrow = xmap + static_cast<std::size_t>(iy) * d.w;
-          for (std::size_t ox = 0; ox < d.wo; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * spec.stride + kx) -
-                static_cast<std::ptrdiff_t>(spec.pad);
-            *out++ = (ix < 0 || ix >= static_cast<std::ptrdiff_t>(d.w))
-                         ? 0.0
-                         : xrow[static_cast<std::size_t>(ix)];
+      const Run rows = in_bounds_run(ky, d.h, d.ho, spec);
+      for (std::size_t kx = 0; kx < d.kw; ++kx, out += P) {
+        const Run cols = in_bounds_run(kx, d.w, d.wo, spec);
+        if (rows.lo == rows.hi || cols.lo == cols.hi) {
+          for (std::size_t e = 0; e < P; ++e) out[e] = 0.0;
+          continue;
+        }
+        const double* src = xmap +
+                            (rows.lo * spec.stride + ky - spec.pad) * d.w +
+                            cols.lo * spec.stride + kx - spec.pad;
+        if (band) {
+          const std::size_t first = rows.lo * d.w + cols.lo;
+          const std::size_t last = (rows.hi - 1) * d.w + cols.hi;
+          for (std::size_t e = first; e < last; ++e) out[e] = src[e - first];
+        } else {
+          const std::size_t len = cols.hi - cols.lo;
+          for (std::size_t oy = rows.lo; oy < rows.hi;
+               ++oy, src += spec.stride * d.w) {
+            double* dst = out + oy * d.wo + cols.lo;
+            for (std::size_t t = 0; t < len; ++t)
+              dst[t] = src[t * spec.stride];
           }
         }
+        for (std::size_t e = 0; e < rows.lo * d.wo; ++e) out[e] = 0.0;
+        for (std::size_t e = rows.hi * d.wo; e < P; ++e) out[e] = 0.0;
+        for (std::size_t ox = 0; ox < cols.lo; ++ox)
+          for (std::size_t oy = rows.lo; oy < rows.hi; ++oy)
+            out[oy * d.wo + ox] = 0.0;
+        for (std::size_t ox = cols.hi; ox < d.wo; ++ox)
+          for (std::size_t oy = rows.lo; oy < rows.hi; ++oy)
+            out[oy * d.wo + ox] = 0.0;
       }
     }
   }
 }
 
-/// Scatter-accumulate col [K,P] back into one pre-zeroed dx image, visiting
-/// rows in the same ascending (ic,ky,kx) order im2col wrote them.
+/// Scatter-accumulate col [K,P] back into one pre-zeroed dx image over the
+/// same runs, visiting rows in the ascending (ic,ky,kx,oy,ox) order im2col
+/// wrote them — so every dx element adds its terms in that order.
 void col2im(const double* col, const ConvDims& d, const ConvSpec& spec,
             double* dxi) {
   const double* in = col;
   for (std::size_t ic = 0; ic < d.ci; ++ic) {
     double* dxmap = dxi + ic * d.h * d.w;
     for (std::size_t ky = 0; ky < d.kh; ++ky) {
+      const Run rows = in_bounds_run(ky, d.h, d.ho, spec);
       for (std::size_t kx = 0; kx < d.kw; ++kx) {
-        for (std::size_t oy = 0; oy < d.ho; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * spec.stride + ky) -
-              static_cast<std::ptrdiff_t>(spec.pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(d.h)) {
-            in += d.wo;
-            continue;
-          }
-          double* dxrow = dxmap + static_cast<std::size_t>(iy) * d.w;
-          for (std::size_t ox = 0; ox < d.wo; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * spec.stride + kx) -
-                static_cast<std::ptrdiff_t>(spec.pad);
-            const double v = *in++;
-            if (ix >= 0 && ix < static_cast<std::ptrdiff_t>(d.w))
-              dxrow[static_cast<std::size_t>(ix)] += v;
+        const Run cols = in_bounds_run(kx, d.w, d.wo, spec);
+        const std::size_t len = cols.hi - cols.lo;
+        for (std::size_t oy = 0; oy < d.ho; ++oy, in += d.wo) {
+          if (oy < rows.lo || oy >= rows.hi || len == 0) continue;
+          double* dst = dxmap + (oy * spec.stride + ky - spec.pad) * d.w +
+                        cols.lo * spec.stride + kx - spec.pad;
+          const double* src = in + cols.lo;
+          if (spec.stride == 1) {
+            for (std::size_t t = 0; t < len; ++t) dst[t] += src[t];
+          } else {
+            for (std::size_t t = 0; t < len; ++t)
+              dst[t * spec.stride] += src[t];
           }
         }
       }
@@ -309,75 +345,228 @@ void gemm_bt_rows_f32_scalar(const float* pa, const float* pb, float* pc,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Element selects: ReLU, the Residual join and max-pool. Their rules are
+// selects, not branches, and they do no arithmetic but the join's one add,
+// so every ISA yields the same bits (the add's choice between two NaN
+// payloads aside, docs/KERNELS.md):
+//   relu(v) = (v > 0 || v != v) ? v : +0     −0 → +0, NaN payloads kept
+//   max-pool: the first NaN in scan order wins, else the first strict
+//   maximum (so the first of equal maxima, and of −0 against +0)
+// The train-mode mask is bit i of word i / 64, set where relu kept v.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kMaskBits = BitMask::kWordBits;
+
+template <bool kAdd>
+void relu_scalar(double* y, const double* s, std::size_t n,
+                 std::uint64_t* mask) {
+  for (std::size_t w0 = 0; w0 < n; w0 += kMaskBits) {
+    const std::size_t w1 = std::min(n, w0 + kMaskBits);
+    std::uint64_t word = 0;
+    for (std::size_t i = w0; i < w1; ++i) {
+      double v = y[i];
+      if constexpr (kAdd) v = v + s[i];
+      const bool keep = v > 0.0 || v != v;
+      y[i] = keep ? v : 0.0;
+      word |= static_cast<std::uint64_t>(keep) << (i - w0);
+    }
+    if (mask != nullptr) mask[w0 / kMaskBits] = word;
+  }
+}
+
+/// One output of a max-pool map under the rule above, for any window
+/// geometry: taps outside the map are skipped, a window with none yields 0
+/// at offset 0.
+void pool_window(const double* xmap, std::size_t h, std::size_t w,
+                 const ConvSpec& spec, std::size_t oy, std::size_t ox,
+                 double& y, std::size_t& off) {
+  const std::ptrdiff_t iy0 = static_cast<std::ptrdiff_t>(oy * spec.stride) -
+                             static_cast<std::ptrdiff_t>(spec.pad);
+  const std::ptrdiff_t ix0 = static_cast<std::ptrdiff_t>(ox * spec.stride) -
+                             static_cast<std::ptrdiff_t>(spec.pad);
+  double best = 0.0;
+  std::size_t best_off = 0;
+  bool found = false;
+  for (std::size_t ky = 0; ky < spec.kernel; ++ky) {
+    const std::ptrdiff_t iy = iy0 + static_cast<std::ptrdiff_t>(ky);
+    if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
+    for (std::size_t kx = 0; kx < spec.kernel; ++kx) {
+      const std::ptrdiff_t ix = ix0 + static_cast<std::ptrdiff_t>(kx);
+      if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
+      const std::size_t o =
+          static_cast<std::size_t>(iy) * w + static_cast<std::size_t>(ix);
+      const double v = xmap[o];
+      const bool take = !found || v > best || (v != v && best == best);
+      best = take ? v : best;
+      best_off = take ? o : best_off;
+      found = true;
+    }
+  }
+  y = best;
+  off = best_off;
+}
+
+/// Max-pool one [h, w] map into y[ho, wo]; argmax (null in eval) gets the
+/// winners' offsets plus `base`.
+void maxpool_map_scalar(const double* xmap, std::size_t h, std::size_t w,
+                        const ConvSpec& spec, std::size_t ho, std::size_t wo,
+                        double* y, std::size_t* argmax, std::size_t base) {
+  for (std::size_t oy = 0; oy < ho; ++oy) {
+    for (std::size_t ox = 0; ox < wo; ++ox) {
+      std::size_t off = 0;
+      pool_window(xmap, h, w, spec, oy, ox, y[oy * wo + ox], off);
+      if (argmax != nullptr) argmax[oy * wo + ox] = base + off;
+    }
+  }
+}
+
 #if defined(CKPTFI_SIMD_X86)
 
 // AVX2 + FMA3. `vfmadd` rounds once per term exactly like std::fma, and the
 // broadcast/lane structure matches the scalar fallback term-for-term, so
-// these are bitwise-identical to the *_scalar kernels above.
+// these are bitwise-identical to the *_scalar kernels above (which of two
+// NaN payloads survives aside, docs/KERNELS.md).
+
+/// One 4-row × 8-column tile of gemm_tile_avx2 over the block [p0, p1):
+/// C[a rows, j..j+8] stays in eight ymm accumulators. No A value of the
+/// block is ±0, so every step runs all eight FMAs.
+__attribute__((target("avx2,fma"), always_inline)) inline void tile4x8_avx2(
+    const double* const* a, std::size_t acs, const double* brow,
+    std::size_t n, std::size_t p0, std::size_t p1, double* const* c) {
+  __m256d t00 = _mm256_loadu_pd(c[0]), t01 = _mm256_loadu_pd(c[0] + 4);
+  __m256d t10 = _mm256_loadu_pd(c[1]), t11 = _mm256_loadu_pd(c[1] + 4);
+  __m256d t20 = _mm256_loadu_pd(c[2]), t21 = _mm256_loadu_pd(c[2] + 4);
+  __m256d t30 = _mm256_loadu_pd(c[3]), t31 = _mm256_loadu_pd(c[3] + 4);
+  for (std::size_t p = p0; p < p1; ++p, brow += n) {
+    const __m256d b0 = _mm256_loadu_pd(brow);
+    const __m256d b1 = _mm256_loadu_pd(brow + 4);
+    const __m256d v0 = _mm256_broadcast_sd(a[0] + p * acs);
+    t00 = _mm256_fmadd_pd(v0, b0, t00);
+    t01 = _mm256_fmadd_pd(v0, b1, t01);
+    const __m256d v1 = _mm256_broadcast_sd(a[1] + p * acs);
+    t10 = _mm256_fmadd_pd(v1, b0, t10);
+    t11 = _mm256_fmadd_pd(v1, b1, t11);
+    const __m256d v2 = _mm256_broadcast_sd(a[2] + p * acs);
+    t20 = _mm256_fmadd_pd(v2, b0, t20);
+    t21 = _mm256_fmadd_pd(v2, b1, t21);
+    const __m256d v3 = _mm256_broadcast_sd(a[3] + p * acs);
+    t30 = _mm256_fmadd_pd(v3, b0, t30);
+    t31 = _mm256_fmadd_pd(v3, b1, t31);
+  }
+  _mm256_storeu_pd(c[0], t00);
+  _mm256_storeu_pd(c[0] + 4, t01);
+  _mm256_storeu_pd(c[1], t10);
+  _mm256_storeu_pd(c[1] + 4, t11);
+  _mm256_storeu_pd(c[2], t20);
+  _mm256_storeu_pd(c[2] + 4, t21);
+  _mm256_storeu_pd(c[3], t30);
+  _mm256_storeu_pd(c[3] + 4, t31);
+}
+
+/// One row of gemm_tile_avx2 over the block [p0, p1), C loaded and stored
+/// per p, with the scalar lanes' zero-skip.
+__attribute__((target("avx2,fma"), always_inline)) inline void gemm_row_avx2(
+    const double* arow, std::size_t acs, const double* pb, double* crow,
+    std::size_t p0, std::size_t p1, std::size_t n) {
+  for (std::size_t p = p0; p < p1; ++p) {
+    const double av = arow[p * acs];
+    if (av == 0.0) continue;
+    const double* brow = pb + p * n;
+    const __m256d va = _mm256_set1_pd(av);
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+      __m256d c0 = _mm256_loadu_pd(crow + j);
+      __m256d c1 = _mm256_loadu_pd(crow + j + 4);
+      c0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j), c0);
+      c1 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j + 4), c1);
+      _mm256_storeu_pd(crow + j, c0);
+      _mm256_storeu_pd(crow + j + 4, c1);
+    }
+    for (; j + 4 <= n; j += 4) {
+      __m256d c0 = _mm256_loadu_pd(crow + j);
+      c0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j), c0);
+      _mm256_storeu_pd(crow + j, c0);
+    }
+    for (; j < n; ++j) crow[j] = std::fma(av, brow[j], crow[j]);
+  }
+}
+
+/// Broadcast-shape rows [r0, r1) of C[m, n] += A(i, p) · B[k, n], with
+/// A(i, p) = pa[i·ars + p·acs]: row-major A is (ars, acs) = (k, 1), the
+/// transposed A of matmul_at is (1, m).
+///
+/// Rows go in groups of four. A group whose A block [p0, p1) holds no ±0
+/// (weights, as a rule) runs through 4×8 register tiles: per p, one load
+/// of 8 B values, four broadcast A values, eight FMAs, where the row loop
+/// pays two loads and a store per FMA; column tails (n % 8) run four
+/// interleaved per-element chains. A group with a ±0 in its block
+/// (activations after a ReLU) runs the row loop, whose one branch per
+/// (row, p) is the scalar lanes' zero-skip: a row whose A value is ±0
+/// skips its FMAs, so fma(0, Inf) never runs and a −0 accumulator keeps
+/// its sign. Row tails (m % 4) run the row loop too. Either way each C
+/// element is one FMA chain over ascending p. A tile that tested A per
+/// step ran such a GEMM 1.8x slower than the row loop, and a blend-masked
+/// one puts a select on every accumulator's chain (docs/KERNELS.md).
+__attribute__((target("avx2,fma"))) inline void gemm_tile_avx2(
+    const double* pa, std::size_t ars, std::size_t acs, const double* pb,
+    double* pc, std::size_t r0, std::size_t r1, std::size_t k,
+    std::size_t n) {
+  const std::size_t n8 = n - n % 8;
+  for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
+    const std::size_t p1 = std::min(k, p0 + kKc);
+    std::size_t i = r0;
+    for (; i + 4 <= r1; i += 4) {
+      const double* const a[4] = {pa + i * ars, pa + (i + 1) * ars,
+                                  pa + (i + 2) * ars, pa + (i + 3) * ars};
+      bool dense = true;
+      for (std::size_t p = p0; p < p1 && dense; ++p)
+        dense = a[0][p * acs] != 0.0 && a[1][p * acs] != 0.0 &&
+                a[2][p * acs] != 0.0 && a[3][p * acs] != 0.0;
+      if (!dense) {
+        for (std::size_t r = 0; r < 4; ++r)
+          gemm_row_avx2(a[r], acs, pb, pc + (i + r) * n, p0, p1, n);
+        continue;
+      }
+      double* const c0 = pc + i * n;
+      double* const c1 = c0 + n;
+      double* const c2 = c1 + n;
+      double* const c3 = c2 + n;
+      const double* brow = pb + p0 * n;
+      for (std::size_t j = 0; j < n8; j += 8) {
+        double* const c[4] = {c0 + j, c1 + j, c2 + j, c3 + j};
+        tile4x8_avx2(a, acs, brow + j, n, p0, p1, c);
+      }
+      for (std::size_t j = n8; j < n; ++j) {
+        double s0 = c0[j], s1 = c1[j], s2 = c2[j], s3 = c3[j];
+        for (std::size_t p = p0; p < p1; ++p) {
+          const double b = pb[p * n + j];
+          s0 = std::fma(a[0][p * acs], b, s0);
+          s1 = std::fma(a[1][p * acs], b, s1);
+          s2 = std::fma(a[2][p * acs], b, s2);
+          s3 = std::fma(a[3][p * acs], b, s3);
+        }
+        c0[j] = s0;
+        c1[j] = s1;
+        c2[j] = s2;
+        c3[j] = s3;
+      }
+    }
+    for (; i < r1; ++i)
+      gemm_row_avx2(pa + i * ars, acs, pb, pc + i * n, p0, p1, n);
+  }
+}
 
 __attribute__((target("avx2,fma"))) void gemm_rows_avx2(
     const double* pa, const double* pb, double* pc, std::size_t r0,
     std::size_t r1, std::size_t k, std::size_t n) {
-  for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
-    const std::size_t p1 = std::min(k, p0 + kKc);
-    for (std::size_t i = r0; i < r1; ++i) {
-      const double* arow = pa + i * k;
-      double* crow = pc + i * n;
-      for (std::size_t p = p0; p < p1; ++p) {
-        const double av = arow[p];
-        if (av == 0.0) continue;
-        const double* brow = pb + p * n;
-        const __m256d va = _mm256_set1_pd(av);
-        std::size_t j = 0;
-        for (; j + 8 <= n; j += 8) {
-          __m256d c0 = _mm256_loadu_pd(crow + j);
-          __m256d c1 = _mm256_loadu_pd(crow + j + 4);
-          c0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j), c0);
-          c1 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j + 4), c1);
-          _mm256_storeu_pd(crow + j, c0);
-          _mm256_storeu_pd(crow + j + 4, c1);
-        }
-        for (; j + 4 <= n; j += 4) {
-          __m256d c0 = _mm256_loadu_pd(crow + j);
-          c0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j), c0);
-          _mm256_storeu_pd(crow + j, c0);
-        }
-        for (; j < n; ++j) crow[j] = std::fma(av, brow[j], crow[j]);
-      }
-    }
-  }
+  gemm_tile_avx2(pa, k, 1, pb, pc, r0, r1, k, n);
 }
 
 __attribute__((target("avx2,fma"))) void gemm_at_rows_avx2(
     const double* pa, const double* pb, double* pc, std::size_t r0,
     std::size_t r1, std::size_t k, std::size_t m, std::size_t n) {
-  for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
-    const std::size_t p1 = std::min(k, p0 + kKc);
-    for (std::size_t i = r0; i < r1; ++i) {
-      double* crow = pc + i * n;
-      for (std::size_t p = p0; p < p1; ++p) {
-        const double av = pa[p * m + i];
-        if (av == 0.0) continue;
-        const double* brow = pb + p * n;
-        const __m256d va = _mm256_set1_pd(av);
-        std::size_t j = 0;
-        for (; j + 8 <= n; j += 8) {
-          __m256d c0 = _mm256_loadu_pd(crow + j);
-          __m256d c1 = _mm256_loadu_pd(crow + j + 4);
-          c0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j), c0);
-          c1 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j + 4), c1);
-          _mm256_storeu_pd(crow + j, c0);
-          _mm256_storeu_pd(crow + j + 4, c1);
-        }
-        for (; j + 4 <= n; j += 4) {
-          __m256d c0 = _mm256_loadu_pd(crow + j);
-          c0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j), c0);
-          _mm256_storeu_pd(crow + j, c0);
-        }
-        for (; j < n; ++j) crow[j] = std::fma(av, brow[j], crow[j]);
-      }
-    }
-  }
+  gemm_tile_avx2(pa, 1, m, pb, pc, r0, r1, k, n);
 }
 
 __attribute__((target("avx2,fma"))) void gemm_bt_rows_avx2(
@@ -495,6 +684,80 @@ __attribute__((target("avx2,fma"))) void gemm_bt_rows_f32_avx2(
       for (std::size_t p = n8; p < n; ++p)
         lanes[p - n8] = std::fmaf(arow[p], brow[p], lanes[p - n8]);
       crow[j] = lane_fold(lanes);
+    }
+  }
+}
+
+/// relu over whole 64-element mask words, four lanes per compare; the last
+/// partial word runs the scalar lanes.
+template <bool kAdd>
+__attribute__((target("avx2"))) void relu_avx2(double* y, const double* s,
+                                                std::size_t n,
+                                                std::uint64_t* mask) {
+  const std::size_t nw = n - n % kMaskBits;
+  const __m256d zero = _mm256_setzero_pd();
+  for (std::size_t w0 = 0; w0 < nw; w0 += kMaskBits) {
+    std::uint64_t word = 0;
+    for (std::size_t q = 0; q < kMaskBits; q += 4) {
+      __m256d v = _mm256_loadu_pd(y + w0 + q);
+      if constexpr (kAdd) v = _mm256_add_pd(v, _mm256_loadu_pd(s + w0 + q));
+      const __m256d keep = _mm256_or_pd(_mm256_cmp_pd(v, zero, _CMP_GT_OQ),
+                                        _mm256_cmp_pd(v, v, _CMP_UNORD_Q));
+      _mm256_storeu_pd(y + w0 + q, _mm256_and_pd(v, keep));
+      word |= static_cast<std::uint64_t>(_mm256_movemask_pd(keep)) << q;
+    }
+    if (mask != nullptr) mask[w0 / kMaskBits] = word;
+  }
+  if (nw < n)
+    relu_scalar<kAdd>(y + nw, kAdd ? s + nw : s, n - nw,
+                      mask != nullptr ? mask + nw / kMaskBits : nullptr);
+}
+
+/// The fixed 2×2, stride-2, unpadded window (every pool in the three
+/// models): four outputs per step, the rule applied through blends in scan
+/// order (0,0), (0,1), (1,0), (1,1). Lanes hold outputs ox, ox+2, ox+1,
+/// ox+3 until the final permute; column tails run pool_window.
+__attribute__((target("avx2"))) void maxpool2x2_map_avx2(
+    const double* xmap, std::size_t h, std::size_t w, const ConvSpec& spec,
+    std::size_t ho, std::size_t wo, double* y, std::size_t* argmax,
+    std::size_t base) {
+  const std::size_t wo4 = wo - wo % 4;
+  for (std::size_t oy = 0; oy < ho; ++oy) {
+    const double* r0 = xmap + 2 * oy * w;
+    const double* r1 = r0 + w;
+    for (std::size_t ox = 0; ox < wo4; ox += 4) {
+      const __m256d a0 = _mm256_loadu_pd(r0 + 2 * ox);
+      const __m256d a1 = _mm256_loadu_pd(r0 + 2 * ox + 4);
+      const __m256d b0 = _mm256_loadu_pd(r1 + 2 * ox);
+      const __m256d b1 = _mm256_loadu_pd(r1 + 2 * ox + 4);
+      const __m256d taps[3] = {_mm256_unpackhi_pd(a0, a1),
+                               _mm256_unpacklo_pd(b0, b1),
+                               _mm256_unpackhi_pd(b0, b1)};
+      __m256d best = _mm256_unpacklo_pd(a0, a1);
+      __m256d which = _mm256_setzero_pd();
+      for (int q = 0; q < 3; ++q) {
+        const __m256d v = taps[q];
+        const __m256d take = _mm256_or_pd(
+            _mm256_cmp_pd(v, best, _CMP_GT_OQ),
+            _mm256_and_pd(_mm256_cmp_pd(v, v, _CMP_UNORD_Q),
+                          _mm256_cmp_pd(best, best, _CMP_ORD_Q)));
+        best = _mm256_blendv_pd(best, v, take);
+        which = _mm256_blendv_pd(which, _mm256_set1_pd(q + 1), take);
+      }
+      _mm256_storeu_pd(y + oy * wo + ox, _mm256_permute4x64_pd(best, 0xD8));
+      if (argmax == nullptr) continue;
+      double tap[4];
+      _mm256_storeu_pd(tap, _mm256_permute4x64_pd(which, 0xD8));
+      for (std::size_t l = 0; l < 4; ++l) {
+        const auto t = static_cast<std::size_t>(tap[l]);
+        argmax[oy * wo + ox + l] =
+            base + (2 * oy + t / 2) * w + 2 * (ox + l) + t % 2;
+      }
+    }
+    for (std::size_t ox = wo4; ox < wo; ++ox) {
+      std::size_t off = 0;
+      pool_window(xmap, h, w, spec, oy, ox, y[oy * wo + ox], off);
+      if (argmax != nullptr) argmax[oy * wo + ox] = base + off;
     }
   }
 }
@@ -799,6 +1062,30 @@ GemmBtRowsF32Fn pick_gemm_bt_rows_f32() {
   return gemm_bt_rows_f32_scalar;
 }
 
+using ReluFn = void (*)(double*, const double*, std::size_t, std::uint64_t*);
+using MaxPoolMapFn = void (*)(const double*, std::size_t, std::size_t,
+                              const ConvSpec&, std::size_t, std::size_t,
+                              double*, std::size_t*, std::size_t);
+
+template <bool kAdd>
+ReluFn pick_relu() {
+#if defined(CKPTFI_SIMD_X86)
+  if (use_vector_isa()) return relu_avx2<kAdd>;
+#endif
+  return relu_scalar<kAdd>;
+}
+
+MaxPoolMapFn pick_maxpool_map(const ConvSpec& spec) {
+#if defined(CKPTFI_SIMD_X86)
+  if (use_vector_isa() && spec.kernel == 2 && spec.stride == 2 &&
+      spec.pad == 0)
+    return maxpool2x2_map_avx2;
+#else
+  (void)spec;
+#endif
+  return maxpool_map_scalar;
+}
+
 /// Quantize a double panel to binary16 storage (bitwise identical to
 /// quantize_value(v, 16)) and widen it exactly to fp32 compute form. The u16
 /// panel is the storage representation the corrupter's Table VII campaigns
@@ -982,6 +1269,50 @@ void conv2d_backward(const Tensor& x, const Tensor& w, const ConvSpec& spec,
 }
 
 }  // namespace simd
+
+void relu_forward(Tensor& y, BitMask* mask) {
+  require(mask == nullptr || mask->size() == y.numel(),
+          "relu: mask size mismatch");
+  pick_relu<false>()(y.data(), nullptr, y.numel(),
+                     mask != nullptr ? mask->words() : nullptr);
+}
+
+void add_relu_forward(Tensor& y, const Tensor& s, BitMask* mask) {
+  require(s.numel() == y.numel(), "add_relu: operand size mismatch");
+  require(mask == nullptr || mask->size() == y.numel(),
+          "relu: mask size mismatch");
+  pick_relu<true>()(y.data(), s.data(), y.numel(),
+                    mask != nullptr ? mask->words() : nullptr);
+}
+
+void relu_backward(Tensor& g, const BitMask& mask) {
+  require(mask.size() == g.numel(), "relu_backward: mask size mismatch");
+  double* pg = g.data();
+  const std::uint64_t* words = mask.words();
+  for (std::size_t i = 0; i < g.numel(); ++i) {
+    const bool keep = ((words[i / kMaskBits] >> (i % kMaskBits)) & 1u) != 0;
+    pg[i] = keep ? pg[i] : 0.0;
+  }
+}
+
+void maxpool2d_forward(const Tensor& x, const ConvSpec& spec, Tensor& y,
+                       std::vector<std::size_t>* argmax) {
+  require(x.rank() == 4, "maxpool2d: input must be [N,C,H,W]");
+  const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::size_t ho = spec.out_extent(h), wo = spec.out_extent(w);
+  y.resize({n, c, ho, wo});
+  if (argmax != nullptr) {
+    // ckptfi-lint: allow(arena-kernel-heap) argmax is a caller-owned output (backward needs it across the arena's batch reset); assign reuses capacity, so steady-state batches stay allocation-free
+    argmax->assign(y.numel(), 0);
+  }
+
+  const MaxPoolMapFn pool = pick_maxpool_map(spec);
+  for (std::size_t map = 0; map < n * c; ++map) {
+    pool(x.data() + map * h * w, h, w, spec, ho, wo, y.data() + map * ho * wo,
+         argmax != nullptr ? argmax->data() + map * ho * wo : nullptr,
+         map * h * w);
+  }
+}
 
 namespace fp16 {
 

@@ -3,7 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "nn/sequential.hpp"
 #include "util/common.hpp"
 
 namespace ckptfi::nn {
@@ -193,6 +201,184 @@ TEST(GlobalAvgPoolLayer, Shapes) {
   const Tensor dx = gap.backward(Tensor({3, 5}, 16.0));
   EXPECT_EQ(dx.shape(), x.shape());
   EXPECT_DOUBLE_EQ(dx[0], 1.0);
+}
+
+// --- eval forwards -----------------------------------------------------------
+//
+// An eval forward (training == false) computes the same bits as a training
+// forward but keeps no backward state: a backward after it refuses instead
+// of reading a stale cache.
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+double from_bits(std::uint64_t b) {
+  double v;
+  std::memcpy(&v, &b, sizeof v);
+  return v;
+}
+
+void expect_same_bits(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.shape(), b.shape());
+  for (std::size_t i = 0; i < a.numel(); ++i)
+    ASSERT_EQ(bits_of(a[i]), bits_of(b[i])) << "i=" << i;
+}
+
+/// Normal values with about 20 % specials: NaNs with two payloads, ±Inf,
+/// ±0 and subnormals.
+Tensor input_with_specials(Shape shape, std::uint64_t seed) {
+  Rng rng(seed);
+  const double specials[] = {from_bits(0x7FF8000000000001ull),
+                             from_bits(0xFFF80000000000A5ull),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min()};
+  Tensor t(std::move(shape));
+  for (auto& v : t.vec())
+    v = rng.uniform() < 0.2 ? specials[rng.uniform_int(0, 6)] : rng.normal();
+  return t;
+}
+
+struct EvalCase {
+  const char* name;
+  std::function<std::unique_ptr<Layer>()> make;
+  Shape x_shape;
+};
+
+std::vector<EvalCase> eval_cases() {
+  return {
+      {"Conv2D",
+       [] {
+         auto l = std::make_unique<Conv2D>("conv", 3, 5, 3, 1, 1);
+         Rng rng(11);
+         l->init_params(rng);
+         return std::unique_ptr<Layer>(std::move(l));
+       },
+       {2, 3, 9, 9}},
+      {"Dense",
+       [] {
+         auto l = std::make_unique<Dense>("fc", 12, 7);
+         Rng rng(12);
+         l->init_params(rng);
+         return std::unique_ptr<Layer>(std::move(l));
+       },
+       {4, 12}},
+      {"ReLU", [] { return std::unique_ptr<Layer>(new ReLU("relu")); },
+       {2, 3, 9, 9}},
+      {"MaxPool2D",
+       [] { return std::unique_ptr<Layer>(new MaxPool2D("pool", 2, 2)); },
+       {2, 3, 9, 9}},
+      {"BatchNorm2D",
+       [] {
+         auto l = std::make_unique<BatchNorm2D>("bn", 3);
+         Rng rng(13);
+         l->init_params(rng);
+         return std::unique_ptr<Layer>(std::move(l));
+       },
+       {2, 3, 4, 4}},
+      {"Residual",
+       [] {
+         auto main = std::make_unique<Sequential>("main");
+         main->emplace<Conv2D>("conv", 3, 3, 3, 1, 1);
+         Rng rng(14);
+         main->init_params(rng);
+         return std::unique_ptr<Layer>(new Residual("res", std::move(main)));
+       },
+       {2, 3, 6, 6}},
+  };
+}
+
+TEST(EvalForward, SameBitsAsTrainingForward) {
+  for (const EvalCase& c : eval_cases()) {
+    // BatchNorm's eval forward reads running statistics, not the batch's.
+    if (std::string(c.name) == "BatchNorm2D") continue;
+    SCOPED_TRACE(c.name);
+    const Tensor x = input_with_specials(c.x_shape, 21);
+    auto train = c.make();
+    auto eval = c.make();
+    const Tensor yt = train->forward(x, /*training=*/true);
+    const Tensor ye = eval->forward(x, /*training=*/false);
+    expect_same_bits(yt, ye);
+  }
+}
+
+TEST(EvalForward, BackwardAfterItRefuses) {
+  for (const EvalCase& c : eval_cases()) {
+    SCOPED_TRACE(c.name);
+    const Tensor x = input_with_specials(c.x_shape, 22);
+    auto layer = c.make();
+    const Tensor y = layer->forward(x, /*training=*/false);
+    const Tensor dy(y.shape(), 1.0);
+    EXPECT_THROW(layer->backward(dy), InvalidArgument);
+    // A training forward arms backward; a later eval forward disarms it.
+    layer->forward(x, /*training=*/true);
+    EXPECT_NO_THROW(layer->backward(dy));
+    layer->forward(x, /*training=*/false);
+    EXPECT_THROW(layer->backward(dy), InvalidArgument);
+  }
+}
+
+TEST(ReLULayer, MapsNegativeZeroToPlusZeroKeepsNanPayloadsAndMasks) {
+  const double nan1 = from_bits(0x7FF8000000000001ull);
+  const double nan2 = from_bits(0xFFF80000000000A5ull);
+  Tensor x({1, 8});
+  x.vec() = {-0.0, 0.0, nan1, nan2, -1.5, 2.5,
+             std::numeric_limits<double>::denorm_min(),
+             -std::numeric_limits<double>::infinity()};
+  ReLU relu("r");
+  const Tensor y = relu.forward(x, /*training=*/true);
+  const double expect[] = {0.0, 0.0, nan1, nan2, 0.0, 2.5,
+                           std::numeric_limits<double>::denorm_min(), 0.0};
+  for (std::size_t i = 0; i < 8; ++i)
+    EXPECT_EQ(bits_of(y[i]), bits_of(expect[i])) << "i=" << i;
+  // The train-mode mask, as a prefix capture stores it: 1 where relu kept v.
+  PrefixState state;
+  relu.capture_forward_state(state);
+  ASSERT_EQ(state.block_count(), 1u);
+  EXPECT_EQ(state.blocks()[0].u64,
+            (std::vector<std::uint64_t>{0, 0, 1, 1, 0, 1, 1, 0}));
+  const Tensor dx = relu.backward(Tensor({1, 8}, -3.0));
+  for (std::size_t i = 0; i < 8; ++i)
+    EXPECT_EQ(bits_of(dx[i]), bits_of(state.blocks()[0].u64[i] ? -3.0 : 0.0));
+}
+
+/// Returns a fixed tensor whatever its input: lets a test choose the main
+/// branch of a Residual join exactly.
+class Fixed : public Layer {
+ public:
+  explicit Fixed(Tensor out) : Layer("fixed"), out_(std::move(out)) {}
+  Tensor forward(const Tensor&, bool) override { return out_; }
+  Tensor backward(const Tensor& dy) override { return dy; }
+
+ private:
+  Tensor out_;
+};
+
+TEST(ResidualLayer, JoinMapsNegativeZeroToPlusZeroAndKeepsNanPayloads) {
+  const double nan1 = from_bits(0x7FF8000000000001ull);
+  const double nan2 = from_bits(0xFFF80000000000A5ull);
+  Tensor main({1, 1, 1, 6});
+  main.vec() = {-0.0, 1.0, nan1, 2.0, -1.0, 4.0};
+  Tensor x({1, 1, 1, 6});
+  x.vec() = {-0.0, -1.0, 3.0, nan2, 0.5, -0.0};
+  Residual res("res", std::make_unique<Fixed>(main));
+  const Tensor y = res.forward(x, /*training=*/true);
+  // -0 + -0 = -0 -> +0; 1 + -1 = +0; a NaN from either branch keeps its
+  // payload.
+  const double expect[] = {0.0, 0.0, nan1, nan2, 0.0, 4.0};
+  for (std::size_t i = 0; i < 6; ++i)
+    EXPECT_EQ(bits_of(y[i]), bits_of(expect[i])) << "i=" << i;
+  expect_same_bits(res.forward(x, /*training=*/false), y);
+  PrefixState state;
+  res.forward(x, /*training=*/true);
+  res.capture_forward_state(state);
+  EXPECT_EQ(state.blocks()[0].u64,
+            (std::vector<std::uint64_t>{0, 0, 1, 1, 0, 1}));
 }
 
 }  // namespace

@@ -21,7 +21,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -47,10 +49,63 @@ void sprinkle_zeros(Tensor& t, Rng& rng) {
     if (rng.uniform() < 0.15) v = 0.0;
 }
 
+double from_bits(std::uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+
+/// The NaN this CPU's arithmetic generates (Inf − Inf), read at run time so
+/// the compiler cannot fold in a different one.
+double generated_nan() {
+  const volatile double inf = std::numeric_limits<double>::infinity();
+  return inf - inf;
+}
+
+/// Values a corrupted checkpoint puts into the kernels: NaN, ±Inf, ±0 and
+/// subnormals. The NaN is the generated one, so every NaN a kernel meets or
+/// makes has the same bits: which of two payloads survives one FMA or add
+/// is the compiler's choice of operand order (docs/KERNELS.md), not part of
+/// the contract.
+const std::vector<double>& special_values() {
+  static const std::vector<double> kSpecials = {
+      generated_nan(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -3 * std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3,
+  };
+  return kSpecials;
+}
+
+/// Overwrite about `rate` of `t` with special values.
+void sprinkle_specials(Tensor& t, Rng& rng, double rate = 0.2) {
+  const std::vector<double>& sp = special_values();
+  for (auto& v : t.vec())
+    if (rng.uniform() < rate)
+      v = sp[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(sp.size()) - 1))];
+}
+
+std::uint64_t to_bits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+/// Bitwise equality, naming the first element that differs.
 void expect_bitwise(const Tensor& a, const Tensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
-  if (a.numel() == 0) return;
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.numel() * sizeof(double)), 0);
+  for (std::size_t i = 0; i < a.numel(); ++i) {
+    if (to_bits(a[i]) != to_bits(b[i])) {
+      ADD_FAILURE() << "element " << i << " of " << a.numel() << ": bits "
+                    << std::hex << to_bits(a[i]) << " vs " << to_bits(b[i]);
+      return;
+    }
+  }
 }
 
 void expect_rel_close(const Tensor& a, const Tensor& b, double tol = 1e-12) {
@@ -228,6 +283,67 @@ TEST_P(SimdGemmEquivalence, MatmulBtScalarVectorBitwiseNaiveClose) {
   expect_rel_close(vec, ref);
 }
 
+// Specials in A, B and the accumulated C: the vector tile must skip exactly
+// the scalar lanes' ±0 A values (so fma(0, Inf) and fma(0, NaN) never run and
+// a −0 accumulator keeps its sign) and carry NaN payloads, infinities and
+// subnormals through the same FMA chains.
+TEST_P(SimdGemmEquivalence, MatmulSpecialsScalarVectorBitwise) {
+  const auto [m, k, n] = GetParam();
+  Rng rng(939 + m + k + n);
+  Tensor a = random_tensor({m, k}, rng);
+  Tensor b = random_tensor({k, n}, rng);
+  Tensor base = random_tensor({m, n}, rng);
+  sprinkle_specials(a, rng);
+  sprinkle_specials(b, rng);
+  sprinkle_specials(base, rng);
+  Tensor vec, sc;
+  simd::matmul(a, b, vec);
+  {
+    IsaGuard guard(SimdIsa::kScalar);
+    simd::matmul(a, b, sc);
+  }
+  expect_bitwise(sc, vec);
+  Tensor av = base, as = base;
+  simd::matmul(a, b, av, /*accumulate=*/true);
+  {
+    IsaGuard guard(SimdIsa::kScalar);
+    simd::matmul(a, b, as, /*accumulate=*/true);
+  }
+  expect_bitwise(as, av);
+}
+
+TEST_P(SimdGemmEquivalence, MatmulAtSpecialsScalarVectorBitwise) {
+  const auto [m, k, n] = GetParam();
+  Rng rng(949 + m + k + n);
+  Tensor a = random_tensor({k, m}, rng);
+  Tensor b = random_tensor({k, n}, rng);
+  sprinkle_specials(a, rng);
+  sprinkle_specials(b, rng);
+  Tensor vec, sc;
+  simd::matmul_at(a, b, vec);
+  {
+    IsaGuard guard(SimdIsa::kScalar);
+    simd::matmul_at(a, b, sc);
+  }
+  expect_bitwise(sc, vec);
+}
+
+TEST_P(SimdGemmEquivalence, MatmulBtSpecialsScalarVectorBitwise) {
+  const auto [m, k, n] = GetParam();
+  Rng rng(959 + m + k + n);
+  Tensor a = random_tensor({m, n}, rng);
+  Tensor b = random_tensor({k, n}, rng);
+  sprinkle_specials(a, rng);
+  sprinkle_specials(b, rng);
+  Tensor vec, sc;
+  simd::matmul_bt(a, b, vec);
+  {
+    IsaGuard guard(SimdIsa::kScalar);
+    simd::matmul_bt(a, b, sc);
+  }
+  expect_bitwise(sc, vec);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, SimdGemmEquivalence,
     ::testing::Values(GemmShape{1, 1, 1},       // single element
@@ -244,7 +360,11 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{128, 300, 65},  // k-blocked + pool path
                       GemmShape{0, 5, 4},       // empty m
                       GemmShape{5, 0, 4},       // empty k: all-zero result
-                      GemmShape{5, 4, 0}));     // empty n
+                      GemmShape{5, 4, 0},       // empty n
+                      GemmShape{4, 8, 8},       // exactly one 4x8 tile
+                      GemmShape{5, 13, 9},      // tile + 1-row, 1-column tails
+                      GemmShape{9, 33, 15},     // 2 row groups + 7-column tail
+                      GemmShape{4, 3, 15}));    // 1 row group, 8 + 7 columns
 
 class SimdConvEquivalence : public ::testing::TestWithParam<ConvShape> {};
 
@@ -292,6 +412,60 @@ TEST_P(SimdConvEquivalence, BackwardScalarVectorBitwiseNaiveClose) {
   expect_rel_close(dbv, dbn);
 }
 
+// Specials in x, W, the bias and dy: forward rides the broadcast tile over
+// W·col, backward the transposed tile (dcol = Wᵀ·dy), the dot lanes (dw)
+// and col2im — scalar ≡ vector bitwise through all of them.
+TEST_P(SimdConvEquivalence, ForwardSpecialsScalarVectorBitwise) {
+  const ConvShape s = GetParam();
+  Rng rng(969 + s.h * 7 + s.kernel);
+  Tensor x = random_tensor({s.n, s.ci, s.h, s.w}, rng);
+  Tensor w = random_tensor({s.co, s.ci, s.kernel, s.kernel}, rng);
+  Tensor b = random_tensor({s.co}, rng);
+  sprinkle_specials(x, rng);
+  sprinkle_specials(w, rng);
+  sprinkle_specials(b, rng);
+  const ConvSpec spec{s.kernel, s.stride, s.pad};
+  Tensor vec, sc;
+  simd::conv2d_forward(x, w, b, spec, vec);
+  {
+    IsaGuard guard(SimdIsa::kScalar);
+    simd::conv2d_forward(x, w, b, spec, sc);
+  }
+  expect_bitwise(sc, vec);
+}
+
+TEST_P(SimdConvEquivalence, BackwardSpecialsScalarVectorBitwise) {
+  const ConvShape s = GetParam();
+  Rng rng(979 + s.h * 7 + s.kernel);
+  Tensor x = random_tensor({s.n, s.ci, s.h, s.w}, rng);
+  Tensor w = random_tensor({s.co, s.ci, s.kernel, s.kernel}, rng);
+  const ConvSpec spec{s.kernel, s.stride, s.pad};
+  const std::size_t ho = spec.out_extent(s.h), wo = spec.out_extent(s.w);
+  Tensor dy = random_tensor({s.n, s.co, ho, wo}, rng);
+  sprinkle_specials(x, rng);
+  sprinkle_specials(w, rng);
+  sprinkle_specials(dy, rng);
+  Tensor dxv(x.shape()), dwv(w.shape()), dbv({s.co});
+  Tensor dxs(x.shape()), dws(w.shape()), dbs({s.co});
+  simd::conv2d_backward(x, w, spec, dy, dxv, dwv, dbv);
+  {
+    IsaGuard guard(SimdIsa::kScalar);
+    simd::conv2d_backward(x, w, spec, dy, dxs, dws, dbs);
+  }
+  {
+    SCOPED_TRACE("dx");
+    expect_bitwise(dxs, dxv);
+  }
+  {
+    SCOPED_TRACE("dw");
+    expect_bitwise(dws, dwv);
+  }
+  {
+    SCOPED_TRACE("db");
+    expect_bitwise(dbs, dbv);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, SimdConvEquivalence,
     ::testing::Values(
@@ -302,7 +476,10 @@ INSTANTIATE_TEST_SUITE_P(
         ConvShape{1, 3, 6, 6, 2, 3, 3, 0},      // stride 3, no padding
         ConvShape{1, 1, 4, 4, 1, 3, 1, 0},      // valid conv, shrinks
         ConvShape{1, 2, 7, 7, 2, 3, 2, 0},      // stride 2, no padding, odd
-        ConvShape{2, 4, 16, 16, 8, 3, 1, 1}));  // big enough for pool path
+        ConvShape{2, 4, 16, 16, 8, 3, 1, 1},    // big enough for pool path
+        ConvShape{2, 3, 32, 32, 8, 3, 1, 1},    // alexnet conv1: banded col
+        ConvShape{2, 6, 8, 8, 5, 1, 1, 0},      // 1x1, resnet bottleneck
+        ConvShape{1, 4, 9, 9, 6, 1, 2, 0}));    // 1x1, stride 2: gathers
 
 // ---------------------------------------------------------------------------
 // Public entry points (what the layers call): at every shape and at both
@@ -359,6 +536,44 @@ TEST_P(GemmEquivalence, MatmulAtBitwise) {
   });
 }
 
+TEST_P(GemmEquivalence, MatmulSpecialsBitwise) {
+  const auto [m, k, n] = GetParam();
+  Rng rng(404 + m + k + n);
+  Tensor a = random_tensor({m, k}, rng);
+  Tensor b = random_tensor({k, n}, rng);
+  Tensor base = random_tensor({m, n}, rng);
+  sprinkle_specials(a, rng);
+  sprinkle_specials(b, rng);
+  sprinkle_specials(base, rng);
+  for_each_precision([&](GemmPrecision p) {
+    const auto kernel = p == GemmPrecision::kFp16 ? fp16::matmul : simd::matmul;
+    Tensor expect, c;
+    kernel(a, b, expect, false);
+    matmul(a, b, c);
+    expect_bitwise(c, expect);
+    Tensor expect_acc = base, acc = base;
+    kernel(a, b, expect_acc, true);
+    matmul(a, b, acc, /*accumulate=*/true);
+    expect_bitwise(acc, expect_acc);
+  });
+}
+
+TEST_P(GemmEquivalence, MatmulAtSpecialsBitwise) {
+  const auto [m, k, n] = GetParam();
+  Rng rng(505 + m + k + n);
+  Tensor a = random_tensor({k, m}, rng);
+  Tensor b = random_tensor({k, n}, rng);
+  sprinkle_specials(a, rng);
+  sprinkle_specials(b, rng);
+  for_each_precision([&](GemmPrecision p) {
+    Tensor expect, c;
+    (p == GemmPrecision::kFp16 ? fp16::matmul_at : simd::matmul_at)(a, b,
+                                                                  expect);
+    matmul_at(a, b, c);
+    expect_bitwise(c, expect);
+  });
+}
+
 TEST_P(GemmEquivalence, MatmulBtBitwise) {
   const auto [m, k, n] = GetParam();
   Rng rng(303 + m + k + n);
@@ -384,7 +599,10 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{128, 300, 65},  // k-blocked + pool path
                       GemmShape{0, 5, 4},       // empty m
                       GemmShape{5, 0, 4},       // empty k: all-zero result
-                      GemmShape{5, 4, 0}));     // empty n
+                      GemmShape{5, 4, 0},       // empty n
+                      GemmShape{4, 8, 8},       // exactly one 4x8 tile
+                      GemmShape{5, 13, 9},      // tile + 1-row, 1-column tails
+                      GemmShape{9, 33, 15}));   // 2 row groups + 7-column tail
 
 class ConvEquivalence : public ::testing::TestWithParam<ConvShape> {};
 
@@ -562,6 +780,189 @@ TEST(Fp16Gemm, ExactlyRepresentableValuesRoundTrip) {
   fp16::matmul(a, b, c16);
   naive::matmul(a, b, cref);
   expect_bitwise(c16, cref);
+}
+
+// ---------------------------------------------------------------------------
+// Element selects: ReLU, the Residual join and max-pool do no arithmetic but
+// the join's one add, so the vector lanes and the scalar lanes must give the
+// same bits as a direct statement of each rule. Inputs carry about 20 %
+// specials — NaNs with two payloads, ±Inf, subnormals — and draw most
+// other values from a small set, so ties and ±0 pairs are common.
+
+Tensor select_input(Shape shape, Rng& rng) {
+  Tensor t(std::move(shape));
+  const double ties[] = {-2.0, -1.0, -0.0, 0.0, 1.0, 2.0};
+  for (auto& v : t.vec()) {
+    const double u = rng.uniform();
+    if (u < 0.05) {
+      v = from_bits(0x7FF8000000000001ull);
+    } else if (u < 0.10) {
+      v = from_bits(0xFFF80000000000A5ull);
+    } else if (u < 0.13) {
+      v = std::numeric_limits<double>::infinity();
+    } else if (u < 0.16) {
+      v = -std::numeric_limits<double>::infinity();
+    } else if (u < 0.20) {
+      v = (u < 0.18 ? 1 : -1) * std::numeric_limits<double>::denorm_min();
+    } else if (u < 0.60) {
+      v = ties[rng.uniform_int(0, 5)];
+    } else {
+      v = rng.normal();
+    }
+  }
+  return t;
+}
+
+/// relu's rule: keep v where v > 0 or v is NaN, else +0.
+bool relu_keeps(double v) { return v > 0.0 || std::isnan(v); }
+
+/// Max-pool's rule, stated directly: scan each window in (ky, kx) order; the
+/// first NaN wins, else the first strict maximum; a window with no tap in the
+/// map yields 0 at offset 0.
+void maxpool_rule(const Tensor& x, const ConvSpec& spec, Tensor& y,
+                  std::vector<std::size_t>& argmax) {
+  const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::size_t ho = spec.out_extent(h), wo = spec.out_extent(w);
+  y = Tensor({n, c, ho, wo});
+  argmax.assign(y.numel(), 0);
+  std::size_t out = 0;
+  for (std::size_t map = 0; map < n * c; ++map) {
+    for (std::size_t oy = 0; oy < ho; ++oy) {
+      for (std::size_t ox = 0; ox < wo; ++ox, ++out) {
+        bool found = false;
+        double best = 0.0;
+        std::size_t off = 0;
+        for (std::size_t ky = 0; ky < spec.kernel; ++ky) {
+          for (std::size_t kx = 0; kx < spec.kernel; ++kx) {
+            const long iy = static_cast<long>(oy * spec.stride + ky) -
+                            static_cast<long>(spec.pad);
+            const long ix = static_cast<long>(ox * spec.stride + kx) -
+                            static_cast<long>(spec.pad);
+            if (iy < 0 || ix < 0 || iy >= static_cast<long>(h) ||
+                ix >= static_cast<long>(w))
+              continue;
+            const std::size_t o = static_cast<std::size_t>(iy) * w +
+                                  static_cast<std::size_t>(ix);
+            const double v = x[map * h * w + o];
+            if (found && std::isnan(best)) continue;
+            if (!found || std::isnan(v) || v > best) {
+              best = v;
+              off = o;
+              found = true;
+            }
+          }
+        }
+        y[out] = best;
+        argmax[out] = map * h * w + off;
+      }
+    }
+  }
+}
+
+/// Runs `check` on the vector ISA and on the scalar lanes.
+template <typename Check>
+void for_each_isa(const Check& check) {
+  {
+    SCOPED_TRACE(simd_isa_name());
+    check();
+  }
+  IsaGuard guard(SimdIsa::kScalar);
+  SCOPED_TRACE(simd_isa_name());
+  check();
+}
+
+TEST(SelectKernels, MaxPoolFollowsTheRuleBitwise) {
+  struct Case {
+    Shape shape;
+    ConvSpec spec;
+  };
+  const Case cases[] = {
+      {{2, 3, 8, 8}, {2, 2, 0}},     // the models' pool: vector path only
+      {{2, 3, 9, 11}, {2, 2, 0}},    // odd extents: 4-wide steps + column tail
+      {{1, 2, 7, 9}, {3, 2, 1}},     // padded windows
+      {{1, 2, 6, 6}, {3, 1, 0}},     // overlapping windows
+      {{1, 1, 3, 3}, {2, 2, 1}}};    // corner windows with one tap
+  Rng rng(1201);
+  for (const Case& c : cases) {
+    const Tensor x = select_input(c.shape, rng);
+    Tensor ref;
+    std::vector<std::size_t> ref_argmax;
+    maxpool_rule(x, c.spec, ref, ref_argmax);
+    for_each_isa([&] {
+      Tensor y, ye;
+      std::vector<std::size_t> argmax;
+      maxpool2d_forward(x, c.spec, y, &argmax);
+      expect_bitwise(y, ref);
+      EXPECT_EQ(argmax, ref_argmax);
+      maxpool2d_forward(x, c.spec, ye, nullptr);  // eval: no argmax
+      expect_bitwise(ye, ref);
+    });
+  }
+}
+
+TEST(SelectKernels, MaxPoolPinsNanPayloadTiesAndSignedZeros) {
+  const double nan1 = from_bits(0x7FF8000000000001ull);
+  const double nan2 = from_bits(0xFFF80000000000A5ull);
+  const double inf = std::numeric_limits<double>::infinity();
+  // Four 2x2 windows; window q scans row0[2q], row0[2q+1], row1[2q],
+  // row1[2q+1].
+  Tensor x({1, 1, 2, 8});
+  x.vec() = {1.0, nan1, 3.0, 7.0, -0.0, 0.0,  0.0,  -0.0,   // row 0
+             nan2, 5.0, 7.0, 2.0, -1.0, -0.0, -inf, -1.0};  // row 1
+  for_each_isa([&] {
+    Tensor y;
+    std::vector<std::size_t> argmax;
+    maxpool2d_forward(x, ConvSpec{2, 2, 0}, y, &argmax);
+    EXPECT_EQ(to_bits(y[0]), to_bits(nan1));  // first NaN in scan order
+    EXPECT_EQ(argmax[0], 1u);
+    EXPECT_EQ(to_bits(y[1]), to_bits(7.0));  // first of equal maxima
+    EXPECT_EQ(argmax[1], 3u);
+    EXPECT_EQ(to_bits(y[2]), to_bits(-0.0));  // -0 seen first beats +0
+    EXPECT_EQ(argmax[2], 4u);
+    EXPECT_EQ(to_bits(y[3]), to_bits(0.0));  // +0 seen first beats -0
+    EXPECT_EQ(argmax[3], 6u);
+  });
+}
+
+TEST(SelectKernels, ReluAndJoinFollowTheRuleBitwise) {
+  Rng rng(1301);
+  // 3*5*7*11 = 1155 elements: 18 whole mask words and a partial one.
+  const Tensor x = select_input({3, 5, 7, 11}, rng);
+  Tensor s = select_input({3, 5, 7, 11}, rng);
+  // One NaN per sum at most: of two NaN payloads, which one an add keeps is
+  // the compiler's choice of operand order.
+  for (std::size_t i = 0; i < s.numel(); ++i)
+    if (std::isnan(x[i]) && std::isnan(s[i])) s[i] = 1.0;
+  for_each_isa([&] {
+    for (const bool join : {false, true}) {
+      SCOPED_TRACE(join ? "join" : "relu");
+      Tensor y = x, ye = x;
+      BitMask mask;
+      mask.reset(y.numel());
+      if (join) {
+        add_relu_forward(y, s, &mask);
+        add_relu_forward(ye, s, nullptr);
+      } else {
+        relu_forward(y, &mask);
+        relu_forward(ye, nullptr);
+      }
+      expect_bitwise(ye, y);
+      for (std::size_t i = 0; i < x.numel(); ++i) {
+        const double v = join ? x[i] + s[i] : x[i];
+        const bool keep = relu_keeps(v);
+        ASSERT_EQ(to_bits(y[i]), to_bits(keep ? v : 0.0)) << "i=" << i;
+        ASSERT_EQ(mask.test(i), keep) << "i=" << i;
+      }
+      // Bits past size() stay clear.
+      const std::size_t tail = x.numel() % BitMask::kWordBits;
+      EXPECT_EQ(mask.words()[x.numel() / BitMask::kWordBits] >> tail, 0u);
+      Tensor g = s;
+      relu_backward(g, mask);
+      for (std::size_t i = 0; i < g.numel(); ++i)
+        ASSERT_EQ(to_bits(g[i]), to_bits(mask.test(i) ? s[i] : 0.0))
+            << "i=" << i;
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -187,7 +187,7 @@ TEST(MaxPool, ForwardSelectsMaxAndArgmax) {
   const ConvSpec spec{2, 2, 0};
   Tensor y;
   std::vector<std::size_t> argmax;
-  maxpool2d_forward(x, spec, y, argmax);
+  maxpool2d_forward(x, spec, y, &argmax);
   EXPECT_EQ(y.shape(), (Shape{1, 1, 2, 2}));
   EXPECT_DOUBLE_EQ(y[0], 5.0);
   EXPECT_DOUBLE_EQ(y[1], 7.0);
@@ -203,7 +203,7 @@ TEST(MaxPool, BackwardRoutesGradientToArgmax) {
   const ConvSpec spec{2, 2, 0};
   Tensor y;
   std::vector<std::size_t> argmax;
-  maxpool2d_forward(x, spec, y, argmax);
+  maxpool2d_forward(x, spec, y, &argmax);
   Tensor dy({1, 1, 2, 2});
   dy.fill(1.0);
   Tensor dx({1, 1, 4, 4});
@@ -222,7 +222,7 @@ TEST(MaxPool, PropagatesNaN) {
   const ConvSpec spec{2, 2, 0};
   Tensor y;
   std::vector<std::size_t> argmax;
-  maxpool2d_forward(x, spec, y, argmax);
+  maxpool2d_forward(x, spec, y, &argmax);
   EXPECT_TRUE(std::isnan(y[0]));
 }
 
