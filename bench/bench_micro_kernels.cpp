@@ -13,7 +13,8 @@
 //
 // Per-layer cases time the eval forward of each conv layer bench/perf's
 // predict_full runs, a resnet50 1x1 conv, and the ReLU and max-pool after
-// conv1, in GFLOP/s or GB/s.
+// conv1, in GFLOP/s or GB/s; the probed-training cases time the probes'
+// tensor stats and relu backward in GB/s.
 //
 // Each benchmark also reports the kernel obs instrumentation it moved
 // (kernels.gemm_time / kernels.im2col_time histograms, arena gauges) from
@@ -327,15 +328,14 @@ const ConvLayerCase kConvLayers[] = {
     {"alexnet_conv3", 16, 8, 24, 3, 1}, {"alexnet_conv4", 24, 8, 24, 3, 1},
     {"alexnet_conv5", 24, 8, 16, 3, 1}, {"resnet50_1x1", 16, 16, 32, 1, 0}};
 
-/// Time layer.forward(x, eval) and report `work` (FLOPs, or bytes when
-/// `bytes`) per call.
-void time_eval_forward(benchmark::State& state, nn::Layer& layer,
-                       const Tensor& x, double work, bool bytes) {
+/// Time `fn` over the benchmark's iterations and report `work` (FLOPs, or
+/// bytes when `bytes`) per call, labelled `name`; under --json-out the rate
+/// also lands in a bench.layer.<name> gauge.
+template <typename Fn>
+void time_work(benchmark::State& state, const std::string& name, double work,
+               bool bytes, Fn&& fn) {
   const auto t0 = std::chrono::steady_clock::now();
-  for (auto _ : state) {
-    Tensor y = layer.forward(x, /*training=*/false);
-    benchmark::DoNotOptimize(y.data());
-  }
+  for (auto _ : state) fn();
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - t0;
   const double total = work * static_cast<double>(state.iterations());
@@ -344,12 +344,22 @@ void time_eval_forward(benchmark::State& state, nn::Layer& layer,
   } else {
     state.SetItemsProcessed(static_cast<std::int64_t>(total));
   }
-  state.SetLabel(layer.name());
+  state.SetLabel(name);
   if (obs::metrics_enabled() && dt.count() > 0) {
-    obs::gauge_set("bench.layer." + layer.name() +
+    obs::gauge_set("bench.layer." + name +
                        (bytes ? ".gb_per_s" : ".gflop_per_s"),
                    total / dt.count() / 1e9);
   }
+}
+
+/// Time layer.forward(x, eval) and report `work` (FLOPs, or bytes when
+/// `bytes`) per call.
+void time_eval_forward(benchmark::State& state, nn::Layer& layer,
+                       const Tensor& x, double work, bool bytes) {
+  time_work(state, layer.name(), work, bytes, [&] {
+    Tensor y = layer.forward(x, /*training=*/false);
+    benchmark::DoNotOptimize(y.data());
+  });
 }
 
 void BM_LayerConvEval(benchmark::State& state) {
@@ -388,6 +398,51 @@ void BM_LayerMaxPoolEval(benchmark::State& state) {
                     /*bytes=*/true);
 }
 BENCHMARK(BM_LayerMaxPoolEval)->UseRealTime();
+
+// --------------------------------------------------------------------------
+// Probed training's two element kernels: the stats block of one tensor
+// (2^17 elements: dense, ReLU-shaped with half ±0, and pool-gradient-shaped
+// with three quarters ±0), and relu backward over conv1's output gradient.
+// Items are bytes read (and written, for relu backward).
+
+constexpr std::size_t kStatsElems = std::size_t{1} << 17;
+
+void BM_TensorStats(benchmark::State& state) {
+  static const char* const kShapes[] = {"tensor_stats_dense",
+                                        "tensor_stats_relu",
+                                        "tensor_stats_pool_grad"};
+  const auto shape = static_cast<std::size_t>(state.range(0));
+  Rng rng(10);
+  std::vector<double> x(kStatsElems);
+  for (double& v : x) {
+    v = rng.normal();
+    if (shape == 1) v = v > 0.0 ? v : 0.0;
+    if (shape == 2 && rng.uniform() < 0.75) v = 0.0;
+  }
+  time_work(state, kShapes[shape],
+            static_cast<double>(kStatsElems * sizeof(double)),
+            /*bytes=*/true, [&] {
+              const obs::TensorStats s = tensor_stats(x.data(), x.size());
+              benchmark::DoNotOptimize(s.l2);
+            });
+}
+BENCHMARK(BM_TensorStats)->DenseRange(0, 2)->UseRealTime();
+
+void BM_ReluBackward(benchmark::State& state) {
+  Tensor y = conv1_output();
+  BitMask mask;
+  mask.reset(y.numel());
+  relu_forward(y, &mask);
+  Rng rng(11);
+  Tensor g = random_tensor(y.shape(), rng);
+  time_work(state, "relu_backward",
+            2.0 * static_cast<double>(g.numel() * sizeof(double)),
+            /*bytes=*/true, [&] {
+              relu_backward(g, mask);
+              benchmark::DoNotOptimize(g.data());
+            });
+}
+BENCHMARK(BM_ReluBackward)->UseRealTime();
 
 // --------------------------------------------------------------------------
 // Probe overhead: one training step (forward + backward) of an MLP with and

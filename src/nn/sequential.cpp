@@ -31,8 +31,8 @@ Tensor Sequential::forward_span(std::size_t from, std::size_t to,
   for (std::size_t i = from; i < to; ++i) {
     h = layers_[i]->forward(h, training);
     if (probes != nullptr) {
-      probes->record(layers_[i]->name(), obs::ProbePhase::kForward, h.data(),
-                     h.numel());
+      probes->record_stats(layers_[i]->name(), obs::ProbePhase::kForward,
+                           tensor_stats(h.data(), h.numel()));
     }
   }
   return h;
@@ -78,8 +78,8 @@ Tensor Sequential::backward(const Tensor& dy) {
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
     g = (*it)->backward(g);
     if (probes != nullptr) {
-      probes->record((*it)->name(), obs::ProbePhase::kBackward, g.data(),
-                     g.numel());
+      probes->record_stats((*it)->name(), obs::ProbePhase::kBackward,
+                           tensor_stats(g.data(), g.numel()));
     }
   }
   return g;

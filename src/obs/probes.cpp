@@ -51,30 +51,6 @@ Json TensorStats::to_json() const {
   return j;
 }
 
-TensorStats tensor_stats(const double* x, std::size_t n) {
-  TensorStats s;
-  s.numel = n;
-  double sumsq = 0.0;
-  // Ascending-element accumulation: the documented deterministic order.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = x[i];
-    if (std::isnan(v)) {
-      ++s.nan_count;
-      continue;
-    }
-    if (std::isinf(v)) {
-      ++s.inf_count;
-      continue;
-    }
-    if (v == 0.0) ++s.zero_count;
-    const double a = std::fabs(v);
-    if (a > s.max_abs) s.max_abs = a;
-    sumsq += v * v;
-  }
-  s.l2 = std::sqrt(sumsq);
-  return s;
-}
-
 const char* probe_phase_name(ProbePhase phase) {
   return phase == ProbePhase::kForward ? "forward" : "backward";
 }
@@ -96,23 +72,18 @@ void Probes::begin_step(std::uint64_t step_id) {
   cursor_ = 0;
 }
 
-void Probes::record(std::string_view layer, ProbePhase phase,
-                    const double* data, std::size_t n) {
-  record_stats(layer, phase, tensor_stats(data, n));
-}
-
 void Probes::record_stats(std::string_view layer, ProbePhase phase,
                           const TensorStats& stats) {
-  require(!step_ids_.empty(), "Probes::record before begin_step");
+  require(!step_ids_.empty(), "Probes::record_stats before begin_step");
   if (!frozen_) {
     layout_.push_back(ProbePoint{std::string(layer), phase});
   } else {
     require(cursor_ < layout_.size(),
             "Probes: more probe points than the step-0 layout");
-    require(layout_[cursor_].layer == layer && layout_[cursor_].phase == phase,
-            "Probes: probe schedule changed after step 0 (expected '" +
-                layout_[cursor_].layer + "', got '" + std::string(layer) +
-                "')");
+    if (layout_[cursor_].layer != layer || layout_[cursor_].phase != phase)
+      throw InvalidArgument(
+          "Probes: probe schedule changed after step 0 (expected '" +
+          layout_[cursor_].layer + "', got '" + std::string(layer) + "')");
   }
   stats_.push_back(stats);
   ++cursor_;

@@ -9,11 +9,13 @@
 // NaN/Inf onset coordinates, and propagation depth (how many layers the
 // corruption reached).
 //
-// Determinism contract: stats accumulate serially in ascending element
-// order, recording is observation-only (never mutates the tensors), and a
-// trial's sink is installed thread-locally via Probes::Scope — so timelines
-// are a pure function of the trial, bitwise-invariant under `--jobs N`, and
-// probes-on vs probes-off trainings produce bit-identical checkpoints.
+// Determinism contract: the L2 sum is one ascending chain of adds over the
+// finite non-zero squares (ckptfi::tensor_stats in tensor/ops.hpp computes
+// the block, bitwise the same on every ISA), recording is observation-only
+// (never mutates the tensors), and a trial's sink is installed
+// thread-locally via Probes::Scope — so timelines are a pure function of the
+// trial, bitwise-invariant under `--jobs N`, and probes-on vs probes-off
+// trainings produce bit-identical checkpoints.
 //
 // Cost contract (matches the PR 1 obs budget): with no Scope installed the
 // only instrumentation cost is one thread-local pointer load per container
@@ -33,9 +35,9 @@
 
 namespace ckptfi::obs {
 
-/// Fixed-cost numeric-health block for one tensor. All fields are computed
-/// in one ascending-element pass; L2/max-abs cover finite values only (the
-/// NaN/Inf counts carry the non-finite story separately).
+/// Fixed-cost numeric-health block for one tensor, computed by
+/// ckptfi::tensor_stats (tensor/ops.hpp). L2/max-abs cover finite values
+/// only (the NaN/Inf counts carry the non-finite story separately).
 struct TensorStats {
   double l2 = 0.0;       ///< sqrt(sum of squares of finite values)
   double max_abs = 0.0;  ///< max |v| over finite values
@@ -59,9 +61,6 @@ struct TensorStats {
 
   Json to_json() const;
 };
-
-/// One serial ascending-order pass over `x[0..n)`.
-TensorStats tensor_stats(const double* x, std::size_t n);
 
 enum class ProbePhase : std::uint8_t { kForward = 0, kBackward = 1 };
 const char* probe_phase_name(ProbePhase phase);
@@ -96,17 +95,12 @@ class Probes {
   void begin_step(std::uint64_t step_id);
 
   /// Append the stats of one tensor to the current step. Layer/phase must
-  /// follow the same schedule every step (enforced once frozen).
-  void record(std::string_view layer, ProbePhase phase, const double* data,
-              std::size_t n);
-
-  /// Append a precomputed stats block to the current step — identical to
-  /// record() except the stats come from a cache instead of a fresh pass.
-  /// This is how prefix-reuse trials stitch their timelines: the skipped
-  /// upstream forward points are spliced in from the clean baseline's cached
-  /// stats (bitwise the values a full run would have recorded), then the
-  /// executed suffix records live. Layout learning/validation is unchanged,
-  /// so stitched and full timelines are indistinguishable to diverge().
+  /// follow the same schedule every step (enforced once frozen). Containers
+  /// pass the stats of the tensor they just computed; prefix-reuse trials
+  /// stitch their timelines by splicing in the clean baseline's cached stats
+  /// for the skipped upstream forward points (bitwise the values a full run
+  /// would have recorded), then record the executed suffix live, so
+  /// stitched and full timelines are indistinguishable to diverge().
   void record_stats(std::string_view layer, ProbePhase phase,
                     const TensorStats& stats);
 

@@ -1,5 +1,5 @@
 // Tensor kernels: GEMM, 2-d convolution, ReLU, pooling — forward and
-// backward.
+// backward — and the probes' tensor stats.
 //
 // Kernels are deterministic: loop order is fixed and parallel chunking is a
 // pure function of the range and worker count, so repeated runs at fixed
@@ -25,6 +25,7 @@
 //                                    vector bitwise
 #pragma once
 
+#include "obs/probes.hpp"
 #include "tensor/bitmask.hpp"
 #include "tensor/tensor.hpp"
 
@@ -97,6 +98,12 @@ void add_relu_forward(Tensor& y, const Tensor& s, BitMask* mask);
 
 /// ReLU backward in place: g[i] stays where mask bit i is set, else +0.
 void relu_backward(Tensor& g, const BitMask& mask);
+
+/// The numeric-health block of x[0..n) the probes record (obs/probes.hpp):
+/// NaN, Inf and ±0 counts, max |v| over finite v, and
+/// l2 = sqrt(s), where s sums v·v over the finite v in one ascending chain
+/// of adds from +0. Each ISA gives these bits (docs/KERNELS.md).
+obs::TensorStats tensor_stats(const double* x, std::size_t n);
 
 /// Max pooling. The first NaN in a window's scan order wins, else its first
 /// strict maximum. A non-null `argmax` (train mode) records the winning

@@ -36,6 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 
 #include "tensor/bitmask.hpp"
 #include "tensor/kernels.hpp"
@@ -421,6 +422,58 @@ void maxpool_map_scalar(const double* xmap, std::size_t h, std::size_t w,
   }
 }
 
+/// relu backward: g[i] stays where mask bit i is set, else +0.
+void relu_backward_scalar(double* g, const std::uint64_t* words,
+                          std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool keep = ((words[i / kMaskBits] >> (i % kMaskBits)) & 1u) != 0;
+    g[i] = keep ? g[i] : 0.0;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Probe stats. The rule: count NaN, Inf and ±0; take max |v| over the finite
+// v, from 0; sum v·v over the finite v in ascending i, one add at a time
+// from +0, and take the square root. Counts and max do not depend on order,
+// and a ±0 adds exactly +0 to a sum that is never −0, so a vector lane may
+// count and max four elements at a time and leave the ±0 squares out of the
+// chain; the chain itself stays one scalar add per square, never lanes.
+// No lane here may be built with the fma target: GCC contracts
+// `s += v * v` into one FMA there, which rounds once where the rule rounds
+// twice (docs/KERNELS.md).
+// ---------------------------------------------------------------------------
+
+/// The rule over x[0..n), continuing the counts and max of `s` and the
+/// chain `sumsq`; returns s with l2 set from the final sum. Always inlined,
+/// so the vector lane's tail is built with the lane's own target.
+__attribute__((always_inline)) inline obs::TensorStats stats_scalar(
+    const double* x, std::size_t n, obs::TensorStats s, double sumsq) {
+  // Ascending-element accumulation: the documented deterministic order.
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = x[i];
+    if (std::isnan(v)) {
+      ++s.nan_count;
+      continue;
+    }
+    if (std::isinf(v)) {
+      ++s.inf_count;
+      continue;
+    }
+    if (v == 0.0) ++s.zero_count;
+    const double a = std::fabs(v);
+    if (a > s.max_abs) s.max_abs = a;
+    sumsq += v * v;
+  }
+  s.l2 = std::sqrt(sumsq);
+  return s;
+}
+
+obs::TensorStats tensor_stats_scalar(const double* x, std::size_t n) {
+  obs::TensorStats s;
+  s.numel = n;
+  return stats_scalar(x, n, s, 0.0);
+}
+
 #if defined(CKPTFI_SIMD_X86)
 
 // AVX2 + FMA3. `vfmadd` rounds once per term exactly like std::fma, and the
@@ -711,6 +764,112 @@ __attribute__((target("avx2"))) void relu_avx2(double* y, const double* s,
   if (nw < n)
     relu_scalar<kAdd>(y + nw, kAdd ? s + nw : s, n - nw,
                       mask != nullptr ? mask + nw / kMaskBits : nullptr);
+}
+
+/// relu backward over whole mask words: each 4-bit nibble becomes a lane
+/// mask that is ANDed into four gradients, so a dropped lane reads +0. The
+/// last partial word runs the scalar lanes.
+__attribute__((target("avx2"))) void relu_backward_avx2(
+    double* g, const std::uint64_t* words, std::size_t n) {
+  const std::size_t nw = n - n % kMaskBits;
+  const __m256i lane_bit = _mm256_set_epi64x(8, 4, 2, 1);
+  for (std::size_t w0 = 0; w0 < nw; w0 += kMaskBits) {
+    const std::uint64_t word = words[w0 / kMaskBits];
+    for (std::size_t q = 0; q < kMaskBits; q += 4) {
+      const __m256i nibble =
+          _mm256_set1_epi64x(static_cast<long long>((word >> q) & 0xF));
+      const __m256i keep = _mm256_cmpeq_epi64(
+          _mm256_and_si256(nibble, lane_bit), lane_bit);
+      _mm256_storeu_pd(g + w0 + q,
+                       _mm256_and_pd(_mm256_loadu_pd(g + w0 + q),
+                                     _mm256_castsi256_pd(keep)));
+    }
+  }
+  if (nw < n) relu_backward_scalar(g + nw, words + nw / kMaskBits, n - nw);
+}
+
+/// Elements per packing block of tensor_stats_avx2, whose stack buffer
+/// holds one block's squares.
+constexpr std::size_t kStatsBlock = 256;
+
+/// Row m holds the permutevar8x32 indices that move the doubles of the
+/// lanes set in the 4-bit mask m to the front, in ascending lane order.
+struct PackTable {
+  alignas(32) std::int32_t idx[16][8];
+};
+
+constexpr PackTable make_pack_table() {
+  PackTable t{};
+  for (int m = 0; m < 16; ++m) {
+    int k = 0;
+    for (int l = 0; l < 4; ++l) {
+      if (((m >> l) & 1) == 0) continue;
+      t.idx[m][2 * k] = 2 * l;
+      t.idx[m][2 * k + 1] = 2 * l + 1;
+      ++k;
+    }
+  }
+  return t;
+}
+
+constexpr PackTable kPackTable = make_pack_table();
+
+/// The stats rule four lanes at a time: lane counts and a lane max, then
+/// per block the finite non-zero squares packed in ascending order and
+/// summed by the one scalar chain. The n % 4 tail runs the scalar loop.
+__attribute__((target("avx2"))) obs::TensorStats tensor_stats_avx2(
+    const double* x, std::size_t n) {
+  const std::size_t n4 = n - n % 4;
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  const __m256d zero = _mm256_setzero_pd();
+  __m256i nans = _mm256_setzero_si256();
+  __m256i infs = _mm256_setzero_si256();
+  __m256i zeros = _mm256_setzero_si256();
+  __m256d max_abs = zero;
+  double sumsq = 0.0;
+  double squares[kStatsBlock] = {};
+  for (std::size_t b0 = 0; b0 < n4; b0 += kStatsBlock) {
+    const std::size_t b1 = std::min(n4, b0 + kStatsBlock);
+    std::size_t packed = 0;
+    for (std::size_t i = b0; i < b1; i += 4) {
+      const __m256d v = _mm256_loadu_pd(x + i);
+      const __m256d a = _mm256_andnot_pd(sign, v);
+      const __m256d finite = _mm256_cmp_pd(a, inf, _CMP_LT_OQ);
+      const __m256d is_zero = _mm256_cmp_pd(v, zero, _CMP_EQ_OQ);
+      // A set compare lane is all ones, −1 as an integer.
+      nans = _mm256_sub_epi64(
+          nans, _mm256_castpd_si256(_mm256_cmp_pd(v, v, _CMP_UNORD_Q)));
+      infs = _mm256_sub_epi64(
+          infs, _mm256_castpd_si256(_mm256_cmp_pd(a, inf, _CMP_EQ_OQ)));
+      zeros = _mm256_sub_epi64(zeros, _mm256_castpd_si256(is_zero));
+      max_abs = _mm256_max_pd(max_abs, _mm256_and_pd(a, finite));
+      const int keep = _mm256_movemask_pd(_mm256_andnot_pd(is_zero, finite));
+      const __m256i idx = _mm256_load_si256(
+          reinterpret_cast<const __m256i*>(kPackTable.idx[keep]));
+      _mm256_storeu_pd(squares + packed,
+                       _mm256_castps_pd(_mm256_permutevar8x32_ps(
+                           _mm256_castpd_ps(_mm256_mul_pd(v, v)), idx)));
+      packed += static_cast<std::size_t>(__builtin_popcount(keep));
+    }
+    for (std::size_t j = 0; j < packed; ++j) sumsq += squares[j];
+  }
+
+  obs::TensorStats s;
+  s.numel = n;
+  std::uint64_t counts[3][4];
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(counts[0]), nans);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(counts[1]), infs);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(counts[2]), zeros);
+  double lane_max[4];
+  _mm256_storeu_pd(lane_max, max_abs);
+  for (std::size_t l = 0; l < 4; ++l) {
+    s.nan_count += counts[0][l];
+    s.inf_count += counts[1][l];
+    s.zero_count += counts[2][l];
+    if (lane_max[l] > s.max_abs) s.max_abs = lane_max[l];
+  }
+  return stats_scalar(x + n4, n - n4, s, sumsq);
 }
 
 /// The fixed 2×2, stride-2, unpadded window (every pool in the three
@@ -1086,6 +1245,23 @@ MaxPoolMapFn pick_maxpool_map(const ConvSpec& spec) {
   return maxpool_map_scalar;
 }
 
+using ReluBackwardFn = void (*)(double*, const std::uint64_t*, std::size_t);
+using TensorStatsFn = obs::TensorStats (*)(const double*, std::size_t);
+
+ReluBackwardFn pick_relu_backward() {
+#if defined(CKPTFI_SIMD_X86)
+  if (use_vector_isa()) return relu_backward_avx2;
+#endif
+  return relu_backward_scalar;
+}
+
+TensorStatsFn pick_tensor_stats() {
+#if defined(CKPTFI_SIMD_X86)
+  if (use_vector_isa()) return tensor_stats_avx2;
+#endif
+  return tensor_stats_scalar;
+}
+
 /// Quantize a double panel to binary16 storage (bitwise identical to
 /// quantize_value(v, 16)) and widen it exactly to fp32 compute form. The u16
 /// panel is the storage representation the corrupter's Table VII campaigns
@@ -1287,12 +1463,11 @@ void add_relu_forward(Tensor& y, const Tensor& s, BitMask* mask) {
 
 void relu_backward(Tensor& g, const BitMask& mask) {
   require(mask.size() == g.numel(), "relu_backward: mask size mismatch");
-  double* pg = g.data();
-  const std::uint64_t* words = mask.words();
-  for (std::size_t i = 0; i < g.numel(); ++i) {
-    const bool keep = ((words[i / kMaskBits] >> (i % kMaskBits)) & 1u) != 0;
-    pg[i] = keep ? pg[i] : 0.0;
-  }
+  pick_relu_backward()(g.data(), mask.words(), g.numel());
+}
+
+obs::TensorStats tensor_stats(const double* x, std::size_t n) {
+  return pick_tensor_stats()(x, n);
 }
 
 void maxpool2d_forward(const Tensor& x, const ConvSpec& spec, Tensor& y,

@@ -31,4 +31,10 @@ inline void require(bool cond, const std::string& msg) {
   if (!cond) throw InvalidArgument(msg);
 }
 
+/// The same for a literal message, which builds its std::string only when
+/// it throws, so a passing check never allocates.
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw InvalidArgument(msg);
+}
+
 }  // namespace ckptfi

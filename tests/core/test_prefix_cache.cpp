@@ -11,6 +11,7 @@
 #include "core/prefix_cache.hpp"
 #include "hdf5/io.hpp"
 #include "obs/probes.hpp"
+#include "tensor/ops.hpp"
 #include "util/common.hpp"
 
 namespace ckptfi::core {
@@ -39,10 +40,10 @@ PrefixEntryData make_entry(double salt) {
 
   obs::RecordedPoint p1;
   p1.point = {"conv1", obs::ProbePhase::kForward};
-  p1.stats = obs::tensor_stats(e.boundary[0].data(), e.boundary[0].numel());
+  p1.stats = tensor_stats(e.boundary[0].data(), e.boundary[0].numel());
   obs::RecordedPoint p2;
   p2.point = {"conv2", obs::ProbePhase::kBackward};
-  p2.stats = obs::tensor_stats(e.boundary[1].data(), e.boundary[1].numel());
+  p2.stats = tensor_stats(e.boundary[1].data(), e.boundary[1].numel());
   e.probe_prefix = {p1, p2};
   return e;
 }

@@ -17,6 +17,7 @@
 #include "core/corrupter.hpp"
 #include "core/experiment.hpp"
 #include "core/scheduler.hpp"
+#include "support/isa_guard.hpp"
 #include "tensor/kernels.hpp"
 #include "util/threadpool.hpp"
 
@@ -36,15 +37,6 @@ ExperimentConfig tiny_config() {
   cfg.seed = 9;
   return cfg;
 }
-
-class IsaGuard {
- public:
-  explicit IsaGuard(SimdIsa isa) : prev_(simd_isa()) { set_simd_isa(isa); }
-  ~IsaGuard() { set_simd_isa(prev_); }
-
- private:
-  SimdIsa prev_;
-};
 
 class PrecisionGuard {
  public:

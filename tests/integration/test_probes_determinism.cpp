@@ -3,7 +3,8 @@
 //     and TrainResults to an unprobed resume of the same checkpoint;
 //   - divergence traces are a pure function of the trial: a fig4-style
 //     mini-campaign emits byte-identical trace JSON under --jobs 8 and
-//     --jobs 1.
+//     --jobs 1, and a corrupted trial records the same timeline on the
+//     vector ISA as on the scalar lanes.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +13,8 @@
 #include "core/corrupter.hpp"
 #include "core/experiment.hpp"
 #include "core/scheduler.hpp"
+#include "support/isa_guard.hpp"
+#include "tensor/kernels.hpp"
 #include "util/threadpool.hpp"
 
 namespace ckptfi::core {
@@ -130,6 +133,45 @@ TEST(ProbesDeterminism, DivergenceTracesInvariantUnderJobs) {
   for (const std::string& d : serial)
     if (d.find("\"diverged\":true") != std::string::npos) any_diverged = true;
   EXPECT_TRUE(any_diverged);
+}
+
+/// A corrupted probed trial, from baseline training to divergence trace, on
+/// the ISA in force.
+struct ProbedTrial {
+  obs::Probes probes;
+  std::string trace;
+};
+
+ProbedTrial probed_trial() {
+  ExperimentRunner runner(tiny_config());
+  mh5::File ckpt = corrupted_checkpoint(runner, 7);
+  ExperimentRunner::ProbedResume probed = runner.resume_training_probed(ckpt);
+  std::string trace =
+      runner.divergence_vs_clean(probed.probes).to_json().dump();
+  return {std::move(probed.probes), std::move(trace)};
+}
+
+TEST(ProbesDeterminism, TimelineBitwiseAcrossIsas) {
+  const ProbedTrial vec = probed_trial();
+  ProbedTrial scalar;
+  {
+    IsaGuard guard(SimdIsa::kScalar);
+    scalar = probed_trial();
+  }
+  ASSERT_TRUE(vec.probes.same_layout(scalar.probes));
+  ASSERT_EQ(vec.probes.num_steps(), scalar.probes.num_steps());
+  for (std::size_t s = 0; s < vec.probes.num_steps(); ++s) {
+    for (std::size_t p = 0; p < vec.probes.points_per_step(); ++p) {
+      EXPECT_TRUE(vec.probes.at(s, p) == scalar.probes.at(s, p))
+          << "step " << s << ", " << vec.probes.layout()[p].layer << " "
+          << obs::probe_phase_name(vec.probes.layout()[p].phase) << ": "
+          << vec.probes.at(s, p).to_json().dump() << " vs "
+          << scalar.probes.at(s, p).to_json().dump();
+    }
+  }
+  EXPECT_EQ(vec.trace, scalar.trace);
+  // The injections must reach the timeline, or it pins nothing.
+  EXPECT_NE(vec.trace.find("\"diverged\":true"), std::string::npos);
 }
 
 }  // namespace

@@ -4,11 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "tensor/ops.hpp"
 #include "util/common.hpp"
+
+// Heap allocations so far in this binary: test_registry.cpp replaces the
+// global operator new with a counting one.
+extern std::atomic<std::uint64_t> g_allocations;
 
 namespace ckptfi::obs {
 namespace {
@@ -42,12 +49,18 @@ TEST(TensorStats, EmptyAndExactEquality) {
   EXPECT_TRUE(tensor_stats(x.data(), 2) != tensor_stats(y.data(), 2));
 }
 
+/// Append the stats of x[0..n), as a container does after each layer.
+void record(Probes& p, std::string_view layer, ProbePhase phase,
+            const double* x, std::size_t n) {
+  p.record_stats(layer, phase, tensor_stats(x, n));
+}
+
 void record_step(Probes& p, std::uint64_t id, double a, double b) {
   p.begin_step(id);
   const double fwd[2] = {a, a};
   const double bwd[3] = {b, b, b};
-  p.record("dense1", ProbePhase::kForward, fwd, 2);
-  p.record("dense1", ProbePhase::kBackward, bwd, 3);
+  record(p, "dense1", ProbePhase::kForward, fwd, 2);
+  record(p, "dense1", ProbePhase::kBackward, bwd, 3);
 }
 
 TEST(Probes, LayoutLearnedOnStepZeroThenFrozen) {
@@ -70,17 +83,35 @@ TEST(Probes, ScheduleDriftIsRejected) {
   record_step(p, 0, 1.0, 1.0);
   p.begin_step(1);
   const double v[1] = {1.0};
-  p.record("dense1", ProbePhase::kForward, v, 1);
+  record(p, "dense1", ProbePhase::kForward, v, 1);
   // Same slot, different layer name: the frozen schedule must reject it.
-  EXPECT_THROW(p.record("dense2", ProbePhase::kForward, v, 1), Error);
+  EXPECT_THROW(record(p, "dense2", ProbePhase::kForward, v, 1), Error);
 
   Probes q;
   record_step(q, 0, 1.0, 1.0);
   q.begin_step(1);
-  q.record("dense1", ProbePhase::kForward, v, 1);
-  q.record("dense1", ProbePhase::kBackward, v, 1);
+  record(q, "dense1", ProbePhase::kForward, v, 1);
+  record(q, "dense1", ProbePhase::kBackward, v, 1);
   // A third point exceeds the step-0 layout.
-  EXPECT_THROW(q.record("dense1", ProbePhase::kBackward, v, 1), Error);
+  EXPECT_THROW(record(q, "dense1", ProbePhase::kBackward, v, 1), Error);
+}
+
+// Within set_expected_steps, a step after the layout froze is an append
+// into reserved storage (docs/OBSERVABILITY.md): computing the stats
+// allocates nothing, and the schedule checks build no message unless they
+// throw.
+TEST(Probes, FrozenStepsDoNotAllocate) {
+  Probes p;
+  p.set_expected_steps(10);
+  // Step 0 learns the layout; step 1's begin_step freezes it and reserves.
+  record_step(p, 0, 1.0, 2.0);
+  record_step(p, 1, 1.0, 2.0);
+  const std::uint64_t before = g_allocations.load();
+  for (std::uint64_t step = 2; step < 10; ++step) {
+    record_step(p, step, 1.0 + static_cast<double>(step), -0.0);
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(p.num_steps(), 10u);
 }
 
 TEST(Probes, ScopeInstallsPerThreadAndNests) {
@@ -160,7 +191,7 @@ TEST(Diverge, LayoutMismatchThrows) {
   record_step(clean, 0, 1.0, 2.0);
   trial.begin_step(0);
   const double v[1] = {1.0};
-  trial.record("other", ProbePhase::kForward, v, 1);
+  record(trial, "other", ProbePhase::kForward, v, 1);
   EXPECT_THROW(diverge(clean, trial), Error);
 }
 

@@ -14,8 +14,9 @@
 using namespace ckptfi;
 
 // Allocation counter: replacing global operator new lets the zero-overhead
-// test observe exactly how many heap allocations a code region performs.
-static std::atomic<std::uint64_t> g_allocations{0};
+// tests (here and in test_probes.cpp) observe exactly how many heap
+// allocations a code region performs.
+std::atomic<std::uint64_t> g_allocations{0};
 
 void* operator new(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "support/isa_guard.hpp"
 #include "support/ops_naive.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/quantize.hpp"
@@ -115,16 +116,6 @@ void expect_rel_close(const Tensor& a, const Tensor& b, double tol = 1e-12) {
     EXPECT_LE(std::abs(a[i] - b[i]), tol * denom) << "i=" << i;
   }
 }
-
-/// Pins the simd tier's ISA (kScalar is always available) and restores.
-class IsaGuard {
- public:
-  explicit IsaGuard(SimdIsa isa) : prev_(simd_isa()) { set_simd_isa(isa); }
-  ~IsaGuard() { set_simd_isa(prev_); }
-
- private:
-  SimdIsa prev_;
-};
 
 /// Pins the GEMM compute precision and restores.
 class PrecisionGuard {
@@ -963,6 +954,136 @@ TEST(SelectKernels, ReluAndJoinFollowTheRuleBitwise) {
             << "i=" << i;
     }
   });
+}
+
+// ---------------------------------------------------------------------------
+// Probe stats: every ISA must give the bits of a direct statement of the
+// rule (ops.hpp). Counts and the max do not depend on order, but l2 does:
+// summing these squares in any other order than one ascending chain, or
+// fusing a square into its add, reads other bits.
+
+/// The rule: NaN, Inf and ±0 counts; max |v| over finite v, from 0; l2 the
+/// square root of v·v over finite v, added in ascending i from +0.
+obs::TensorStats stats_rule(const std::vector<double>& x) {
+  obs::TensorStats s;
+  s.numel = x.size();
+  double sum = 0.0;
+  for (const double v : x) {
+    if (std::isnan(v)) {
+      ++s.nan_count;
+    } else if (std::isinf(v)) {
+      ++s.inf_count;
+    } else {
+      if (v == 0.0) ++s.zero_count;
+      s.max_abs = std::max(s.max_abs, std::fabs(v));
+      sum += v * v;
+    }
+  }
+  s.l2 = std::sqrt(sum);
+  return s;
+}
+
+enum class StatsShape { kSpecials, kFinite, kDense, kRelu, kPoolGrad };
+
+/// `n` inputs of one shape, standard normals but for: kSpecials mixes in
+/// NaNs of both signs and four payloads, ±Inf, ±0, subnormals, and values
+/// whose square underflows to 0 or overflows to Inf; kFinite the same less
+/// the non-finite ones, so its l2 stays finite. kRelu is half ±0 and half
+/// positive, kPoolGrad three quarters ±0.
+std::vector<double> stats_input(StatsShape shape, std::size_t n, Rng& rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double specials[] = {
+      from_bits(0x7FF8000000000001ull), from_bits(0xFFF80000000000A5ull),
+      from_bits(0x7FF0000000000F00ull), from_bits(0xFFF4000000000000ull),
+      inf,    -inf,   1e200,  -3e180,  // squares overflow
+      0.0,    -0.0,   tiny,   -5 * tiny,
+      std::numeric_limits<double>::min() / 3,
+      1e-200, -2e-170,  // squares underflow to +0
+      1e-160,           // square subnormal
+  };
+  const double finite[] = {0.0,    -0.0,    tiny,   -5 * tiny,
+                           std::numeric_limits<double>::min() / 3,
+                           1e-200, -2e-170, 1e-160};
+  const auto pick = [&rng](const auto& values) {
+    return values[rng.uniform_int(
+        0, static_cast<std::int64_t>(std::size(values)) - 1)];
+  };
+  std::vector<double> x(n);
+  for (double& v : x) {
+    const double u = rng.uniform();
+    const double normal = rng.normal();
+    switch (shape) {
+      case StatsShape::kSpecials:
+        v = u < 0.3 ? pick(specials) : normal;
+        break;
+      case StatsShape::kFinite:
+        v = u < 0.3 ? pick(finite) : normal;
+        break;
+      case StatsShape::kDense:
+        v = normal;
+        break;
+      case StatsShape::kRelu:
+        v = u < 0.5 ? (u < 0.25 ? 0.0 : -0.0) : std::fabs(normal);
+        break;
+      case StatsShape::kPoolGrad:
+        v = u < 0.75 ? (u < 0.5 ? 0.0 : -0.0) : normal;
+        break;
+    }
+  }
+  return x;
+}
+
+void expect_same_stats(const obs::TensorStats& got,
+                       const obs::TensorStats& want) {
+  EXPECT_EQ(got.numel, want.numel);
+  EXPECT_EQ(got.nan_count, want.nan_count);
+  EXPECT_EQ(got.inf_count, want.inf_count);
+  EXPECT_EQ(got.zero_count, want.zero_count);
+  EXPECT_EQ(to_bits(got.max_abs), to_bits(want.max_abs));
+  EXPECT_EQ(to_bits(got.l2), to_bits(want.l2))
+      << got.l2 << " vs " << want.l2;
+}
+
+// 255, 256 and 257 sit one below, at and one above the AVX2 lane's
+// 256-element packing block; 1155 ends in a partial block and a 3-element
+// tail.
+const std::size_t kStatsLengths[] = {
+    0, 1, 3, 4, 5, 255, 256, 257, 1155, std::size_t{1} << 17};
+
+TEST(SimdStatsEquivalence, EveryShapeAndLengthFollowsTheRuleBitwise) {
+  const std::pair<StatsShape, const char*> shapes[] = {
+      {StatsShape::kSpecials, "specials"}, {StatsShape::kFinite, "finite"},
+      {StatsShape::kDense, "dense"},       {StatsShape::kRelu, "relu"},
+      {StatsShape::kPoolGrad, "pool_grad"}};
+  Rng rng(1401);
+  for (const auto& [shape, name] : shapes) {
+    for (const std::size_t n : kStatsLengths) {
+      SCOPED_TRACE(std::string(name) + " n=" + std::to_string(n));
+      const std::vector<double> x = stats_input(shape, n, rng);
+      const obs::TensorStats want = stats_rule(x);
+      for_each_isa(
+          [&] { expect_same_stats(tensor_stats(x.data(), n), want); });
+    }
+  }
+}
+
+TEST(SimdStatsEquivalence, ReadsOnlyItsRange) {
+  // Every offset into an aligned buffer, with NaNs on both sides of the
+  // range: a lane that read past either end would count them.
+  Rng rng(1402);
+  std::vector<double> buf = stats_input(StatsShape::kFinite, 64, rng);
+  for (std::size_t i = 0; i < 8; ++i)
+    buf[i] = buf[buf.size() - 1 - i] = generated_nan();
+  for (std::size_t off = 8; off < 12; ++off) {
+    for (std::size_t n = 0; off + n + 8 <= buf.size(); ++n) {
+      SCOPED_TRACE("off=" + std::to_string(off) + " n=" + std::to_string(n));
+      const std::vector<double> x(buf.begin() + off, buf.begin() + off + n);
+      const obs::TensorStats want = stats_rule(x);
+      for_each_isa(
+          [&] { expect_same_stats(tensor_stats(buf.data() + off, n), want); });
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
