@@ -16,19 +16,19 @@
 // the --trials-out rows carry where each injection's corruption went — the
 // input ckptfi_report aggregates.
 //
-// Because all of a layer's trials corrupt the same layer, they share an
-// activation prefix: with --prefix-reuse=on (the default) each trial enters
-// the network at the injected layer's segment with cached upstream
-// activations (core::PrefixCache) instead of recomputing them —
-// bitwise-identical output, less compute. Two modes:
+// Two modes:
 //
 //   --mode=train    (default) the paper's resumed-training trajectories;
-//                   prefix entry covers the first resumed batch.
+//                   every trial trains the whole network.
 //   --mode=predict  inference-only trials (load corrupted checkpoint,
-//                   evaluate the test set): every test batch reuses its
-//                   cached boundary activation, so deep-layer campaigns
-//                   (fc8) skip nearly all upstream compute — the headline
-//                   prefix-reuse speedup (see EXPERIMENTS.md).
+//                   evaluate the test set). All of a layer's trials corrupt
+//                   the same layer, so they share the activations upstream
+//                   of it: with --prefix-reuse=on (the default) every test
+//                   batch enters the network at the injected layer's
+//                   segment with its cached boundary activation
+//                   (core::PrefixCache) — bitwise-identical output, and
+//                   deep-layer campaigns (fc8) skip nearly all upstream
+//                   compute (see EXPERIMENTS.md).
 //
 //   --layers=a,b,c  override the injected layer list (canonical names).
 #include "bench/common.hpp"
@@ -70,9 +70,11 @@ int main(int argc, char** argv) {
           for (const Json& r : rows) acc_sum += r.at("accuracy").as_double();
           table.add_row(
               {label(cell),
-               format_fixed(100.0 * acc_sum /
-                                static_cast<double>(cell.trials),
-                            1),
+               cell.trials == 0
+                   ? "-"
+                   : format_fixed(100.0 * acc_sum /
+                                      static_cast<double>(cell.trials),
+                                  1),
                std::to_string(bench::count_true(rows, "nev")),
                std::to_string(cell.trials)});
           bench::tick();

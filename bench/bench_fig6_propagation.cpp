@@ -16,9 +16,7 @@
 // Trial bodies: core::Campaign "fig6", run by bench::run_campaign — one
 // trial per layer. Rows carry the full boxplot stats, so a --resume-from run
 // renders the tables without retraining. One memoized clean probed run
-// serves the weight-diff twin, the divergence baseline and the prefix-cache
-// builds; with --prefix-reuse=on each trial enters the network at its
-// injected layer's segment (bitwise-identical results).
+// serves both the weight-diff twin and the divergence baseline.
 #include "bench/common.hpp"
 
 using namespace ckptfi;

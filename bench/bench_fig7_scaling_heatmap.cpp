@@ -43,7 +43,9 @@ int main(int argc, char** argv) {
         double acc_sum = 0.0;
         for (const Json& r : rows) acc_sum += r.at("accuracy").as_double();
         grid.back().push_back(
-            format_fixed(acc_sum / static_cast<double>(cell.trials), 1));
+            cell.trials == 0
+                ? "-"
+                : format_fixed(acc_sum / static_cast<double>(cell.trials), 1));
         bench::tick();
       });
   core::TextTable table(header);

@@ -41,10 +41,10 @@
 //                      and exit without running any trials (every campaign
 //                      bench is fleet-capable; docs/FLEET.md).
 //   --prefix-reuse=on|off
-//                      layer-targeted benches: reuse cached activation
-//                      prefixes for trial groups that share an injected
-//                      layer (core::PrefixCache). Bitwise-identical to a
-//                      full recompute; default on.
+//                      fig4 --mode=predict only: each trial enters the
+//                      network at its injected layer's segment with cached
+//                      test-batch activations (core::PrefixCache).
+//                      Bitwise-identical to a full recompute; default on.
 #pragma once
 
 #include <cstdio>
@@ -262,12 +262,18 @@ inline core::CampaignOptions campaign_options(
 
 /// The bench's campaign (kind `bench`, see core::campaign_kinds()). With
 /// --fleet-manifest it writes the manifest for ckptfi-fleetd instead and
-/// returns nullptr: the bench exits 0 without running trials.
+/// returns nullptr: the bench exits 0 without running trials. Options the
+/// campaign refuses (core::Campaign::make) exit 2 with its message.
 inline std::unique_ptr<core::Campaign> open_campaign(
     const BenchOptions& o, const std::string& bench,
     const std::string& mode = "", const std::vector<std::string>& layers = {}) {
-  std::unique_ptr<core::Campaign> campaign =
-      core::Campaign::make(campaign_options(o, bench, mode, layers));
+  std::unique_ptr<core::Campaign> campaign;
+  try {
+    campaign = core::Campaign::make(campaign_options(o, bench, mode, layers));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench: %s\n", e.what());
+    std::exit(2);
+  }
   if (o.fleet_manifest.empty()) return campaign;
   std::ofstream out(o.fleet_manifest, std::ios::trunc);
   if (!out) {
@@ -358,8 +364,10 @@ inline std::size_t count_true(const std::vector<Json>& rows,
   return n;
 }
 
-/// 100 * n / d to one decimal: the tables' percentage cell.
+/// 100 * n / d to one decimal: the tables' percentage cell; "-" when d is
+/// 0 (a campaign run with --trainings=0).
 inline std::string percent(std::size_t n, std::size_t d) {
+  if (d == 0) return "-";
   return format_fixed(
       100.0 * static_cast<double>(n) / static_cast<double>(d), 1);
 }

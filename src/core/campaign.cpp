@@ -192,14 +192,6 @@ class GridCampaign : public Campaign {
     return *runners_.at(runner_key(s));
   }
 
-  /// The entry segment of a trial whose corruption `log` records: the
-  /// runner's deepest safe prefix when prefix reuse is on, else 0 (the full
-  /// path).
-  std::size_t entry_segment(ExperimentRunner& r,
-                            const InjectionLog& log) const {
-    return opts_.prefix_reuse ? r.entry_segment(log) : 0;
-  }
-
   /// Builds, once, the canonical-coordinate context that fig4/6/7 corrupt
   /// through, from `r`'s model (each of those kinds runs one panel). Like
   /// runner_for, only build_cell calls this; run_trial reads context().
@@ -356,10 +348,8 @@ class Table5Campaign final : public GridCampaign {
         Corrupter(bit_range(1, 0, float_layout(64).exponent_msb() - 1,
                             trial.seed))
             .corrupt(ckpt);
-    // The flip lands in a random layer; the log tells us which, and the
-    // prefix upstream of it is reusable across the cell.
-    ExperimentRunner::ProbedResume probed = runner.resume_training_probed(
-        ckpt, opts_.resume_epochs, entry_segment(runner, rep.log));
+    ExperimentRunner::ProbedResume probed =
+        runner.resume_training_probed(ckpt, opts_.resume_epochs);
     const nn::TrainResult& res = probed.result;
     const ExperimentRunner::CleanProbedRun& clean =
         runner.clean_probed_run(opts_.resume_epochs);
@@ -400,7 +390,6 @@ class Table6Campaign final : public GridCampaign {
     ExperimentRunner& runner = this->runner(s);
     mh5::File ckpt = runner.restart_checkpoint();
     Json log;
-    std::size_t seg = 0;
     if (!s.variant.empty()) {
       CorrupterConfig cc;
       cc.corruption_mode = CorruptionMode::BitMask;
@@ -409,11 +398,8 @@ class Table6Campaign final : public GridCampaign {
       cc.seed = trial.seed;
       const InjectionReport rep = Corrupter(cc).corrupt(ckpt);
       log = row_log(rep.log);
-      // 10 random weights scatter across layers; the shallowest one bounds
-      // the reusable prefix (often 0 — then this is a no-op).
-      seg = entry_segment(runner, rep.log);
     }
-    const nn::TrainResult res = runner.resume_training(ckpt, 1, seg);
+    const nn::TrainResult res = runner.resume_training(ckpt, 1);
     Json row = trial_row(cell, trial);
     row["collapsed"] = res.collapsed;
     row["final_accuracy"] = res.final_accuracy;
@@ -585,7 +571,8 @@ class Fig3Campaign final : public GridCampaign {
 // Figure 4: 1000 flips confined to one chainer/alexnet layer per cell. Mode
 // "train" resumes training (the paper's trajectories); mode "predict" is the
 // inference-only campaign, where every test batch of a deep-layer trial
-// reuses the cached prefix.
+// reuses the cached prefix when prefix reuse is on — the one trial path
+// CampaignOptions::prefix_reuse selects.
 class Fig4Campaign final : public GridCampaign {
  public:
   explicit Fig4Campaign(CampaignOptions opts) : GridCampaign(std::move(opts)) {
@@ -623,19 +610,18 @@ class Fig4Campaign final : public GridCampaign {
     cc.use_random_locations = false;
     cc.locations_to_corrupt = {"predictor/" + s.variant};
     InjectionReport rep = Corrupter(cc).corrupt(ckpt, context());
-    const std::size_t seg = entry_segment(runner, rep.log);
     Json row = trial_row(cell, trial);
 
     if (predict()) {
-      const nn::EvalResult ev = runner.predict(ckpt, seg);
+      const nn::EvalResult ev = runner.predict(
+          ckpt, opts_.prefix_reuse ? runner.entry_segment(rep.log) : 0);
       row["accuracy"] = ev.accuracy;
       row["nev"] = ev.nev;
       row["log"] = row_log(rep.log);
       return stamped(std::move(row));
     }
 
-    ExperimentRunner::ProbedResume probed =
-        runner.resume_training_probed(ckpt, 0, seg);
+    ExperimentRunner::ProbedResume probed = runner.resume_training_probed(ckpt);
     const obs::DivergenceTrace div = runner.divergence_vs_clean(probed.probes);
     if (trial.index == 0) {
       // Trial 0's log is the replayable artifact: it carries the model
@@ -745,8 +731,7 @@ class Fig6Campaign final : public GridCampaign {
     cc.use_random_locations = false;
     cc.locations_to_corrupt = {std::string("model_weights/") + layer};
     const InjectionReport rep = Corrupter(cc).corrupt(ckpt, context());
-    ExperimentRunner::ProbedResume probed =
-        runner.resume_training_probed(ckpt, 0, entry_segment(runner, rep.log));
+    ExperimentRunner::ProbedResume probed = runner.resume_training_probed(ckpt);
     const ExperimentRunner::CleanProbedRun& clean = runner.clean_probed_run();
 
     // Only weights that differ from the clean twin count (paper).
@@ -928,6 +913,22 @@ std::unique_ptr<Campaign> Campaign::make(const CampaignOptions& opts) {
     if (std::find(modes.begin(), modes.end(), opts.mode) == modes.end()) {
       throw Error(opts.bench + ": unknown mode '" + opts.mode + "' (runs: " +
                   k.modes + ")");
+    }
+    // Options no trial can run with are refused here, before any cell
+    // trains, instead of surfacing as an exception inside a trial.
+    for (const auto& [field, value] :
+         {std::pair{"width", opts.width},
+          std::pair{"train_images", opts.train_images},
+          std::pair{"test_images", opts.test_images}}) {
+      if (value == 0) {
+        throw Error(opts.bench + ": '" + field + "' must be at least 1");
+      }
+    }
+    if (opts.restart_epoch >= opts.total_epochs) {
+      throw Error(opts.bench + ": 'restart_epoch' (" +
+                  std::to_string(opts.restart_epoch) +
+                  ") must be below 'total_epochs' (" +
+                  std::to_string(opts.total_epochs) + ")");
     }
     return k.make(opts);
   }

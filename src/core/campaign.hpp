@@ -63,7 +63,8 @@ struct CampaignOptions {
   std::size_t restart_epoch = 2;
   std::size_t resume_epochs = 1;
   std::uint64_t seed = 42;
-  /// Bitwise-neutral execution knob (prefix-on ≡ prefix-off), so not part of
+  /// fig4 predict's inference prefix reuse (core::PrefixCache); no other
+  /// kind reads it. Bitwise-neutral (prefix-on ≡ prefix-off), so not part of
   /// the identity either.
   bool prefix_reuse = true;
 
@@ -86,7 +87,9 @@ struct CampaignCell {
 class Campaign {
  public:
   /// Build the campaign for opts.bench; throws Error on an unknown kind
-  /// (naming the registered ones) or a mode the kind does not know.
+  /// (naming the registered ones), a mode the kind does not know, or options
+  /// no trial can run with (a zero width, train_images or test_images, or a
+  /// restart_epoch not below total_epochs), naming the field.
   static std::unique_ptr<Campaign> make(const CampaignOptions& opts);
 
   virtual ~Campaign() = default;

@@ -114,9 +114,8 @@ const nn::TrainResult& ExperimentRunner::clean_resume() {
 }
 
 nn::TrainResult ExperimentRunner::resume_training(const mh5::File& ckpt,
-                                                  std::size_t epochs,
-                                                  std::size_t seg) {
-  return resume_impl(ckpt, epochs, /*probes=*/nullptr, seg).first;
+                                                  std::size_t epochs) {
+  return resume_impl(ckpt, epochs, /*probes=*/nullptr).first;
 }
 
 std::pair<nn::TrainResult, std::unique_ptr<nn::Model>>
@@ -127,7 +126,7 @@ ExperimentRunner::resume_training_with_model(const mh5::File& ckpt,
 
 std::pair<nn::TrainResult, std::unique_ptr<nn::Model>>
 ExperimentRunner::resume_impl(const mh5::File& ckpt, std::size_t epochs,
-                              obs::Probes* probes, std::size_t entry_seg) {
+                              obs::Probes* probes) {
   obs::Span span("experiment.resume", "resume", "experiment.resume_time");
   obs::counter_add("experiment.resumes");
   const auto from_epoch =
@@ -138,23 +137,6 @@ ExperimentRunner::resume_impl(const mh5::File& ckpt, std::size_t epochs,
     epochs = cfg_.total_epochs - from_epoch;
   }
   auto model = model_from(ckpt);
-
-  // Prefix entry: refuse (and fall back to the full path) rather than enter
-  // past any layer that does not guarantee a bitwise-identical resumed run.
-  std::shared_ptr<const PrefixEntryData> prefix;
-  nn::Trainer::PrefixEntry entry;
-  if (entry_seg > 0 && !model->prefix_safe_upto(entry_seg, /*training=*/true)) {
-    obs::counter_add("prefix.unsafe_refusals");
-    entry_seg = 0;
-  }
-  if (entry_seg > 0) {
-    prefix = train_prefix(from_epoch, entry_seg);
-    entry.segment = entry_seg;
-    entry.boundary = &prefix->boundary.front();
-    entry.state = &prefix->state;
-    entry.probe_prefix = probes != nullptr ? &prefix->probe_prefix : nullptr;
-    obs::counter_add("prefix.segments_skipped", entry_seg);
-  }
 
   nn::TrainConfig tc;
   tc.epochs = epochs;
@@ -171,8 +153,7 @@ ExperimentRunner::resume_impl(const mh5::File& ckpt, std::size_t epochs,
   // Like the paper's checkpoints, ours hold weights only: optimizer velocity
   // restarts at zero on resume (the source of Fig. 3b's slight bump).
   nn::TrainResult result =
-      trainer.fit(train_loader_->provider(), test_batches_, from_epoch, {},
-                  entry_seg > 0 ? &entry : nullptr);
+      trainer.fit(train_loader_->provider(), test_batches_, from_epoch);
   return {std::move(result), std::move(model)};
 }
 
@@ -184,9 +165,9 @@ std::size_t ExperimentRunner::resolve_resume_epochs(std::size_t epochs) const {
 }
 
 ExperimentRunner::ProbedResume ExperimentRunner::resume_training_probed(
-    const mh5::File& ckpt, std::size_t epochs, std::size_t seg) {
+    const mh5::File& ckpt, std::size_t epochs) {
   ProbedResume out;
-  auto [result, model] = resume_impl(ckpt, epochs, &out.probes, seg);
+  auto [result, model] = resume_impl(ckpt, epochs, &out.probes);
   out.result = std::move(result);
   out.model = std::move(model);
   return out;
@@ -231,10 +212,6 @@ nn::EvalResult ExperimentRunner::predict(const mh5::File& ckpt,
   obs::Span span("experiment.predict", "predict", "experiment.predict_time");
   obs::counter_add("experiment.predicts");
   auto model = model_from(ckpt);
-  if (seg > 0 && !model->prefix_safe_upto(seg, /*training=*/false)) {
-    obs::counter_add("prefix.unsafe_refusals");
-    seg = 0;
-  }
   if (seg == 0) return nn::evaluate_with_nev(*model, test_batches_);
   const auto epoch = static_cast<std::size_t>(fw::checkpoint_epoch(ckpt));
   const auto prefix = eval_prefix(epoch, seg);
@@ -312,44 +289,10 @@ std::size_t ExperimentRunner::entry_segment(const InjectionLog& log) {
   return min_seg == nn::Model::kNoSegment ? 0 : min_seg;
 }
 
-std::shared_ptr<const PrefixEntryData> ExperimentRunner::train_prefix(
-    std::size_t epoch, std::size_t seg) {
-  return prefix_cache_.get_or_build(
-      PrefixKey{epoch, seg, /*eval=*/false}, [&]() -> PrefixEntryData {
-        obs::Span span("experiment.prefix_build", "prefix",
-                       "experiment.prefix_build_time");
-        // The clean checkpoint at `epoch` has bitwise the same upstream
-        // weights as every corrupted clone in the trial group, so the clean
-        // model's entry-batch forward over [0, seg) *is* each trial's.
-        const mh5::File ckpt = checkpoint_at(epoch);
-        auto model = model_from(ckpt);
-        const std::vector<nn::Batch> batches = train_loader_->batches(epoch);
-        require(!batches.empty(), "train_prefix: no batches");
-
-        PrefixEntryData entry;
-        {
-          // Record the upstream forward under a scratch timeline: its step-0
-          // layout/stats become the splice a prefixed trial replays so its
-          // probe schedule matches a full run's.
-          obs::Probes scratch;
-          scratch.begin_step(0);
-          obs::Probes::Scope scope(scratch);
-          entry.boundary.push_back(
-              model->forward_prefix(seg, batches.front().x, /*training=*/true));
-          for (std::size_t p = 0; p < scratch.points_per_step(); ++p) {
-            entry.probe_prefix.push_back(
-                obs::RecordedPoint{scratch.layout()[p], scratch.at(0, p)});
-          }
-        }
-        model->capture_prefix_state(seg, entry.state);
-        return entry;
-      });
-}
-
 std::shared_ptr<const PrefixEntryData> ExperimentRunner::eval_prefix(
     std::size_t epoch, std::size_t seg) {
   return prefix_cache_.get_or_build(
-      PrefixKey{epoch, seg, /*eval=*/true}, [&]() -> PrefixEntryData {
+      PrefixKey{epoch, seg}, [&]() -> PrefixEntryData {
         obs::Span span("experiment.prefix_build", "prefix",
                        "experiment.prefix_build_time");
         const mh5::File ckpt = checkpoint_at(epoch);
@@ -359,8 +302,7 @@ std::shared_ptr<const PrefixEntryData> ExperimentRunner::eval_prefix(
         PrefixEntryData entry;
         entry.boundary.reserve(test_batches_.size());
         for (const nn::Batch& b : test_batches_) {
-          entry.boundary.push_back(
-              model->forward_prefix(seg, b.x, /*training=*/false));
+          entry.boundary.push_back(model->forward_prefix(seg, b.x));
         }
         return entry;
       });

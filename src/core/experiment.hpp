@@ -81,12 +81,9 @@ class ExperimentRunner {
 
   /// Resume training from `ckpt` for `epochs` epochs (or to total_epochs
   /// when epochs == 0). The epoch counter continues from the checkpoint's
-  /// recorded epoch, so batch schedules line up with the clean run. `seg` > 0
-  /// enters the first resumed batch at that segment (see "prefix reuse"
-  /// below); seg == 0 is the full path.
+  /// recorded epoch, so batch schedules line up with the clean run.
   nn::TrainResult resume_training(const mh5::File& ckpt,
-                                  std::size_t epochs = 0,
-                                  std::size_t seg = 0);
+                                  std::size_t epochs = 0);
 
   /// Same, but also hands back the trained model (for weight-propagation
   /// studies, paper Fig. 6).
@@ -103,12 +100,9 @@ class ExperimentRunner {
 
   /// resume_training_with_model plus probes. Probed and unprobed resumes of
   /// the same checkpoint produce bit-identical weights and TrainResults —
-  /// probes only observe. With `seg` > 0 the cached upstream forward probe
-  /// stats are spliced into the entry step, so the timeline layout, step
-  /// schedule and DivergenceTrace match the full run's bitwise.
+  /// probes only observe.
   ProbedResume resume_training_probed(const mh5::File& ckpt,
-                                      std::size_t epochs = 0,
-                                      std::size_t seg = 0);
+                                      std::size_t epochs = 0);
 
   /// The clean baseline a probed trial diverges from: restart checkpoint
   /// resumed for `epochs` epochs (total_epochs - restart_epoch when 0) with
@@ -145,14 +139,11 @@ class ExperimentRunner {
   //
   // A layer-targeted trial corrupts datasets of known layers, so everything
   // upstream of the shallowest injected layer is bitwise the clean baseline.
-  // The `seg` argument of resume_training, resume_training_probed and
-  // predict skips that prefix via core::PrefixCache: training resumes reuse
-  // the cached upstream forward for the entry batch only (the first
-  // optimizer step makes upstream weights diverge), predictions reuse cached
-  // boundary activations for every test batch. Prefixed and full runs are
-  // bitwise-identical in results, probe timelines and divergence traces; any
-  // unsafe/unmappable situation falls back to the full path (counted in
-  // `prefix.unsafe_refusals`), never to an approximation.
+  // predict's `seg` argument skips that prefix via core::PrefixCache: every
+  // test batch enters at the cached boundary activation. Eval forwards are
+  // pure, so prefixed and full predictions are bitwise-identical; a log that
+  // cannot be mapped to a segment falls back to the full path, never to an
+  // approximation.
 
   /// Deepest safe entry segment for a corrupted checkpoint: the segment of
   /// the shallowest layer named by the injection log's records. Returns 0
@@ -178,18 +169,9 @@ class ExperimentRunner {
 
   void cache_baseline_snapshot();
 
-  /// Shared resume path; records into `probes` when non-null. When
-  /// `entry_seg` > 0 (and the model's prefix [0, entry_seg) is train-safe)
-  /// the entry batch enters at the cached segment boundary.
+  /// Shared resume path; records into `probes` when non-null.
   std::pair<nn::TrainResult, std::unique_ptr<nn::Model>> resume_impl(
-      const mh5::File& ckpt, std::size_t epochs, obs::Probes* probes,
-      std::size_t entry_seg = 0);
-
-  /// Training prefix for checkpoint `epoch` at segment `seg`: the entry
-  /// batch's boundary activation + upstream forward footprint + upstream
-  /// forward probe stats, built from the clean baseline once per group.
-  std::shared_ptr<const PrefixEntryData> train_prefix(std::size_t epoch,
-                                                      std::size_t seg);
+      const mh5::File& ckpt, std::size_t epochs, obs::Probes* probes);
 
   /// Inference prefix: every test batch's boundary activation at `seg`.
   std::shared_ptr<const PrefixEntryData> eval_prefix(std::size_t epoch,
@@ -229,7 +211,7 @@ class ExperimentRunner {
   /// contents are guarded by their once-flags). Separate from baseline_mu_
   /// because computing them calls checkpoint_at (which takes baseline_mu_).
   std::mutex clean_mu_;
-  /// Cached activation prefixes, keyed by (epoch, segment, mode).
+  /// Cached inference prefixes, keyed by (epoch, segment).
   PrefixCache prefix_cache_;
   /// Lazily built maps for entry_segment(): dataset path -> canonical layer
   /// name, canonical layer name -> top-level segment. Guarded by

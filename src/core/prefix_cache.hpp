@@ -1,30 +1,23 @@
-// PrefixCache: per-baseline activation prefixes for prefix-reuse trials.
+// PrefixCache: per-baseline activation prefixes for inference prefix reuse.
 //
-// A layer-targeted campaign re-runs the network once per trial, but
+// A layer-targeted prediction re-runs the network once per trial, but
 // everything upstream of the injected layer is bitwise-identical across the
 // whole trial group (the corrupted checkpoint's upstream weights equal the
-// clean ones). The cache snapshots that shared upstream work once per
-// (checkpoint epoch, entry segment, mode) and hands every trial in the group
-// an immutable view:
+// clean ones, and eval forwards are pure). The cache computes that shared
+// upstream work once per (checkpoint epoch, entry segment): the boundary
+// activation of every test batch at the entry segment. A prefixed prediction
+// then runs only the suffix, for every batch.
 //
-//   * eval entries (`key.eval == true`): the boundary activation of every
-//     test batch at the entry segment — a prefixed prediction runs only the
-//     suffix, for every batch.
-//   * training entries: the entry batch's boundary activation, the captured
-//     upstream forward footprint (nn::PrefixState — what the skipped
-//     backward reads, BatchNorm running stats included), and the upstream
-//     forward probe stats for timeline stitching. Only the entry batch is
-//     reusable for training (see nn::Trainer::PrefixEntry).
-//
-// Entries the byte budget can't hold are spilled through the mh5
-// Sink/Source layer to disk and faulted back in on the next hit, so deep
-// models with fat early activations don't pin the campaign's memory.
+// Memory bound: a runner holds at most one entry per (checkpoint epoch,
+// entry segment), and an entry holds exactly the activations one full
+// prediction computes at that boundary — test images × the boundary's
+// per-image size, in doubles. Entries live as long as the runner; nothing is
+// evicted.
 //
 // Determinism contract: entries are immutable once built (shared as
 // shared_ptr<const>; ckptfi-lint's det-prefix-cache-mutation rule polices
-// consumers), builders are pure functions of the key, and a spill/reload
-// round-trip is bitwise lossless — so cache hits, misses, spills and
-// `--jobs N` scheduling cannot change any trial outcome.
+// consumers) and builders are pure functions of the key, so cache hits,
+// misses and `--jobs N` scheduling cannot change any trial outcome.
 #pragma once
 
 #include <cstddef>
@@ -33,17 +26,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
-#include "nn/prefix_state.hpp"
-#include "obs/probes.hpp"
 #include "tensor/tensor.hpp"
-
-namespace ckptfi::mh5 {
-class Sink;
-class Source;
-}  // namespace ckptfi::mh5
 
 namespace ckptfi::core {
 
@@ -51,88 +36,42 @@ namespace ckptfi::core {
 struct PrefixKey {
   std::size_t epoch = 0;    ///< checkpoint epoch the prefix is built from
   std::size_t segment = 0;  ///< entry segment (prefix covers [0, segment))
-  bool eval = false;        ///< inference prefix vs training prefix
 
   bool operator<(const PrefixKey& o) const {
     if (epoch != o.epoch) return epoch < o.epoch;
-    if (segment != o.segment) return segment < o.segment;
-    return eval < o.eval;
+    return segment < o.segment;
   }
 };
 
 /// One cached prefix (immutable once built).
 struct PrefixEntryData {
-  /// Boundary activations entering the segment: one per test batch for eval
-  /// entries, exactly the entry batch for training entries.
+  /// Boundary activations entering the segment, one per test batch.
   std::vector<Tensor> boundary;
-  /// Upstream forward footprint (training entries only).
-  nn::PrefixState state;
-  /// Upstream forward probe stats in layout order (training entries only).
-  std::vector<obs::RecordedPoint> probe_prefix;
-
-  /// Payload estimate used for cache accounting.
-  std::size_t payload_bytes() const;
 };
 
 class PrefixCache {
  public:
-  /// Budget from CKPTFI_PREFIX_CACHE_MB (MiB), default 256 MiB.
-  static std::size_t default_budget();
-
-  explicit PrefixCache(std::size_t budget_bytes = default_budget());
-  ~PrefixCache();
-
-  PrefixCache(const PrefixCache&) = delete;
-  PrefixCache& operator=(const PrefixCache&) = delete;
-
   using Builder = std::function<PrefixEntryData()>;
 
   /// The entry for `key`, building it via `build` on first touch. One build
   /// per key ever runs: concurrent callers of the same key wait for the
   /// first (builds serialize under the cache lock — once per trial group,
-  /// so the steady state is lock-hit-return). A spilled entry is reloaded
-  /// from disk bitwise. The returned entry is immutable and remains valid
-  /// for as long as the caller holds the pointer, even if evicted.
+  /// so the steady state is lock-hit-return). The returned entry is
+  /// immutable.
   std::shared_ptr<const PrefixEntryData> get_or_build(const PrefixKey& key,
                                                       const Builder& build);
 
-  // Introspection (tests + reporting). bytes_cached counts in-memory
-  // entries only; spilled entries live on disk until the cache dies.
+  // Introspection (tests + reporting).
   std::uint64_t hits() const;
   std::uint64_t misses() const;
-  std::uint64_t spills() const;
-  std::uint64_t reloads() const;
+  /// Bytes of boundary activations held.
   std::size_t bytes_cached() const;
-  std::size_t budget_bytes() const { return budget_; }
 
  private:
-  struct Slot {
-    std::shared_ptr<const PrefixEntryData> entry;  ///< null when spilled
-    std::string spill_path;                        ///< "" until spilled
-    std::size_t bytes = 0;
-    std::uint64_t last_use = 0;
-  };
-
-  /// Spill least-recently-used in-memory entries (never `keep`) until the
-  /// budget holds. Best-effort: an entry whose spill fails stays in memory.
-  void evict_over_budget(const PrefixKey& keep);
-  std::string next_spill_path();
-
   mutable std::mutex mu_;
-  std::map<PrefixKey, Slot> slots_;
-  std::size_t budget_;
+  std::map<PrefixKey, std::shared_ptr<const PrefixEntryData>> entries_;
   std::size_t bytes_cached_ = 0;
-  std::uint64_t tick_ = 0;
-  std::uint64_t hits_ = 0, misses_ = 0, spills_ = 0, reloads_ = 0;
-  std::string spill_dir_;
-  std::uint64_t spill_seq_ = 0;
+  std::uint64_t hits_ = 0, misses_ = 0;
 };
-
-/// Serialization of one entry over the mh5 Sink/Source layer (exposed for
-/// the round-trip tests; PrefixCache uses these for spill/reload). The
-/// encoding is bitwise lossless: doubles and counters travel as their raw
-/// little-endian representation, so read(write(e)) == e bit for bit.
-void write_prefix_entry(mh5::Sink& sink, const PrefixEntryData& entry);
-PrefixEntryData read_prefix_entry(const mh5::Source& src);
 
 }  // namespace ckptfi::core

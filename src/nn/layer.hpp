@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "nn/prefix_state.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
@@ -37,7 +36,10 @@ class Layer {
   const std::string& name() const { return name_; }
 
   /// Compute y = f(x). `training` selects batch-vs-running statistics in
-  /// BatchNorm and (if added later) dropout behaviour.
+  /// BatchNorm and (if added later) dropout behaviour. An eval forward
+  /// (`training == false`) is a pure function of (x, params): it reads and
+  /// writes no layer state, so inference prefix reuse may enter the network
+  /// at any segment (DESIGN.md "Segment graph & prefix reuse").
   virtual Tensor forward(const Tensor& x, bool training) = 0;
 
   /// Given dL/dy, accumulate parameter gradients and return dL/dx. Must be
@@ -49,33 +51,6 @@ class Layer {
 
   /// Initialise parameters from `rng` (He/Xavier as appropriate).
   virtual void init_params(Rng& rng) { (void)rng; }
-
-  // --- prefix-reuse contract (DESIGN.md "Segment graph & prefix reuse") ---
-  //
-  // A prefix-reuse trial skips this layer's forward pass, substituting the
-  // cached activation from the clean baseline. That is only valid when the
-  // skip is unobservable:
-  //   * eval trials (`training == false`): the forward must be a pure
-  //     function of (input, params) — no state read or written. True for
-  //     every current layer (BatchNorm reads running stats but eval forward
-  //     never writes them).
-  //   * training trials (`training == true`): the layer must declare its
-  //     complete forward footprint via capture/restore — forward caches the
-  //     backward pass reads (input caches, masks, argmaxes, batch stats)
-  //     AND any state the forward *mutates* (BatchNorm running statistics,
-  //     dropout RNG draws, anything optimizer-coupled). A layer that cannot
-  //     enumerate that footprint must stay prefix-unsafe for training —
-  //     the conservative default below — and forces full recompute.
-  virtual bool prefix_safe(bool training) const { return !training; }
-
-  /// Snapshot every piece of state the training forward wrote (restored by
-  /// restore_forward_state on each trial). Only called on layers whose
-  /// prefix_safe(true) is true; the default is for stateless layers.
-  virtual void capture_forward_state(PrefixState& out) const { (void)out; }
-
-  /// Inverse of capture_forward_state; must consume exactly the blocks the
-  /// capture produced, in order.
-  virtual void restore_forward_state(PrefixStateReader& in) { (void)in; }
 
  private:
   std::string name_;

@@ -313,97 +313,4 @@ void BatchNorm2D::collect_params(std::vector<ParamRef>& out) {
       {name() + "/running_var", &running_var_, &unused_grad_, false});
 }
 
-// --- prefix-reuse capture/restore -----------------------------------------
-//
-// Each layer snapshots exactly the state its forward pass wrote: what
-// backward reads (input caches, masks, argmaxes, batch statistics) plus any
-// persistent mutation (BatchNorm running stats). Capture happens once on the
-// clean baseline's entry batch; restore happens per trial, making a skipped
-// prefix forward bitwise-indistinguishable from having run it.
-
-bool Conv2D::prefix_safe(bool) const { return true; }
-
-void Conv2D::capture_forward_state(PrefixState& out) const {
-  out.put_tensor(x_cache_);
-}
-
-void Conv2D::restore_forward_state(PrefixStateReader& in) {
-  in.take_tensor(x_cache_);
-}
-
-bool Dense::prefix_safe(bool) const { return true; }
-
-void Dense::capture_forward_state(PrefixState& out) const {
-  out.put_tensor(x_cache_);
-}
-
-void Dense::restore_forward_state(PrefixStateReader& in) {
-  in.take_tensor(x_cache_);
-}
-
-bool ReLU::prefix_safe(bool) const { return true; }
-
-void ReLU::capture_forward_state(PrefixState& out) const {
-  out.put_mask(mask_);
-}
-
-void ReLU::restore_forward_state(PrefixStateReader& in) {
-  in.take_mask(mask_);
-}
-
-bool MaxPool2D::prefix_safe(bool) const { return true; }
-
-void MaxPool2D::capture_forward_state(PrefixState& out) const {
-  out.put_shape(x_shape_);
-  out.put_indices(argmax_);
-}
-
-void MaxPool2D::restore_forward_state(PrefixStateReader& in) {
-  in.take_shape(x_shape_);
-  in.take_indices(argmax_);
-}
-
-bool GlobalAvgPool::prefix_safe(bool) const { return true; }
-
-void GlobalAvgPool::capture_forward_state(PrefixState& out) const {
-  out.put_shape(x_shape_);
-}
-
-void GlobalAvgPool::restore_forward_state(PrefixStateReader& in) {
-  in.take_shape(x_shape_);
-}
-
-bool Flatten::prefix_safe(bool) const { return true; }
-
-void Flatten::capture_forward_state(PrefixState& out) const {
-  out.put_shape(x_shape_);
-}
-
-void Flatten::restore_forward_state(PrefixStateReader& in) {
-  in.take_shape(x_shape_);
-}
-
-bool BatchNorm2D::prefix_safe(bool) const { return true; }
-
-void BatchNorm2D::capture_forward_state(PrefixState& out) const {
-  // Post-forward running stats: the training forward's EMA update is the
-  // prefix hazard named in the contract — restoring it here is what lets a
-  // skipped BatchNorm forward stay bitwise-equivalent to having run.
-  out.put_tensor(running_mean_);
-  out.put_tensor(running_var_);
-  out.put_tensor(x_hat_);
-  out.put_scalars(batch_mean_);
-  out.put_scalars(batch_inv_std_);
-  out.put_shape(x_shape_);
-}
-
-void BatchNorm2D::restore_forward_state(PrefixStateReader& in) {
-  in.take_tensor(running_mean_);
-  in.take_tensor(running_var_);
-  in.take_tensor(x_hat_);
-  in.take_scalars(batch_mean_);
-  in.take_scalars(batch_inv_std_);
-  in.take_shape(x_shape_);
-}
-
 }  // namespace ckptfi::nn

@@ -19,9 +19,6 @@ class Conv2D : public Layer {
   void collect_params(std::vector<ParamRef>& out) override;
   void init_params(Rng& rng) override;
 
-  bool prefix_safe(bool training) const override;
-  void capture_forward_state(PrefixState& out) const override;
-  void restore_forward_state(PrefixStateReader& in) override;
 
   const Tensor& weight() const { return w_; }
   const ConvSpec& spec() const { return spec_; }
@@ -45,9 +42,6 @@ class Dense : public Layer {
   void collect_params(std::vector<ParamRef>& out) override;
   void init_params(Rng& rng) override;
 
-  bool prefix_safe(bool training) const override;
-  void capture_forward_state(PrefixState& out) const override;
-  void restore_forward_state(PrefixStateReader& in) override;
 
   std::size_t in_dim() const { return in_dim_; }
   std::size_t out_dim() const { return out_dim_; }
@@ -63,9 +57,6 @@ class ReLU : public Layer {
   explicit ReLU(std::string name) : Layer(std::move(name)) {}
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& dy) override;
-  bool prefix_safe(bool training) const override;
-  void capture_forward_state(PrefixState& out) const override;
-  void restore_forward_state(PrefixStateReader& in) override;
 
  private:
   BitMask mask_;
@@ -77,9 +68,6 @@ class MaxPool2D : public Layer {
             std::size_t pad = 0);
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& dy) override;
-  bool prefix_safe(bool training) const override;
-  void capture_forward_state(PrefixState& out) const override;
-  void restore_forward_state(PrefixStateReader& in) override;
 
  private:
   ConvSpec spec_;
@@ -93,9 +81,6 @@ class GlobalAvgPool : public Layer {
   explicit GlobalAvgPool(std::string name) : Layer(std::move(name)) {}
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& dy) override;
-  bool prefix_safe(bool training) const override;
-  void capture_forward_state(PrefixState& out) const override;
-  void restore_forward_state(PrefixStateReader& in) override;
 
  private:
   Shape x_shape_;
@@ -107,9 +92,6 @@ class Flatten : public Layer {
   explicit Flatten(std::string name) : Layer(std::move(name)) {}
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& dy) override;
-  bool prefix_safe(bool training) const override;
-  void capture_forward_state(PrefixState& out) const override;
-  void restore_forward_state(PrefixStateReader& in) override;
 
  private:
   Shape x_shape_;
@@ -127,12 +109,6 @@ class BatchNorm2D : public Layer {
   void collect_params(std::vector<ParamRef>& out) override;
   void init_params(Rng& rng) override;
 
-  /// Prefix-safe in both modes: the training forward's mutation (running
-  /// mean/var EMA update) is part of the captured footprint below, so a
-  /// restored trial sees the post-forward running stats bitwise.
-  bool prefix_safe(bool training) const override;
-  void capture_forward_state(PrefixState& out) const override;
-  void restore_forward_state(PrefixStateReader& in) override;
 
  private:
   std::size_t channels_;

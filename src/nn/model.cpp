@@ -111,30 +111,9 @@ std::size_t Model::segment_of_layer(const std::string& layer) {
   return it == layer_segments_.end() ? kNoSegment : it->second;
 }
 
-Tensor Model::forward_from(std::size_t seg, const Tensor& boundary,
-                           bool training) {
+Tensor Model::forward_from(std::size_t seg, const Tensor& boundary) {
   require(seg <= net_->size(), "Model::forward_from: bad segment");
-  require(prefix_safe_upto(seg, training),
-          "Model::forward_from: prefix [0, " + std::to_string(seg) +
-              ") of '" + name_ + "' is not prefix-safe in this mode");
-  return net_->forward_span(seg, net_->size(), boundary, training);
-}
-
-void Model::capture_prefix_state(std::size_t seg, PrefixState& out) const {
-  require(seg <= net_->size(), "Model::capture_prefix_state: bad segment");
-  require(prefix_safe_upto(seg, /*training=*/true),
-          "Model::capture_prefix_state: prefix [0, " + std::to_string(seg) +
-              ") of '" + name_ + "' is not prefix-safe for training");
-  net_->capture_state_upto(seg, out);
-}
-
-void Model::restore_prefix_state(std::size_t seg, const PrefixState& state) {
-  require(seg <= net_->size(), "Model::restore_prefix_state: bad segment");
-  PrefixStateReader reader(state);
-  net_->restore_state_upto(seg, reader);
-  require(reader.exhausted(),
-          "Model::restore_prefix_state: snapshot has leftover blocks "
-          "(captured for a different segment or architecture)");
+  return net_->forward_span(seg, net_->size(), boundary, /*training=*/false);
 }
 
 }  // namespace ckptfi::nn

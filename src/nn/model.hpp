@@ -58,45 +58,25 @@ class Model {
   // segments. A Residual (with its nested branches) is a single segment —
   // canonical layers inside it map to the containing top-level index, which
   // keeps entry points conservative: entering *at* a segment never splits a
-  // container.
+  // container. Both entry points run eval forwards, which are pure, so any
+  // segment is a valid entry.
 
   /// Sentinel for "layer not found" from segment_of_layer.
   static constexpr std::size_t kNoSegment = static_cast<std::size_t>(-1);
-
-  std::size_t segment_count() const { return net_->size(); }
-  const std::string& segment_name(std::size_t seg) const {
-    return net_->layer(seg).name();
-  }
 
   /// Segment owning a canonical layer name ("conv4", "stage2_block1_conv2");
   /// kNoSegment when no parameter-bearing layer matches.
   std::size_t segment_of_layer(const std::string& layer);
 
-  /// True when a prefix-reuse trial may skip segments [0, seg) in the given
-  /// mode (every skipped layer declares itself prefix-safe).
-  bool prefix_safe_upto(std::size_t seg, bool training) const {
-    return net_->prefix_safe_upto(seg, training);
-  }
-
-  /// Run segments [0, seg) and return the boundary activation entering
+  /// Eval-run segments [0, seg) and return the boundary activation entering
   /// `seg` — the prefix-cache build pass.
-  Tensor forward_prefix(std::size_t seg, const Tensor& x, bool training) {
-    return net_->forward_span(0, seg, x, training);
+  Tensor forward_prefix(std::size_t seg, const Tensor& x) {
+    return net_->forward_span(0, seg, x, /*training=*/false);
   }
 
-  /// Enter the network at segment `seg` with a cached boundary activation.
-  /// Refuses (throws) when the skipped prefix is not prefix-safe for the
-  /// mode — the validity condition the cache relies on.
-  Tensor forward_from(std::size_t seg, const Tensor& boundary, bool training);
-
-  /// Snapshot the forward state of segments [0, seg) after forward_prefix
-  /// (training trials: what the skipped backward will read). Refuses when
-  /// the prefix is not training-safe.
-  void capture_prefix_state(std::size_t seg, PrefixState& out) const;
-
-  /// Restore a captured prefix into this model (per trial, before
-  /// forward_from). Throws when the snapshot doesn't match the traversal.
-  void restore_prefix_state(std::size_t seg, const PrefixState& state);
+  /// Enter the network at segment `seg` with a cached boundary activation
+  /// and eval-run the rest.
+  Tensor forward_from(std::size_t seg, const Tensor& boundary);
 
  private:
   void refresh_params();

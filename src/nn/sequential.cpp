@@ -24,9 +24,8 @@ Tensor Sequential::forward_span(std::size_t from, std::size_t to,
   // Numeric-health probes observe each layer's output when a trial has a
   // probe scope installed on this thread (obs/probes.hpp). Observation-only:
   // the probed and unprobed paths run the same layer calls in the same
-  // order, so checkpoints stay bit-identical either way. A partial span
-  // records only the layers it runs; prefix-reuse trials splice the cached
-  // stats of the skipped layers so stitched timelines keep the full layout.
+  // order, so checkpoints stay bit-identical either way. Probes record
+  // training forwards only, and every training forward runs the full span.
   obs::Probes* probes = training ? obs::Probes::current() : nullptr;
   for (std::size_t i = from; i < to; ++i) {
     h = layers_[i]->forward(h, training);
@@ -36,40 +35,6 @@ Tensor Sequential::forward_span(std::size_t from, std::size_t to,
     }
   }
   return h;
-}
-
-bool Sequential::prefix_safe_upto(std::size_t end, bool training) const {
-  require(end <= layers_.size(), "Sequential::prefix_safe_upto: bad end");
-  for (std::size_t i = 0; i < end; ++i) {
-    if (!layers_[i]->prefix_safe(training)) return false;
-  }
-  return true;
-}
-
-void Sequential::capture_state_upto(std::size_t end, PrefixState& out) const {
-  require(end <= layers_.size(), "Sequential::capture_state_upto: bad end");
-  for (std::size_t i = 0; i < end; ++i) {
-    layers_[i]->capture_forward_state(out);
-  }
-}
-
-void Sequential::restore_state_upto(std::size_t end, PrefixStateReader& in) {
-  require(end <= layers_.size(), "Sequential::restore_state_upto: bad end");
-  for (std::size_t i = 0; i < end; ++i) {
-    layers_[i]->restore_forward_state(in);
-  }
-}
-
-bool Sequential::prefix_safe(bool training) const {
-  return prefix_safe_upto(layers_.size(), training);
-}
-
-void Sequential::capture_forward_state(PrefixState& out) const {
-  capture_state_upto(layers_.size(), out);
-}
-
-void Sequential::restore_forward_state(PrefixStateReader& in) {
-  restore_state_upto(layers_.size(), in);
 }
 
 Tensor Sequential::backward(const Tensor& dy) {
@@ -141,23 +106,6 @@ void Residual::collect_params(std::vector<ParamRef>& out) {
 void Residual::init_params(Rng& rng) {
   main_->init_params(rng);
   if (shortcut_) shortcut_->init_params(rng);
-}
-
-bool Residual::prefix_safe(bool training) const {
-  return main_->prefix_safe(training) &&
-         (shortcut_ == nullptr || shortcut_->prefix_safe(training));
-}
-
-void Residual::capture_forward_state(PrefixState& out) const {
-  out.put_mask(relu_mask_);
-  main_->capture_forward_state(out);
-  if (shortcut_) shortcut_->capture_forward_state(out);
-}
-
-void Residual::restore_forward_state(PrefixStateReader& in) {
-  in.take_mask(relu_mask_);
-  main_->restore_forward_state(in);
-  if (shortcut_) shortcut_->restore_forward_state(in);
 }
 
 }  // namespace ckptfi::nn

@@ -12,11 +12,10 @@
 namespace ckptfi::nn {
 
 std::pair<double, double> Trainer::train_epoch(
-    const std::vector<Batch>& batches, const PrefixEntry* prefix) {
+    const std::vector<Batch>& batches) {
   require(!batches.empty(), "Trainer: no batches");
   double loss_sum = 0.0;
   double acc_sum = 0.0;
-  bool first = true;
   for (const Batch& b : batches) {
     obs::Span span("trainer.batch", "train", "trainer.batch_time");
     // The probe scope covers exactly the forward/backward passes: one step
@@ -28,26 +27,7 @@ std::pair<double, double> Trainer::train_epoch(
       probe_scope.emplace(*probes_);
     }
     ++probe_step_;
-    const PrefixEntry* entry = first ? prefix : nullptr;
-    first = false;
-    Tensor logits;
-    if (entry != nullptr && entry->segment > 0) {
-      // Prefix-entered step: restore the skipped layers' forward state (so
-      // this step's backward reads bitwise what a full forward would have
-      // written), splice the cached upstream probe stats to keep the step's
-      // point schedule identical to a full run's, then enter at the segment
-      // boundary with the cached activation.
-      model_.restore_prefix_state(entry->segment, *entry->state);
-      if (probes_ != nullptr && entry->probe_prefix != nullptr) {
-        for (const obs::RecordedPoint& rp : *entry->probe_prefix) {
-          probes_->record_stats(rp.point.layer, rp.point.phase, rp.stats);
-        }
-      }
-      logits = model_.forward_from(entry->segment, *entry->boundary,
-                                   /*training=*/true);
-    } else {
-      logits = model_.forward(b.x, /*training=*/true);
-    }
+    const Tensor logits = model_.forward(b.x, /*training=*/true);
     LossResult lr = softmax_cross_entropy(logits, b.y);
     loss_sum += lr.loss;
     acc_sum += accuracy(logits, b.y);
@@ -64,11 +44,10 @@ std::pair<double, double> Trainer::train_epoch(
   return {loss_sum / n, acc_sum / n};
 }
 
-TrainResult Trainer::fit(const BatchProvider& provider,
-                         const std::vector<Batch>& test_batches,
-                         std::size_t first_epoch,
-                         const std::function<void(const EpochStats&)>& on_epoch,
-                         const PrefixEntry* prefix) {
+TrainResult Trainer::fit(
+    const BatchProvider& provider, const std::vector<Batch>& test_batches,
+    std::size_t first_epoch,
+    const std::function<void(const EpochStats&)>& on_epoch) {
   TrainResult result;
   for (std::size_t e = 0; e < cfg_.epochs; ++e) {
     const std::size_t epoch = first_epoch + e;
@@ -76,7 +55,7 @@ TrainResult Trainer::fit(const BatchProvider& provider,
     {
       obs::Span span("trainer.epoch", "train", "trainer.epoch_time");
       const auto batches = provider(epoch);
-      auto [loss, train_acc] = train_epoch(batches, e == 0 ? prefix : nullptr);
+      auto [loss, train_acc] = train_epoch(batches);
 
       stats.epoch = epoch;
       stats.train_loss = loss;
@@ -139,7 +118,7 @@ EvalResult evaluate_with_nev(Model& model, const std::vector<Batch>& batches,
   std::size_t total = 0, correct = 0;
   for (std::size_t i = 0; i < batches.size(); ++i) {
     const Tensor logits =
-        seg > 0 ? model.forward_from(seg, boundaries[i], /*training=*/false)
+        seg > 0 ? model.forward_from(seg, boundaries[i])
                 : model.forward(batches[i].x, /*training=*/false);
     res.nev = res.nev || std::any_of(logits.vec().begin(), logits.vec().end(),
                                      [](double v) { return is_nev(v); });

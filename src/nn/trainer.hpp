@@ -54,41 +54,19 @@ class Trainer {
   Trainer(Model& model, TrainConfig cfg)
       : model_(model), cfg_(cfg), opt_(cfg.sgd) {}
 
-  /// Prefix-reuse entry for the first resumed batch (core::PrefixCache owns
-  /// the referenced data; it must outlive the fit call). Only the entry
-  /// batch can reuse a training prefix: its upstream forward is bitwise the
-  /// clean baseline's because the corrupted checkpoint's upstream weights
-  /// equal the clean ones — but the entry batch's backward pass updates
-  /// upstream weights through the corrupted layer's gradients, so every
-  /// later batch must run in full. The entry batch restores the captured
-  /// upstream forward state, splices the cached upstream probe stats, and
-  /// enters the network at `segment` with the cached boundary activation;
-  /// backward and the optimizer step then run over the whole network.
-  struct PrefixEntry {
-    std::size_t segment = 0;
-    const Tensor* boundary = nullptr;  ///< batch-0 activation entering segment
-    const PrefixState* state = nullptr;  ///< upstream forward footprint
-    /// Cached upstream forward probe stats, in layout order (may be null
-    /// when the trial records no probes).
-    const std::vector<obs::RecordedPoint>* probe_prefix = nullptr;
-  };
-
   /// Train one epoch over `batches`; returns (mean loss, accuracy) on the
-  /// training batches. `prefix`, when given, applies to the first batch.
-  std::pair<double, double> train_epoch(const std::vector<Batch>& batches,
-                                        const PrefixEntry* prefix = nullptr);
+  /// training batches.
+  std::pair<double, double> train_epoch(const std::vector<Batch>& batches);
 
   /// Full run: cfg.epochs epochs from `provider`, evaluating on `test_batches`
   /// after each. `first_epoch` offsets the epoch counter when resuming from a
   /// checkpoint. Stops early (and marks collapse) once weights go non-finite —
   /// continuing a NaN training is pure wasted compute, as in the paper's
-  /// collapsed runs. `prefix`, when given, applies to the first batch of the
-  /// first epoch (see PrefixEntry).
+  /// collapsed runs.
   TrainResult fit(const BatchProvider& provider,
                   const std::vector<Batch>& test_batches,
                   std::size_t first_epoch = 0,
-                  const std::function<void(const EpochStats&)>& on_epoch = {},
-                  const PrefixEntry* prefix = nullptr);
+                  const std::function<void(const EpochStats&)>& on_epoch = {});
 
   Sgd& optimizer() { return opt_; }
 

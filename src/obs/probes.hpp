@@ -71,14 +71,6 @@ struct ProbePoint {
   ProbePhase phase = ProbePhase::kForward;
 };
 
-/// One (point, stats) pair lifted out of a timeline — the unit a prefix
-/// cache stores so a prefix-entered trial can splice the skipped upstream
-/// forward points back into its step (see Probes::record_stats).
-struct RecordedPoint {
-  ProbePoint point;
-  TensorStats stats;
-};
-
 /// A probe timeline: `num_steps()` training steps, each recording the same
 /// fixed sequence of probe points (the layout, learned on step 0 and frozen
 /// afterwards). Not thread-safe: one Probes belongs to one trial.
@@ -96,11 +88,8 @@ class Probes {
 
   /// Append the stats of one tensor to the current step. Layer/phase must
   /// follow the same schedule every step (enforced once frozen). Containers
-  /// pass the stats of the tensor they just computed; prefix-reuse trials
-  /// stitch their timelines by splicing in the clean baseline's cached stats
-  /// for the skipped upstream forward points (bitwise the values a full run
-  /// would have recorded), then record the executed suffix live, so
-  /// stitched and full timelines are indistinguishable to diverge().
+  /// pass the stats of the tensor they just computed; every probed step runs
+  /// the whole network, so each step records the full layout live.
   void record_stats(std::string_view layer, ProbePhase phase,
                     const TensorStats& stats);
 

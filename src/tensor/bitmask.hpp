@@ -18,9 +18,6 @@ class BitMask {
   bool test(std::size_t i) const {
     return ((words_[i / kWordBits] >> (i % kWordBits)) & 1u) != 0;
   }
-  void set(std::size_t i) {
-    words_[i / kWordBits] |= std::uint64_t{1} << (i % kWordBits);
-  }
 
   /// Take n bits, all clear, keeping the heap block when capacity suffices.
   void reset(std::size_t n) {

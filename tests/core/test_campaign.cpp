@@ -3,16 +3,19 @@
 // fingerprint and produces the same row for a sampled trial — keep its
 // pinned artifact shape and row bytes, and refuse cells and modes it does
 // not run; an unknown kind is refused with the registered names in the
-// message, and a manifest with a negative size or a malformed seed with a
-// FormatError.
+// message, options no trial can run with are refused naming the field, and
+// a manifest with a negative size or a malformed seed with a FormatError.
+// Every options key either changes the fingerprint or no row byte.
 #include "core/campaign.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -257,6 +260,106 @@ TEST(CampaignRegistryErrors, Table7RefusesAnUnknownComputePrecision) {
   CampaignOptions o = tiny_options("table7");
   o.mode = "fp8";
   EXPECT_THROW(Campaign::make(o), Error);
+}
+
+/// `make()` must throw an Error whose message names `field` in quotes.
+void expect_refused_naming(const std::function<void()>& make,
+                           const std::string& field) {
+  try {
+    make();
+    ADD_FAILURE() << "options with a bad '" << field << "' must be refused";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + field + "'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Options no trial can run with are refused when the campaign is built, not
+// thrown from inside a trial (which aborts a bench with std::terminate):
+// directly, for every kind, and through a fleet manifest, which is how
+// fleetd and the workers build campaigns.
+TEST(CampaignRegistryErrors, RefusesOptionsNoTrialCanRun) {
+  const std::vector<
+      std::pair<std::string, std::function<void(CampaignOptions&)>>>
+      unrunnable = {
+          {"width", [](CampaignOptions& o) { o.width = 0; }},
+          {"train_images", [](CampaignOptions& o) { o.train_images = 0; }},
+          {"test_images", [](CampaignOptions& o) { o.test_images = 0; }},
+          {"restart_epoch",
+           [](CampaignOptions& o) { o.restart_epoch = o.total_epochs; }},
+          {"restart_epoch",
+           [](CampaignOptions& o) { o.restart_epoch = o.total_epochs + 3; }},
+          {"total_epochs", [](CampaignOptions& o) { o.total_epochs = 0; }},
+      };
+  const Json manifest =
+      campaign_manifest(*Campaign::make(tiny_options("table4")));
+  for (const auto& [field, spoil] : unrunnable) {
+    for (const std::string& param : params()) {
+      CampaignOptions o = tiny_options(param);
+      spoil(o);
+      expect_refused_naming([&] { Campaign::make(o); }, field);
+    }
+    CampaignOptions o = tiny_options("table4");
+    spoil(o);
+    Json m = manifest;
+    m["options"] = o.to_json();
+    m["fp"] = o.fingerprint_hex();
+    expect_refused_naming([&] { campaign_from_manifest(m); }, field);
+  }
+}
+
+// Campaign identity is complete: changing any key of the options either
+// changes the fingerprint, or changes no row byte. Only trainings (a
+// campaign extended is the same campaign) and prefix_reuse (fig4 predict's
+// bitwise-neutral path switch) may keep the fingerprint. The key set is
+// pinned, so a new field fails here until someone classifies it.
+TEST(CampaignIdentity, EveryKeyChangesTheFingerprintOrNoRowByte) {
+  const CampaignOptions base = tiny_options(kFig4Predict);
+  const Json base_json = base.to_json();
+  std::vector<std::string> keys;
+  for (const auto& member : base_json.members()) keys.push_back(member.first);
+  ASSERT_EQ(keys, (std::vector<std::string>{
+                      "bench", "mode", "layers", "trainings", "train_images",
+                      "test_images", "width", "total_epochs", "restart_epoch",
+                      "resume_epochs", "seed", "prefix_reuse"}));
+
+  Json conv4 = Json::array();
+  conv4.push_back("conv4");
+  const std::map<std::string, Json> changed = {
+      {"bench", Json("fig6")},         {"mode", Json("train")},
+      {"layers", conv4},               {"trainings", Json(3)},
+      {"train_images", Json(48)},      {"test_images", Json(32)},
+      {"width", Json(3)},              {"total_epochs", Json(3)},
+      {"restart_epoch", Json(0)},      {"resume_epochs", Json(2)},
+      {"seed", Json("43")},            {"prefix_reuse", Json(false)},
+  };
+  const std::set<std::string> row_neutral = {"trainings", "prefix_reuse"};
+
+  // Trial 1 of the middle cell: it exists at 2 and at 3 trainings.
+  const auto row = [](const CampaignOptions& o) {
+    const std::unique_ptr<Campaign> c = Campaign::make(o);
+    const CampaignCell& cell = sampled_cell(*c);
+    c->prepare_cell(cell.name);
+    return c->run_trial(cell.name, {1, trial_seed(c->cell_seed(cell.name), 1)})
+        .dump();
+  };
+  const std::string base_row = row(base);
+
+  for (const std::string& key : keys) {
+    ASSERT_EQ(changed.count(key), 1u) << "no changed value for '" << key << "'";
+    Json j = base_json;
+    ASSERT_NE(j.at(key).dump(), changed.at(key).dump()) << key;
+    j[key] = changed.at(key);
+    const CampaignOptions o = CampaignOptions::from_json(j);
+    if (row_neutral.count(key) == 0) {
+      EXPECT_NE(o.fingerprint(), base.fingerprint())
+          << "'" << key << "' can change rows but not the fingerprint";
+    } else {
+      EXPECT_EQ(o.fingerprint(), base.fingerprint()) << key;
+      EXPECT_EQ(row(o), base_row) << "'" << key << "' changed a row's bytes";
+    }
+  }
 }
 
 /// from_json(j) must throw FormatError naming `key`.

@@ -1,21 +1,22 @@
 // Prefix-reuse parity suite (DESIGN.md "Segment graph & prefix reuse").
 //
-// The hard contract under test: a prefix-entered trial is bitwise-identical
-// to the full recompute — TrainResults, final weights, probe timelines (and
-// therefore DivergenceTrace JSON), and prediction outcomes — across all
-// three framework adapters, under any --jobs fan-out. Prefix reuse is a
-// pure execution-time optimisation; any observable difference is a bug.
+// The hard contract under test: a prefix-entered prediction is
+// bitwise-identical to the full recompute — logits at every entry segment
+// of every model, and prediction outcomes across all three framework
+// adapters, under any --jobs fan-out. Prefix reuse is a pure execution-time
+// optimisation; any observable difference is a bug.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/corrupter.hpp"
 #include "core/experiment.hpp"
 #include "core/scheduler.hpp"
-#include "nn/layers.hpp"
-#include "util/common.hpp"
+#include "models/models.hpp"
 #include "util/threadpool.hpp"
 
 namespace ckptfi::core {
@@ -55,38 +56,6 @@ mh5::File corrupt_layer(ExperimentRunner& runner, ModelContext& ctx,
   return ckpt;
 }
 
-void expect_same_result(const nn::TrainResult& a, const nn::TrainResult& b) {
-  ASSERT_EQ(a.epochs.size(), b.epochs.size());
-  for (std::size_t i = 0; i < a.epochs.size(); ++i) {
-    EXPECT_EQ(a.epochs[i].train_loss, b.epochs[i].train_loss);
-    EXPECT_EQ(a.epochs[i].train_accuracy, b.epochs[i].train_accuracy);
-    EXPECT_EQ(a.epochs[i].test_accuracy, b.epochs[i].test_accuracy);
-    EXPECT_EQ(a.epochs[i].nev, b.epochs[i].nev);
-  }
-  EXPECT_EQ(a.collapsed, b.collapsed);
-  EXPECT_EQ(a.final_accuracy, b.final_accuracy);
-}
-
-void expect_same_weights(nn::Model& a, nn::Model& b) {
-  const auto& pa = a.params();
-  const auto& pb = b.params();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_EQ(pa[i].name, pb[i].name);
-    EXPECT_EQ(pa[i].value->vec(), pb[i].value->vec()) << pa[i].name;
-  }
-}
-
-void expect_same_timeline(const obs::Probes& a, const obs::Probes& b) {
-  ASSERT_TRUE(a.same_layout(b));
-  ASSERT_EQ(a.num_steps(), b.num_steps());
-  // diverge() is the bitwise comparator the forensics pipeline uses: a
-  // stitched timeline must be indistinguishable from a fully recorded one.
-  const obs::DivergenceTrace t = obs::diverge(a, b);
-  EXPECT_FALSE(t.diverged);
-  EXPECT_EQ(t.points_diverged, 0u);
-}
-
 /// Location of alexnet's middle conv layer per framework path scheme.
 /// PyTorch keys are dotted flat names, so the group prefix form does not
 /// apply there — target the weight dataset directly.
@@ -98,34 +67,23 @@ std::string conv4_location(const std::string& framework) {
 
 class PrefixReuseParity : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(PrefixReuseParity, TrainingParityMidLayer) {
+TEST_P(PrefixReuseParity, PredictionParityMidLayer) {
   const std::string framework = GetParam();
   ExperimentRunner runner(tiny_config(framework));
   auto ctx_model = runner.make_model();
   ModelContext ctx = runner.make_context(*ctx_model);
 
   InjectionLog log;
-  mh5::File full_ckpt =
+  mh5::File ckpt =
       corrupt_layer(runner, ctx, conv4_location(framework), 7, &log);
-  mh5::File prefixed_ckpt =
-      corrupt_layer(runner, ctx, conv4_location(framework), 7);
-
   const std::size_t seg = runner.entry_segment(log);
   ASSERT_GT(seg, 0u) << "conv4 must map to a mid-network segment";
 
-  ExperimentRunner::ProbedResume full =
-      runner.resume_training_probed(full_ckpt);
-  ExperimentRunner::ProbedResume prefixed =
-      runner.resume_training_probed(prefixed_ckpt, 0, seg);
-
-  expect_same_result(full.result, prefixed.result);
-  expect_same_weights(*full.model, *prefixed.model);
-  expect_same_timeline(full.probes, prefixed.probes);
-  // Divergence traces against the clean twin — the forensic artifact — must
-  // serialize identically too.
-  EXPECT_EQ(runner.divergence_vs_clean(full.probes).to_json().dump(),
-            runner.divergence_vs_clean(prefixed.probes).to_json().dump());
-  EXPECT_GT(runner.prefix_cache().misses(), 0u);
+  const nn::EvalResult full = runner.predict(ckpt);
+  const nn::EvalResult prefixed = runner.predict(ckpt, seg);
+  EXPECT_EQ(full.accuracy, prefixed.accuracy);
+  EXPECT_EQ(full.nev, prefixed.nev);
+  EXPECT_EQ(runner.prefix_cache().misses(), 1u);
 }
 
 TEST_P(PrefixReuseParity, PredictionParityLastLayer) {
@@ -153,9 +111,41 @@ INSTANTIATE_TEST_SUITE_P(AllAdapters, PrefixReuseParity,
                          ::testing::Values("chainer", "pytorch",
                                            "tensorflow"));
 
-// A fig4-style mini-campaign with prefix entry: per-trial divergence JSON
-// must be byte-identical between --jobs 1 and --jobs 8 (concurrent trials
-// share one cached prefix) and between prefix-on and prefix-off.
+// Eval forwards are pure, so entering a model at any segment with the
+// boundary forward_prefix computed gives the full forward's logits bitwise —
+// through BatchNorm's running statistics and Residual joins too. That is
+// what lets predict enter at any segment without a safety check.
+class EveryEntrySegment : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(EveryEntrySegment, ForwardFromMatchesFullForwardBitwise) {
+  models::ModelConfig mc;
+  mc.width = 2;
+  std::unique_ptr<nn::Model> model = models::make_model(GetParam(), mc);
+  model->init(5);
+  Tensor x({3, 3, 32, 32});
+  for (std::size_t i = 0; i < x.numel(); ++i)
+    x[i] = static_cast<double>(i % 97) / 48.5 - 1.0;
+  const Tensor full = model->forward(x, /*training=*/false);
+
+  std::set<std::size_t> segments;
+  for (const std::string& layer : model->layer_names())
+    segments.insert(model->segment_of_layer(layer));
+  ASSERT_GT(segments.size(), 2u);
+  for (const std::size_t seg : segments) {
+    const Tensor y = model->forward_from(seg, model->forward_prefix(seg, x));
+    ASSERT_EQ(y.shape(), full.shape()) << "segment " << seg;
+    EXPECT_EQ(std::memcmp(y.data(), full.data(), full.numel() * sizeof(double)),
+              0)
+        << "segment " << seg;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, EveryEntrySegment,
+                         ::testing::Values("alexnet", "vgg16", "resnet50"));
+
+// A fig4-predict-style mini-campaign: per-trial rows must be byte-identical
+// between --jobs 1 and --jobs 8 (concurrent trials share one cached prefix)
+// and between prefix-on and prefix-off.
 std::vector<std::string> run_campaign(ExperimentRunner& runner,
                                       ModelContext& ctx, bool prefix,
                                       std::size_t jobs, ThreadPool* pool) {
@@ -169,13 +159,11 @@ std::vector<std::string> run_campaign(ExperimentRunner& runner,
     InjectionLog log;
     mh5::File ckpt =
         corrupt_layer(runner, ctx, "predictor/conv4", trial.seed, &log);
-    const std::size_t seg = prefix ? runner.entry_segment(log) : 0;
-    ExperimentRunner::ProbedResume probed =
-        runner.resume_training_probed(ckpt, 0, seg);
+    const nn::EvalResult ev =
+        runner.predict(ckpt, prefix ? runner.entry_segment(log) : 0);
     Json row = Json::object();
-    row["final_accuracy"] = probed.result.final_accuracy;
-    row["collapsed"] = probed.result.collapsed;
-    row["divergence"] = runner.divergence_vs_clean(probed.probes).to_json();
+    row["accuracy"] = ev.accuracy;
+    row["nev"] = ev.nev;
     dumps[trial.index] = row.dump();
   });
   return dumps;
@@ -185,52 +173,22 @@ TEST(PrefixReuseCampaign, JobsAndPrefixInvariant) {
   ExperimentRunner runner(tiny_config("chainer"));
   auto ctx_model = runner.make_model();
   ModelContext ctx = runner.make_context(*ctx_model);
-  runner.clean_probed_run();  // warm the memo outside the fan-out
+  runner.restart_checkpoint();  // train the baseline outside the fan-out
 
+  ThreadPool pool(8);
   const auto serial_off = run_campaign(runner, ctx, false, 1, nullptr);
   const auto serial_on = run_campaign(runner, ctx, true, 1, nullptr);
-  ThreadPool pool(8);
+  const auto fanned_off = run_campaign(runner, ctx, false, 8, &pool);
   const auto fanned_on = run_campaign(runner, ctx, true, 8, &pool);
 
   ASSERT_EQ(serial_off.size(), serial_on.size());
   for (std::size_t i = 0; i < serial_off.size(); ++i) {
     EXPECT_EQ(serial_off[i], serial_on[i]) << "prefix changed trial " << i;
+    EXPECT_EQ(serial_off[i], fanned_off[i]) << "jobs changed trial " << i;
     EXPECT_EQ(serial_on[i], fanned_on[i]) << "jobs changed trial " << i;
   }
   // The trial group shared cached prefixes rather than rebuilding per trial.
   EXPECT_GE(runner.prefix_cache().hits(), 1u);
-}
-
-// Layers are prefix-UNSAFE for training by default: a layer that does not
-// implement capture/restore of its forward footprint must force the full
-// path, never a silently wrong prefix entry.
-class OpaqueLayer : public nn::Layer {
- public:
-  explicit OpaqueLayer(std::string name) : Layer(std::move(name)) {}
-  Tensor forward(const Tensor& x, bool) override { return x; }
-  Tensor backward(const Tensor& dy) override { return dy; }
-};
-
-TEST(PrefixSafety, DefaultUnsafeLayerRefusesTrainingPrefix) {
-  auto net = std::make_unique<nn::Sequential>("net");
-  net->emplace<nn::Flatten>("flatten");
-  net->emplace<OpaqueLayer>("opaque");
-  net->emplace<nn::Dense>("fc", 3 * 4 * 4, 10);
-  nn::Model model("tiny", {3, 4, 4}, 10, std::move(net));
-  model.init(1);
-
-  // Eval prefixes only need pure forwards — the default grants that.
-  EXPECT_TRUE(model.prefix_safe_upto(2, /*training=*/false));
-  // Training prefixes need the captured footprint — the default refuses.
-  EXPECT_TRUE(model.prefix_safe_upto(1, /*training=*/true));
-  EXPECT_FALSE(model.prefix_safe_upto(2, /*training=*/true));
-
-  nn::PrefixState state;
-  EXPECT_THROW(model.capture_prefix_state(2, state), Error);
-  Tensor boundary({1, 3 * 4 * 4});
-  EXPECT_THROW(model.forward_from(2, boundary, /*training=*/true), Error);
-  // Entering before the unsafe layer stays legal.
-  EXPECT_NO_THROW(model.capture_prefix_state(1, state));
 }
 
 // The fig6 satellite: one memoized clean probed baseline must serve every

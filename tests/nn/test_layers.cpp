@@ -336,15 +336,12 @@ TEST(ReLULayer, MapsNegativeZeroToPlusZeroKeepsNanPayloadsAndMasks) {
                            std::numeric_limits<double>::denorm_min(), 0.0};
   for (std::size_t i = 0; i < 8; ++i)
     EXPECT_EQ(bits_of(y[i]), bits_of(expect[i])) << "i=" << i;
-  // The train-mode mask, as a prefix capture stores it: 1 where relu kept v.
-  PrefixState state;
-  relu.capture_forward_state(state);
-  ASSERT_EQ(state.block_count(), 1u);
-  EXPECT_EQ(state.blocks()[0].u64,
-            (std::vector<std::uint64_t>{0, 0, 1, 1, 0, 1, 1, 0}));
+  // The train-mode mask, read through backward: dx keeps dy where relu kept
+  // v (mask bit 1) and is +0 elsewhere.
+  const int kept[] = {0, 0, 1, 1, 0, 1, 1, 0};
   const Tensor dx = relu.backward(Tensor({1, 8}, -3.0));
   for (std::size_t i = 0; i < 8; ++i)
-    EXPECT_EQ(bits_of(dx[i]), bits_of(state.blocks()[0].u64[i] ? -3.0 : 0.0));
+    EXPECT_EQ(bits_of(dx[i]), bits_of(kept[i] ? -3.0 : 0.0)) << "i=" << i;
 }
 
 /// Returns a fixed tensor whatever its input: lets a test choose the main
@@ -374,11 +371,14 @@ TEST(ResidualLayer, JoinMapsNegativeZeroToPlusZeroAndKeepsNanPayloads) {
   for (std::size_t i = 0; i < 6; ++i)
     EXPECT_EQ(bits_of(y[i]), bits_of(expect[i])) << "i=" << i;
   expect_same_bits(res.forward(x, /*training=*/false), y);
-  PrefixState state;
+  // The join's train-mode mask, read through backward: both branches pass
+  // the masked gradient back, so dx is 2 * dy where the join kept its sum
+  // and +0 elsewhere.
   res.forward(x, /*training=*/true);
-  res.capture_forward_state(state);
-  EXPECT_EQ(state.blocks()[0].u64,
-            (std::vector<std::uint64_t>{0, 0, 1, 1, 0, 1}));
+  const int kept[] = {0, 0, 1, 1, 0, 1};
+  const Tensor dx = res.backward(Tensor({1, 1, 1, 6}, -3.0));
+  for (std::size_t i = 0; i < 6; ++i)
+    EXPECT_EQ(bits_of(dx[i]), bits_of(kept[i] ? -6.0 : 0.0)) << "i=" << i;
 }
 
 }  // namespace

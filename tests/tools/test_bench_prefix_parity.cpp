@@ -1,13 +1,15 @@
-// End-to-end acceptance for prefix reuse and campaign resume: the four
-// scheduler-ported campaign benches must emit byte-identical --trials-out
-// JSONL with --prefix-reuse=on --jobs=8 on the default ISA and with
-// --prefix-reuse=off --jobs=1 on the scalar lanes (CKPTFI_SIMD=off), with
-// CKPTFI_KERNELS / CKPTFI_GEMM_PRECISION set to values that once selected
-// other numerics. One diff covers prefix-on ≡ prefix-off, --jobs 8 ≡
-// --jobs 1, scalar ≡ vector, and that those variables no longer move a
-// byte. On top, --resume-from must reproduce a prior artifact
-// byte-for-byte, both when every row is resumed and when half the rows are
-// recomputed from their splitmix64 seeds.
+// End-to-end acceptance for the layer-targeted campaign benches and
+// campaign resume: fig4 (train and predict), fig6, table5 and table6 must
+// emit byte-identical --trials-out JSONL with --prefix-reuse=on --jobs=8 on
+// the default ISA and with --prefix-reuse=off --jobs=1 on the scalar lanes
+// (CKPTFI_SIMD=off), with CKPTFI_KERNELS / CKPTFI_GEMM_PRECISION set to
+// values that once selected other numerics. One diff covers --jobs 8 ≡
+// --jobs 1, scalar ≡ vector, that those variables no longer move a byte,
+// and, for fig4 --mode=predict (the one path --prefix-reuse selects),
+// prefix-on ≡ prefix-off; the other four take the flag and must ignore it.
+// On top, --resume-from must reproduce a prior artifact byte-for-byte, both
+// when every row is resumed and when half the rows are recomputed from
+// their splitmix64 seeds.
 #include <gtest/gtest.h>
 
 #include <cstdlib>

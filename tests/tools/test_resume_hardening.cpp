@@ -3,7 +3,8 @@
 // from a different campaign are refused by fingerprint, not merged; the
 // --trials-out artifact is written through a temp + atomic rename so an
 // in-place resume can never destroy its own input; and malformed numeric
-// flags exit with a diagnostic instead of an uncaught std::invalid_argument.
+// flags, or options no trial can run with, exit with a diagnostic instead of
+// an uncaught exception.
 // Each scenario is the failing-before case of a bug this PR fixes.
 #include "core/trial_log.hpp"
 
@@ -167,10 +168,13 @@ const char* const kTinyBench =
     " --trainings=2 --train-images=32 --test-images=16 --width=2"
     " --total-epochs=2 --restart-epoch=1 --resume-epochs=1";
 
-int run_bench(const std::string& flags) {
+/// Exit status of the tiny bench run with `flags`; its stdout and stderr go
+/// to `output`.
+int run_bench(const std::string& flags,
+              const fs::path& output = "/dev/null") {
   const std::string cmd = "cd " + fs::temp_directory_path().string() +
                           " && \"" + CKPTFI_BENCH_FIG4 + "\"" + kTinyBench +
-                          " " + flags + " > /dev/null 2>&1";
+                          " " + flags + " > \"" + output.string() + "\" 2>&1";
   const int status = std::system(cmd.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
@@ -248,6 +252,24 @@ TEST(BenchOptions, MalformedNumericFlagExitsTwo) {
   EXPECT_EQ(run_bench("--jobs=abc"), 2);
   EXPECT_EQ(run_bench("--trainings=1x"), 2);  // trailing junk, not just alpha
   EXPECT_EQ(run_bench("--seed="), 2);
+}
+
+TEST(BenchOptions, UnrunnableCampaignExitsTwo) {
+  // Before the fix each of these died in std::terminate (SIGABRT) once a
+  // trial hit the bad size; now Campaign::make refuses them up front.
+  for (const char* flags :
+       {"--width=0", "--train-images=0", "--test-images=0",
+        "--restart-epoch=2 --total-epochs=2",
+        "--restart-epoch=3 --total-epochs=2"}) {
+    EXPECT_EQ(run_bench(flags), 2) << flags;
+  }
+  // A campaign with no trials runs; its tables print "-", not NaN.
+  const fs::path out = fs::temp_directory_path() / "hard_no_trials.txt";
+  ASSERT_EQ(run_bench("--trainings=0", out), 0);
+  const std::string text = slurp(out);
+  EXPECT_NE(text.find("conv1"), std::string::npos) << text;
+  EXPECT_EQ(text.find("nan"), std::string::npos) << text;
+  fs::remove(out);
 }
 
 TEST(BenchOptions, PrefixReuseTakesOnlyOnOrOff) {

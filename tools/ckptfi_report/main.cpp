@@ -8,7 +8,7 @@
 //   --cell=SUBSTRING  only analyze rows whose "cell" contains SUBSTRING
 //   --metrics=PATH    read a bench --json-out metrics snapshot and report
 //                     its prefix-reuse telemetry (prefix.hits/misses/
-//                     spills/reloads/segments_skipped, bytes cached) and
+//                     segments_skipped, bytes cached) and
 //                     its kernel-compute telemetry (kernels.* timing
 //                     histograms, active backend tier / simd ISA / GEMM
 //                     precision from the run_start event)

@@ -82,11 +82,10 @@ std::vector<Json> load_jsonl(const std::string& path);
 std::string render_text(const Analysis& a);
 
 /// Extract the prefix-reuse telemetry from a bench --json-out metrics
-/// snapshot: every "prefix.*" counter (hits, misses, spills, reloads,
-/// segments_skipped, unsafe_refusals) plus the "prefix.bytes_cached" gauge.
-/// Returns an insertion-ordered flat object; empty when the snapshot
-/// carries no prefix activity (prefix reuse off, or no layer-targeted
-/// trials).
+/// snapshot: every "prefix.*" counter (hits, misses, segments_skipped) plus
+/// the "prefix.bytes_cached" gauge. Returns an insertion-ordered flat
+/// object; empty when the snapshot carries no prefix activity (prefix reuse
+/// off, or no fig4 --mode=predict trials).
 Json prefix_metrics(const Json& snapshot);
 
 /// Render the prefix-reuse section of the report ("" when `metrics` is
